@@ -65,14 +65,6 @@ def _leukemia_run():
     return _LEUKEMIA_CACHE["report"], _LEUKEMIA_CACHE["elapsed"]
 
 
-@pytest.fixture(scope="module")
-def iris_run():
-    cfg = load_experiment_config(CONFIGS / "iris.json")
-    t0 = time.perf_counter()
-    report = run_experiment(cfg)
-    return report, time.perf_counter() - t0
-
-
 def _assert_accuracy_gate(report):
     for leg in report.legs:
         if leg.infeasible:

@@ -1,0 +1,68 @@
+"""Golden-output lock: the bundled iris experiment and the CLI at seed 6.
+
+`tests/golden/iris/` holds `report.json`, `runs.csv` and `report.csv` as
+written by `biasdiv experiment --config configs/iris.json`.
+`tests/golden/cli_sha256.json` holds, per subcommand (`probe`, `diversify`,
+`baseline`, each with `--config configs/iris.json`), the SHA-256 of every
+file it writes and its stdout lines other than `wrote ...`, with the output
+directory shown as `<out>`. A refactor must leave all of these unchanged.
+A change that alters the bytes on purpose regenerates them and says why in
+CHANGES.md. From the repository root:
+
+    PYTHONPATH=src python -m biasdiv.cli experiment --config configs/iris.json \\
+        --out tests/golden/iris --no-svg
+    rm tests/golden/iris/meta.json
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from biasdiv.cli import main
+from biasdiv.harness import emit_report
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+IRIS_CONFIG = REPO / "configs" / "iris.json"
+REPORT_FILES = ("report.json", "runs.csv", "report.csv")
+CLI_COMMANDS = ("probe", "diversify", "baseline")
+
+
+def cli_outputs(command: str, out: Path) -> dict:
+    """Run one subcommand on the iris config; digest what it writes."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, "--config", str(IRIS_CONFIG), "--out", str(out)])
+    assert code == 0, buf.getvalue()
+    stdout = [line.replace(str(out), "<out>") for line in buf.getvalue().splitlines()
+              if not line.startswith("wrote ")]
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir())}
+    return {"files": files, "stdout": stdout}
+
+
+def test_iris_report_matches_golden(iris_run, tmp_path):
+    report, _ = iris_run
+    emit_report(report, tmp_path, svg=False)
+    for name in REPORT_FILES:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "iris" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_outputs_match_golden(command, tmp_path):
+    golden = json.loads((GOLDEN / "cli_sha256.json").read_text(encoding="utf-8"))
+    assert cli_outputs(command, tmp_path / command) == golden[command]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {c: cli_outputs(c, Path(tmp) / c) for c in CLI_COMMANDS}
+    with open(GOLDEN / "cli_sha256.json", "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
