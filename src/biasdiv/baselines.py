@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ORIGINAL, SYNTHETIC, Dataset
+from .data import SYNTHETIC, Dataset
 from .errors import InfeasibleError, NeighborError
 from .numerics import round_half_up, substream
 

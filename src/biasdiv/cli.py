@@ -14,14 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import resample
 from .data import save_csv
-from .diversify import (DELETE_ONLY, FULL, SYNTH_ONLY, derive_seed, diversify,
-                        save_diversify_report)
+from .diversify import DELETE_ONLY, FULL, SYNTH_ONLY, save_diversify_report
 from .errors import BiasdivError, ConfigError, DataError, InfeasibleError, NeighborError
 from .harness import (ABLATION_APPROACHES, BASELINE_APPROACHES, baseline_source,
-                      emit_report, load_dataset_pair, load_experiment_config,
-                      reference_probe, run_experiment)
+                      diversified_set, emit_report, label_column_name,
+                      load_experiment_config, load_split, reference_probe,
+                      resampled_set, run_experiment, validation_summary)
 from .probe import save_probe_report, write_counterexamples_csv
 
 _MODES = {"full": FULL, "synth-only": SYNTH_ONLY, "delete-only": DELETE_ONLY}
@@ -78,17 +77,15 @@ def _load_config(args):
         if args.repeats < 1:
             raise ConfigError("--repeats must be >= 1")
         cfg = replace(cfg, repeats=args.repeats)
+    if getattr(args, "mode", None) is not None:
+        cfg = replace(cfg, diversify=replace(cfg.diversify, mode=_MODES[args.mode]))
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     return cfg, out_dir
 
 
-def _prepared_data(cfg):
-    return load_dataset_pair(cfg.dataset, derive_seed(cfg.seed, "split"))
-
-
 def _cmd_probe(args) -> int:
     cfg, out = _load_config(args)
-    train_ds, test_ds = _prepared_data(cfg)
+    train_ds, test_ds = load_split(cfg)
     _, rep, probe, flagged, _ = reference_probe(cfg, train_ds, test_ds)
     out.mkdir(parents=True, exist_ok=True)
     save_probe_report(probe, out / "probe_report.json", class_names=test_ds.class_names)
@@ -102,44 +99,32 @@ def _cmd_probe(args) -> int:
 
 def _cmd_diversify(args) -> int:
     cfg, out = _load_config(args)
-    mode = _MODES[args.mode]
-    train_ds, test_ds = _prepared_data(cfg)
+    train_ds, test_ds = load_split(cfg)
     _, _, probe, _, _ = reference_probe(cfg, train_ds, test_ds)
-    approach = _MODE_APPROACH[mode]
-    dd = diversify(train_ds, probe, replace(cfg.diversify, mode=mode),
-                   derive_seed(cfg.seed, "rep", 0, approach))
+    dd = diversified_set(cfg, train_ds, probe, _MODE_APPROACH[cfg.diversify.mode])
     out.mkdir(parents=True, exist_ok=True)
-    label = cfg.dataset.label_column
-    if label is None or not isinstance(label, str):
-        label = "species" if cfg.dataset.builtin == "iris" else "label"
-    save_csv(dd.dataset, out / "diversified.csv", label_column=label)
+    save_csv(dd.dataset, out / "diversified.csv",
+             label_column=label_column_name(cfg.dataset))
     save_diversify_report(dd, out / "diversify_report.json")
-    v = dd.validation
-    diff = f"{v.corr_diff:.3f}" if v.corr_diff != float("inf") else "inf"
-    print(f"rows {train_ds.n} -> {dd.dataset.n}; validation corr_diff={diff} "
-          f"attempts={v.attempts} passed={v.passed}")
+    print(f"rows {train_ds.n} -> {dd.dataset.n}; {validation_summary(dd.validation)}")
     print(f"wrote {out / 'diversified.csv'} and {out / 'diversify_report.json'}")
     return 0
 
 
 def _cmd_baseline(args) -> int:
     cfg, out = _load_config(args)
-    train_ds, _ = _prepared_data(cfg)
-    source = baseline_source(cfg, train_ds)
-    label = cfg.dataset.label_column
-    if label is None or not isinstance(label, str):
-        label = "species" if cfg.dataset.builtin == "iris" else "label"
+    train_ds, _ = load_split(cfg)
+    n_source = baseline_source(cfg, train_ds).n
     out.mkdir(parents=True, exist_ok=True)
     methods = [args.method] if args.method else list(BASELINE_APPROACHES)
     for method in methods:
         try:
-            ds = resample(source, cfg.plans[method],
-                          derive_seed(cfg.seed, "rep", 0, method))
+            ds = resampled_set(cfg, train_ds, method)
         except (InfeasibleError, NeighborError) as exc:
             print(f"{method}: infeasible ({exc})")
             continue
-        save_csv(ds, out / f"{method}.csv", label_column=label)
-        print(f"{method}: {source.n} -> {ds.n} rows, wrote {out / (method + '.csv')}")
+        save_csv(ds, out / f"{method}.csv", label_column=label_column_name(cfg.dataset))
+        print(f"{method}: {n_source} -> {ds.n} rows, wrote {out / (method + '.csv')}")
     return 0
 
 
@@ -161,8 +146,6 @@ def _print_summary(report) -> None:
 
 def _cmd_experiment(args, approaches=None) -> int:
     cfg, out = _load_config(args)
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, diversify=replace(cfg.diversify, mode=_MODES[args.mode]))
     if approaches is not None:
         cfg = replace(cfg, approaches=approaches)
     report = run_experiment(cfg)

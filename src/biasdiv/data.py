@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,30 +96,6 @@ class Dataset:
                        self.class_names, self.feature_names,
                        self.provenance[idx])
 
-    def schema(self, label_column: str = "label") -> "DatasetSchema":
-        return DatasetSchema(
-            label_column=label_column,
-            feature_columns=list(self.feature_names),
-            class_name_mapping={name: i for i, name in enumerate(self.class_names)},
-        )
-
-
-def concat(parts: list[Dataset]) -> Dataset:
-    """Stack datasets that share class and feature names, preserving order."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    head = parts[0]
-    for p in parts[1:]:
-        if p.class_names != head.class_names or p.feature_names != head.feature_names:
-            raise ValueError("datasets disagree on class or feature names")
-    return Dataset(
-        np.vstack([p.features for p in parts]),
-        np.concatenate([p.labels for p in parts]),
-        head.class_names,
-        head.feature_names,
-        np.concatenate([p.provenance for p in parts]),
-    )
-
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -156,10 +132,6 @@ class ClassPartition:
         seen = np.concatenate([i for i in self.indices]) if self.indices else np.array([])
         if len(np.unique(seen)) != len(seen):
             raise ValueError("class partitions overlap")
-
-    @property
-    def total_rows(self) -> int:
-        return sum(p.n for p in self.parts)
 
 
 def _resolve_column(col, header: list[str]) -> int:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ORIGINAL, SYNTHETIC, ClassPartition, Dataset, segment_by_class
+from .data import SYNTHETIC, ClassPartition, Dataset, segment_by_class
 from .errors import GenerationError
 from .numerics import (
     Interval,
@@ -350,18 +349,6 @@ def validate_synthetic(synth: np.ndarray, original_train: np.ndarray,
             diagnostic=f"only {len(synth)} synthetic row(s); need >= 2 to correlate")
     diff = _corr_diff(np.asarray(original_train, dtype=float), synth)
     return ValidationReport(corr_diff=diff, attempts=1, passed=bool(diff <= t))
-
-
-def suggest_threshold(train: np.ndarray, test: np.ndarray) -> float:
-    """Correlation drift between train and test, a natural tolerance for
-    validate_synthetic. Warns when the drift is so large that the features
-    may simply be independent."""
-    t = _corr_diff(np.asarray(train, dtype=float), np.asarray(test, dtype=float))
-    if t > 100.0:
-        warnings.warn(
-            f"train/test correlation difference is {t:.1f}%; the features may "
-            "simply be independent, making correlation validation uninformative")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
                    load_csv, split_stratified)
 from .diversify import DiversifyConfig, derive_seed, diversify
 from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
-                     NeighborError, TrainingError)
+                     NeighborError, ProbeError, TrainingError)
 from .mlp import MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train
 from .numerics import round_half_up, substream
 from .probe import BOTH, GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
@@ -388,15 +388,22 @@ def _load_one(path, label, feature_columns, mapping) -> Dataset:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
 
 
+def label_column_name(dcfg: DatasetConfig) -> str:
+    """The label column's name: as configured, else "species" for the bundled
+    iris and "label" otherwise. A label given by index has no name, so CSVs
+    written from such a dataset use the default."""
+    if isinstance(dcfg.label_column, str):
+        return dcfg.label_column
+    return "species" if dcfg.builtin == "iris" else "label"
+
+
 def load_dataset_pair(dcfg: DatasetConfig, split_seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train/test pair a config describes.
 
     Single-source configs are split with a stratified shuffle; explicit
     pairs share one class-index mapping so labels agree across files.
     """
-    label = dcfg.label_column
-    if label is None:
-        label = "species" if dcfg.builtin == "iris" else "label"
+    label = label_column_name(dcfg) if dcfg.label_column is None else dcfg.label_column
     mapping = dict(dcfg.class_names) if dcfg.class_names else None
 
     if dcfg.train_csv is not None:
@@ -413,6 +420,11 @@ def load_dataset_pair(dcfg: DatasetConfig, split_seed: int) -> tuple[Dataset, Da
         scaler = MinMaxScaler.fit(train.features)
         train, test = scaler.transform(train), scaler.transform(test)
     return train, test
+
+
+def load_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The experiment's train/test pair, split under the master seed."""
+    return load_dataset_pair(cfg.dataset, derive_seed(cfg.seed, "split"))
 
 
 def subsample_imbalanced(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -489,100 +501,124 @@ def _train_gated(cfg: ExperimentConfig, fit_ds: Dataset, gate_ds: Dataset,
     return model, rep, train_acc, True, True
 
 
-def _measured_leg(approach, repeat, probe_rep, train_rep, train_acc, flagged,
-                  reseeded, n_train, note=""):
-    return LegResult(approach=approach, repeat=repeat, b_r=probe_rep.b_r,
-                     delta_x_max=probe_rep.delta_x_max,
-                     train_accuracy=train_acc,
-                     test_accuracy=train_rep.test_accuracy, n_train=n_train,
-                     accuracy_flag=flagged, reseeded=reseeded, note=note)
-
-
 def _infeasible_leg(approach, repeat, note):
     return LegResult(approach=approach, repeat=repeat, b_r=None, delta_x_max=None,
                      train_accuracy=None, test_accuracy=None, n_train=0,
                      infeasible=True, note=note)
 
 
-def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-                    repeat: int = 0):
-    """Train the reference network for one repeat and probe it."""
-    scales = feature_scales(train_ds.features)
-    model, rep, _, flagged, reseeded = _train_gated(
-        cfg, train_ds, train_ds, test_ds, repeat, "original", cfg.schedule)
-    probe = noise_sweep(model, test_ds, cfg.noise,
-                        derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
-    return model, rep, probe, flagged, reseeded
+# Failures that make one leg infeasible instead of aborting the experiment.
+LEG_ERRORS = (InfeasibleError, NeighborError, TrainingError, ProbeError,
+              BiasMetricError)
 
 
 def baseline_source(cfg: ExperimentConfig, train_ds: Dataset) -> Dataset:
-    """The sub-dataset the resamplers start from, drawn once per experiment."""
+    """The sub-dataset the resamplers start from; seeded by the master seed
+    alone, so every leg of every repeat starts from the same rows."""
     if cfg.subsample_fraction is None:
         return train_ds
     return subsample_imbalanced(train_ds, cfg.subsample_fraction,
                                 derive_seed(cfg.seed, "subsample"))
 
 
+def resampled_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str,
+                  repeat: int = 0) -> Dataset:
+    """Training set of a resampler leg: its plan applied to `baseline_source`."""
+    return resample(baseline_source(cfg, train_ds), cfg.plans[approach],
+                    derive_seed(cfg.seed, "rep", repeat, approach))
+
+
+def diversified_set(cfg: ExperimentConfig, train_ds: Dataset, reference,
+                    approach: str, repeat: int = 0):
+    """Training set of a diversify leg, guided by the reference probe.
+
+    `diversified` runs the configured mode; `synth_only` and `delete_only`
+    name their own mode.
+    """
+    mode = cfg.diversify.mode if approach == "diversified" else approach
+    return diversify(train_ds, reference, replace(cfg.diversify, mode=mode),
+                     derive_seed(cfg.seed, "rep", repeat, approach))
+
+
+def validation_summary(validation) -> str:
+    """A diversify leg's note; `biasdiv diversify` prints it too."""
+    diff = validation.corr_diff
+    return (f"validation corr_diff={format(diff, '.3f') if np.isfinite(diff) else 'inf'}"
+            f" attempts={validation.attempts} passed={validation.passed}")
+
+
+def _run_leg(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
+             approach: str, repeat: int, reference=None):
+    """One approach in one repeat: prepare its training set, train it through
+    the accuracy gate with the epoch budget rescaled to the set's size (which
+    leaves `original` unchanged), and probe it.
+
+    Every leg is probed with the repeat's noise sub-stream and with feature
+    scales taken from the original training set, so scores differ only
+    through the nets and the data they were trained on. Returns the leg, the
+    trained net, its training report and the probe.
+    """
+    note = ""
+    if approach == "original":
+        fit_ds = train_ds
+    elif approach in BASELINE_APPROACHES:
+        fit_ds = resampled_set(cfg, train_ds, approach, repeat)
+    else:
+        dd = diversified_set(cfg, train_ds, reference, approach, repeat)
+        fit_ds, note = dd.dataset, validation_summary(dd.validation)
+    schedule = scale_schedule(cfg.schedule, train_ds.n, fit_ds.n)
+    model, rep, acc, flagged, reseeded = _train_gated(
+        cfg, fit_ds, train_ds, test_ds, repeat, approach, schedule)
+    probe = noise_sweep(model, test_ds, cfg.noise,
+                        derive_seed(cfg.seed, "rep", repeat, "probe"),
+                        feature_scales(train_ds.features))
+    leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
+                    delta_x_max=probe.delta_x_max, train_accuracy=acc,
+                    test_accuracy=rep.test_accuracy, n_train=fit_ds.n,
+                    accuracy_flag=flagged, reseeded=reseeded, note=note)
+    return leg, model, rep, probe
+
+
+def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
+                    repeat: int = 0):
+    """Train the reference network for one repeat and probe it."""
+    leg, model, rep, probe = _run_leg(cfg, train_ds, test_ds, "original", repeat)
+    return model, rep, probe, leg.accuracy_flag, leg.reseeded
+
+
 def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-               repeat: int, base: Dataset | None = None) -> list[LegResult]:
+               repeat: int) -> list[LegResult]:
     """Measure every configured approach once.
 
-    All legs are probed with the same noise sub-streams and with feature
-    scales taken from the original training set, so scores differ only
-    through the nets and the data they were trained on. Legs whose method
-    cannot run (resampler infeasibility, divergence, or a class with no
-    correct variants) are recorded as infeasible rather than dropped.
-
-    `base` is the resamplers' source dataset; it is fixed across repeats
-    (per-repeat variability comes from the training, probe and
-    diversification sub-streams alone).
+    `cfg.approaches` starts with `original` (the config parser requires it
+    and keeps `APPROACH_ORDER`), so the reference leg runs first. A leg
+    whose method cannot run (resampler infeasibility, divergence, no
+    correctly classified input, or a class with no correct variants) is
+    recorded as infeasible with the reason rather than dropped. When the
+    reference leg is infeasible, the diversify legs that need its probe are
+    too; the resampler legs do not read it and run as usual.
     """
-    scales = feature_scales(train_ds.features)
-    probe_seed = derive_seed(cfg.seed, "rep", repeat, "probe")
-
-    model0, rep0, acc0, flag0, reseed0 = _train_gated(
-        cfg, train_ds, train_ds, test_ds, repeat, "original", cfg.schedule)
-    probe0 = noise_sweep(model0, test_ds, cfg.noise, probe_seed, scales)
-    legs = {"original": _measured_leg("original", repeat, probe0, rep0, acc0,
-                                      flag0, reseed0, train_ds.n)}
-
-    if base is None:
-        base = baseline_source(cfg, train_ds)
-
+    legs, reference = [], None
     for approach in cfg.approaches:
-        if approach == "original":
+        if reference is None and approach not in ("original", *BASELINE_APPROACHES):
+            legs.append(_infeasible_leg(approach, repeat,
+                                        f"reference leg infeasible: {legs[0].note}"))
             continue
-        note = ""
         try:
-            if approach in BASELINE_APPROACHES:
-                new_ds = resample(base, cfg.plans[approach],
-                                  derive_seed(cfg.seed, "rep", repeat, approach))
-            else:
-                mode = cfg.diversify.mode if approach == "diversified" else approach
-                dd = diversify(train_ds, probe0, replace(cfg.diversify, mode=mode),
-                               derive_seed(cfg.seed, "rep", repeat, approach))
-                new_ds = dd.dataset
-                diff = dd.validation.corr_diff
-                note = (f"validation corr_diff="
-                        f"{format(diff, '.3f') if np.isfinite(diff) else 'inf'}"
-                        f" attempts={dd.validation.attempts}"
-                        f" passed={dd.validation.passed}")
-            schedule = scale_schedule(cfg.schedule, train_ds.n, new_ds.n)
-            model, rep, acc, flagged, reseeded = _train_gated(
-                cfg, new_ds, train_ds, test_ds, repeat, approach, schedule)
-            probe_rep = noise_sweep(model, test_ds, cfg.noise, probe_seed, scales)
-        except (InfeasibleError, NeighborError, TrainingError, BiasMetricError) as exc:
-            legs[approach] = _infeasible_leg(approach, repeat, str(exc))
-            continue
-        legs[approach] = _measured_leg(approach, repeat, probe_rep, rep, acc,
-                                       flagged, reseeded, new_ds.n, note)
-    return [legs[a] for a in cfg.approaches]
+            leg, _, _, probe = _run_leg(cfg, train_ds, test_ds, approach, repeat,
+                                        reference)
+        except LEG_ERRORS as exc:
+            leg, probe = _infeasible_leg(approach, repeat, str(exc)), None
+        if approach == "original":
+            reference = probe
+        legs.append(leg)
+    return legs
 
 
 def _repeat_worker(args):
-    cfg, train_ds, test_ds, repeat, base = args
+    cfg, train_ds, test_ds, repeat = args
     started = time.perf_counter()
-    legs = run_repeat(cfg, train_ds, test_ds, repeat, base)
+    legs = run_repeat(cfg, train_ds, test_ds, repeat)
     return legs, time.perf_counter() - started
 
 
@@ -640,11 +676,8 @@ def aggregate_legs(legs, approaches, repeats) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
-    train_ds, test_ds = load_dataset_pair(cfg.dataset, derive_seed(cfg.seed, "split"))
-    base = None
-    if any(a in BASELINE_APPROACHES for a in cfg.approaches):
-        base = baseline_source(cfg, train_ds)
-    tasks = [(cfg, train_ds, test_ds, r, base) for r in range(cfg.repeats)]
+    train_ds, test_ds = load_split(cfg)
+    tasks = [(cfg, train_ds, test_ds, r) for r in range(cfg.repeats)]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_repeat_worker, tasks))
@@ -667,14 +700,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _leg_to_json(leg: LegResult) -> dict:
-    return {"approach": leg.approach, "repeat": leg.repeat, "b_r": leg.b_r,
-            "delta_x_max": leg.delta_x_max, "train_accuracy": leg.train_accuracy,
-            "test_accuracy": leg.test_accuracy, "n_train": leg.n_train,
-            "accuracy_flag": leg.accuracy_flag, "reseeded": leg.reseeded,
-            "infeasible": leg.infeasible, "note": leg.note}
-
-
 def report_to_json(report: ExperimentReport) -> dict:
     aggregates = {}
     for a, agg in report.aggregates.items():
@@ -687,7 +712,7 @@ def report_to_json(report: ExperimentReport) -> dict:
             "master_seed": report.master_seed,
             "canonical_original_b_r": report.canonical_b_r,
             "aggregates": aggregates,
-            "legs": [_leg_to_json(leg) for leg in report.legs],
+            "legs": [asdict(leg) for leg in report.legs],
             "config": report.config}
 
 
@@ -713,10 +738,7 @@ def write_runs_csv(report: ExperimentReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RUNS_COLUMNS)
         for leg in report.legs:
-            writer.writerow([_cell(v) for v in (
-                leg.repeat, leg.approach, leg.b_r, leg.delta_x_max,
-                leg.train_accuracy, leg.test_accuracy, leg.n_train,
-                leg.accuracy_flag, leg.reseeded, leg.infeasible, leg.note)])
+            writer.writerow([_cell(getattr(leg, c)) for c in RUNS_COLUMNS])
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:

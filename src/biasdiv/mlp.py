@@ -7,7 +7,6 @@ is a pure function of the initial weights and the schedule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,27 +256,3 @@ def scale_schedule(schedule: TrainSchedule, n_original: int, n_new: int) -> Trai
         tuple((lr, scale_epochs(ep, n_original, n_new)) for lr, ep in schedule.phases),
         schedule.validation_fraction,
     )
-
-
-def save_mlp(mlp: Mlp, path) -> None:
-    doc = {
-        "layer_sizes": list(mlp.spec.layer_sizes),
-        "init_seed": mlp.spec.init_seed,
-        "weights": [w.ravel().tolist() for w in mlp.weights],   # row-major
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    spec = MlpSpec(tuple(doc["layer_sizes"]), int(doc["init_seed"]))
-    sizes = spec.layer_sizes
-    weights = [
-        np.array(flat, dtype=float).reshape(sizes[l + 1], sizes[l])
-        for l, flat in enumerate(doc["weights"])
-    ]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    return Mlp(spec, weights, biases)

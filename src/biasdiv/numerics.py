@@ -155,10 +155,6 @@ class IntervalSet:
     def to_json(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
 
-    @classmethod
-    def from_json(cls, pairs) -> "IntervalSet":
-        return cls(tuple(Interval(float(lo), float(hi)) for lo, hi in pairs))
-
 
 def interiors_disjoint(a: IntervalSet, b: IntervalSet) -> bool:
     """True when no open interval of `a` intersects an open interval of `b`."""

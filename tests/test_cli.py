@@ -2,11 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **overrides):
@@ -156,6 +159,29 @@ def test_seed_override_changes_report(tmp_path):
     doc_b = json.loads((out_b / "report.json").read_text())
     assert doc_a["master_seed"] == doc_b["master_seed"] == 7
     assert doc_a["aggregates"] == doc_b["aggregates"]
+
+
+def test_failed_reference_leg_keeps_the_experiment(tmp_path, capsys):
+    # one 1-epoch step leaves the reference net with a class it never gets right
+    doc = json.loads((REPO / "configs" / "iris.json").read_text())
+    doc.update(repeats=1, out_dir=str(tmp_path / "out"))
+    doc["schedule"]["phases"] = [[0.001, 1]]
+    path = tmp_path / "iris.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path)]) == 0
+    for name in ("report.csv", "runs.csv", "report.json", "boxplot.svg", "meta.json"):
+        assert (tmp_path / "out" / name).is_file(), name
+    legs = json.loads((tmp_path / "out" / "report.json").read_text())["legs"]
+    assert [leg["approach"] for leg in legs] == doc["approaches"]
+    by = {leg["approach"]: leg for leg in legs}
+    reason = by["original"]["note"]
+    assert by["original"]["infeasible"] and "no correctly classified variants" in reason
+    assert by["diversified"]["infeasible"]
+    assert by["diversified"]["note"] == f"reference leg infeasible: {reason}"
+    for leg in legs:   # measured, or infeasible with a reason
+        assert (leg["b_r"] is not None) != leg["infeasible"]
+        assert leg["note"] or not leg["infeasible"]
+    assert "infeasible in all 1 repeat(s)" in capsys.readouterr().out
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

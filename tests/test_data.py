@@ -11,7 +11,6 @@ from biasdiv.data import (
     DatasetSchema,
     MinMaxScaler,
     builtin_dataset_path,
-    concat,
     load_csv,
     make_toy_blobs,
     save_csv,
@@ -68,13 +67,6 @@ def test_dataset_take_and_counts():
     assert ds.class_counts().tolist() == [2, 2]
     with pytest.raises(ValueError):
         ds.take([0, 2])   # drops class b
-
-
-def test_concat_restores_rows():
-    ds = small_ds()
-    both = concat([ds.take([0, 1]), ds.take([2, 3])])
-    assert np.array_equal(both.features, ds.features)
-    assert np.array_equal(both.labels, ds.labels)
 
 
 # -- schema --------------------------------------------------------------------
@@ -163,7 +155,9 @@ def test_csv_round_trip(tmp_path):
                         spread=1.5, seed=3)
     p = tmp_path / "round.csv"
     save_csv(ds, p)
-    back = load_csv(p, ds.schema())
+    schema = DatasetSchema(label_column="label", feature_columns=list(ds.feature_names),
+                           class_name_mapping={n: i for i, n in enumerate(ds.class_names)})
+    back = load_csv(p, schema)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
     assert back.class_names == ds.class_names
@@ -245,7 +239,7 @@ def test_segment_interleaved():
     assert part.indices[0].tolist() == [0, 2]
     assert part.indices[1].tolist() == [1, 3]
     assert np.array_equal(part.parts[0].features, ds.features[[0, 2]])
-    assert part.total_rows == ds.n
+    assert sum(p.n for p in part.parts) == ds.n
 
 
 def test_segment_single_class_identity():

@@ -18,7 +18,6 @@ from biasdiv.diversify import (
     minimize_redundancy,
     sample_synthetic,
     save_diversify_report,
-    suggest_threshold,
     synth_counts,
     tighten_overlaps,
     top_k_features,
@@ -386,31 +385,6 @@ def test_validate_too_few_rows_auto_fails():
     assert not report.passed
     assert math.isinf(report.corr_diff)
     assert "need >= 2" in report.diagnostic
-
-
-# -- suggest_threshold --------------------------------------------------------------
-
-def test_suggest_threshold_identity_zero():
-    rows = substream(81, "st").normal(size=(25, 3))
-    assert suggest_threshold(rows, rows.copy()) == pytest.approx(0.0)
-
-
-def test_suggest_threshold_similar_halves_small():
-    rng = substream(82, "sh")
-    base = rng.normal(size=(400, 1))
-    data = np.column_stack([base[:, 0], base[:, 0] * 0.8 + rng.normal(size=400) * 0.1])
-    t = suggest_threshold(data[:200], data[200:])
-    assert t < 25.0
-
-
-def test_suggest_threshold_warns_when_uninformative():
-    rng = substream(83, "sw")
-    x = rng.normal(size=60)
-    train = np.column_stack([x, x])            # rho = 1
-    test = np.column_stack([x, -x])            # rho = -1: difference 200%
-    with pytest.warns(UserWarning, match="independent"):
-        t = suggest_threshold(train, test)
-    assert t > 100.0
 
 
 # -- diversify pipeline --------------------------------------------------------------

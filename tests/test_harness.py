@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from biasdiv import harness
 from biasdiv.data import make_toy_blobs, save_csv
-from biasdiv.errors import ConfigError, DataError
+from biasdiv.errors import ConfigError, DataError, ProbeError
 from biasdiv.harness import (APPROACH_ORDER, LegResult, aggregate_legs,
                              emit_report, load_dataset_pair,
                              load_experiment_config, parse_experiment_config,
@@ -316,6 +317,24 @@ def test_reference_probe_matches_repeat_zero(separated_cfg, separated_report):
                                     derive_seed(separated_cfg.seed, "split"))
     _, _, probe, _, _ = reference_probe(separated_cfg, train, test)
     assert probe.b_r == separated_report.legs[0].b_r
+
+
+def test_probe_error_marks_only_its_leg_infeasible(separated_cfg, monkeypatch):
+    train, test = harness.load_split(separated_cfg)
+    real_sweep, calls = harness.noise_sweep, []
+
+    def sweep(*args):
+        calls.append(1)
+        if len(calls) == 2:   # the first leg after the reference: rus
+            raise ProbeError("no correctly classified inputs to probe")
+        return real_sweep(*args)
+
+    monkeypatch.setattr(harness, "noise_sweep", sweep)
+    by = {leg.approach: leg for leg in run_repeat(separated_cfg, train, test, repeat=0)}
+    assert by["rus"].infeasible and by["rus"].b_r is None
+    assert by["rus"].note == "no correctly classified inputs to probe"
+    for approach in ("original", "ros", "diversified", "synth_only", "delete_only"):
+        assert not by[approach].infeasible, approach
 
 
 def test_aggregate_legs_statistics():

@@ -1,4 +1,4 @@
-"""Classifier tests: init, forward pass, gradients, training, persistence."""
+"""Classifier tests: init, forward pass, gradients, training."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,9 @@ from biasdiv.mlp import (
     init_mlp,
     input_gradient,
     input_gradients,
-    load_mlp,
     parameter_gradients,
     predict,
     predict_batch,
-    save_mlp,
     scale_epochs,
     scale_schedule,
     train,
@@ -323,19 +321,3 @@ def test_scale_epochs_validation():
     with pytest.raises(ValueError):
         scale_epochs(10, 0, 10)
 
-
-# -- persistence --------------------------------------------------------------------
-
-def test_save_load_round_trip(tmp_path):
-    ds = blobs_ds()
-    net = init_mlp(MlpSpec((2, 8, 2), init_seed=4))
-    model, _ = train(net, ds, TrainSchedule(((0.5, 50),)), seed=0)
-    p = tmp_path / "model.json"
-    save_mlp(model, p)
-    back = load_mlp(p)
-    assert back.spec == model.spec
-    assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
-    assert all(np.array_equal(a, b) for a, b in zip(back.biases, model.biases))
-    _, probs = predict_batch(back, ds.features)
-    _, probs0 = predict_batch(model, ds.features)
-    assert np.array_equal(probs, probs0)
