@@ -105,7 +105,8 @@ def init_mlp(spec: MlpSpec) -> Mlp:
 
 
 def _forward(mlp: Mlp, X: np.ndarray):
-    """Returns (activations, pre_activations, probabilities)."""
+    """Returns (activations, pre_activations, probabilities, shifted logits,
+    softmax denominators); the last two give the loss without a second pass."""
     acts = [X]
     zs = []
     a = X
@@ -118,15 +119,16 @@ def _forward(mlp: Mlp, X: np.ndarray):
     logits = zs[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    return acts, zs, probs
+    sums = expz.sum(axis=1, keepdims=True)
+    probs = expz / sums
+    return acts, zs, probs, shifted, sums
 
 
 def predict_batch(mlp: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mlp.spec.d:
         raise ValueError(f"expected (n, {mlp.spec.d}) inputs, got {X.shape}")
-    _, _, probs = _forward(mlp, X)
+    probs = _forward(mlp, X)[2]
     return np.argmax(probs, axis=1), probs
 
 
@@ -141,20 +143,28 @@ def predict(mlp: Mlp, x: np.ndarray) -> tuple[int, np.ndarray]:
     return int(classes[0]), probs[0]
 
 
+def _mean_nll(shifted: np.ndarray, sums: np.ndarray, rows: np.ndarray,
+              y: np.ndarray) -> float:
+    """Mean cross-entropy from one forward pass's shifted logits and softmax
+    denominators; `rows` is `arange(len(y))`."""
+    return float(-(shifted[rows, y] - np.log(sums)[:, 0]).mean())
+
+
 def cross_entropy_loss(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> float:
-    _, zs, _ = _forward(mlp, np.asarray(X, dtype=float))
-    logits = zs[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(y)), y].mean())
+    _, _, _, shifted, sums = _forward(mlp, np.asarray(X, dtype=float))
+    return _mean_nll(shifted, sums, np.arange(len(y)), y)
 
 
-def _backward(mlp: Mlp, acts, zs, probs, y: np.ndarray):
-    """Mean cross-entropy gradients for every parameter and the input."""
-    n = len(y)
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+def _onehot(y: np.ndarray, L: int) -> np.ndarray:
+    onehot = np.zeros((len(y), L))
+    onehot[np.arange(len(y)), y] = 1.0
+    return onehot
+
+
+def _backward(mlp: Mlp, acts, zs, probs, onehot: np.ndarray):
+    """Mean cross-entropy gradients for every parameter and the input;
+    `onehot` holds the true classes as rows of the identity."""
+    delta = (probs - onehot) / len(onehot)
     dws, dbs = [None] * len(mlp.weights), [None] * len(mlp.biases)
     for l in range(len(mlp.weights) - 1, -1, -1):
         dws[l] = delta.T @ acts[l]
@@ -167,8 +177,9 @@ def _backward(mlp: Mlp, acts, zs, probs, y: np.ndarray):
 
 
 def parameter_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray):
-    acts, zs, probs = _forward(mlp, np.asarray(X, dtype=float))
-    dws, dbs, _ = _backward(mlp, acts, zs, probs, np.asarray(y, dtype=int))
+    acts, zs, probs, _, _ = _forward(mlp, np.asarray(X, dtype=float))
+    dws, dbs, _ = _backward(mlp, acts, zs, probs,
+                            _onehot(np.asarray(y, dtype=int), mlp.spec.L))
     return dws, dbs
 
 
@@ -176,8 +187,8 @@ def input_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row gradient of that row's own cross-entropy loss w.r.t. the input."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    acts, zs, probs = _forward(mlp, X)
-    _, _, dX = _backward(mlp, acts, zs, probs, y)
+    acts, zs, probs, _, _ = _forward(mlp, X)
+    _, _, dX = _backward(mlp, acts, zs, probs, _onehot(y, mlp.spec.L))
     return dX * len(y)    # undo the batch-mean so each row stands alone
 
 
@@ -201,8 +212,11 @@ def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
           test_ds: Dataset | None = None) -> tuple[Mlp, TrainReport]:
     """Full-batch gradient descent over the schedule's phases in order.
 
-    Returns a new model; the input model is not modified. A non-finite
-    epoch loss aborts with an error naming the (1-based) epoch.
+    Returns a new model; the input model is not modified. The loss of epoch
+    e is the loss of the weights after e's update, read off the forward pass
+    that starts epoch e + 1 (after the last epoch, one extra forward pass,
+    which also gives `train_accuracy`). A non-finite epoch loss aborts with
+    an error naming the (1-based) epoch.
     """
     if train_ds.d != mlp.spec.d or train_ds.L != mlp.spec.L:
         raise ValueError(
@@ -218,24 +232,27 @@ def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
     biases = [b.copy() for b in mlp.biases]
     model = Mlp(mlp.spec, weights, biases)
     X, y = fit_ds.features, fit_ds.labels
+    rows = np.arange(len(y))
+    onehot = _onehot(y, mlp.spec.L)
 
     report = TrainReport()
     epoch = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        acts, zs, probs, _, _ = _forward(model, X)
         for lr, epochs in schedule.phases:
             for _ in range(epochs):
                 epoch += 1
-                acts, zs, probs = _forward(model, X)
-                dws, dbs, _ = _backward(model, acts, zs, probs, y)
+                dws, dbs, _ = _backward(model, acts, zs, probs, onehot)
                 for l in range(len(weights)):
                     weights[l] -= lr * dws[l]
                     biases[l] -= lr * dbs[l]
-                loss = cross_entropy_loss(model, X, y)
+                acts, zs, probs, shifted, sums = _forward(model, X)
+                loss = _mean_nll(shifted, sums, rows, y)
                 if not np.isfinite(loss):
                     raise TrainingError(f"training diverged at epoch {epoch}")
                 report.losses.append(loss)
 
-    report.train_accuracy = accuracy(model, fit_ds)
+    report.train_accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     if val_ds is not None:
         report.validation_accuracy = accuracy(model, val_ds)
     if test_ds is not None:

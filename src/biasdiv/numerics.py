@@ -201,12 +201,12 @@ def _lloyd_run(points, k, rng, max_iter, tol):
         # empty-cluster repair: move the centroid onto the point currently
         # farthest from its own centroid, keeping k constant
         dists = _sq_distances(points, new_centroids)
-        best = dists[np.arange(n), np.argmin(dists, axis=1)]
-        for c in range(k):
-            if not (np.argmin(dists, axis=1) == c).any():
-                far = int(np.argmax(best))
-                new_centroids[c] = points[far]
-                best[far] = 0.0
+        owner = np.argmin(dists, axis=1)
+        best = dists[np.arange(n), owner]
+        for c in np.flatnonzero(np.bincount(owner, minlength=k) == 0):
+            far = int(np.argmax(best))
+            new_centroids[c] = points[far]
+            best[far] = 0.0
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < tol:

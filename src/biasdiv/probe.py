@@ -100,6 +100,13 @@ def apply_noise(x: np.ndarray, level: float, rng: np.random.Generator,
     return x + rng.uniform(-bound, bound, size=x.shape)
 
 
+def _uniform(rng: np.random.Generator, bound: np.ndarray, size) -> np.ndarray:
+    """The draws of `rng.uniform(-bound, bound, size)` without its per-call
+    argument handling: numpy computes `low + (high - low) * u` per entry,
+    with `u` the generator's next doubles in C order, as `rng.random` does."""
+    return -bound + (bound - -bound) * rng.random(size)
+
+
 def gradient_sign_attack(mlp: Mlp, x: np.ndarray, true_class: int, level: float,
                          scales: np.ndarray) -> np.ndarray:
     """Single-step gradient-sign perturbation at the given relative level."""
@@ -171,6 +178,23 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     if spec.gradient_enabled:
         signs = np.sign(input_gradients(mlp, X, y))
 
+    # Every level probes the same variants: `samples_per_input` random ones
+    # per input, then one gradient-sign variant per input. Their rows,
+    # labels and counts are fixed; only the noisy inputs change per level.
+    n, d = X.shape
+    S = spec.samples_per_input
+    parts = []
+    if spec.random_enabled:
+        parts.append(np.repeat(np.arange(n), S))
+    if spec.gradient_enabled:
+        parts.append(np.arange(n))
+    v_rows = np.concatenate(parts)
+    v_labels = y[v_rows]
+    level_variants = np.bincount(v_labels, minlength=L)
+    n_random = n * S if spec.random_enabled else 0
+    batch = np.empty((len(v_rows), d))
+    random_block = batch[:n_random].reshape(-1, S, d)   # a view: (input, sample, d)
+
     counterexamples: list[Counterexample] = []
     per_level: dict[float, np.ndarray] = {}
     misclassified = np.zeros(L, dtype=int)
@@ -178,40 +202,29 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     first_bad_level = None
 
     for li, level in enumerate(spec.levels):
-        variants, v_labels, v_rows = [], [], []
         if spec.random_enabled:
-            for row, (idx, x) in enumerate(zip(probed_idx, X)):
-                rng = substream(seed, "probe", int(idx), li)
-                bound = level * per_input_scales[row]
-                noise = rng.uniform(-bound, bound, size=(spec.samples_per_input, len(x)))
-                variants.append(x + noise)
-                v_labels.extend([y[row]] * spec.samples_per_input)
-                v_rows.extend([row] * spec.samples_per_input)
+            bounds = level * per_input_scales
+            for row, idx in enumerate(probed_idx.tolist()):
+                rng = substream(seed, "probe", idx, li)
+                np.add(X[row], _uniform(rng, bounds[row], (S, d)), out=random_block[row])
         if spec.gradient_enabled:
-            variants.append(X + level * per_input_scales * signs)
-            v_labels.extend(y.tolist())
-            v_rows.extend(range(len(X)))
+            np.add(X, level * per_input_scales * signs, out=batch[n_random:])
 
-        batch = np.vstack(variants)
-        v_labels = np.array(v_labels)
-        v_rows = np.array(v_rows)
         pred, _ = predict_batch(mlp, batch)
         wrong = pred != v_labels
 
         level_counts = np.bincount(v_labels[wrong], minlength=L)
         per_level[level] = level_counts
         misclassified += level_counts
-        variants_total += np.bincount(v_labels, minlength=L)
-        for pos in np.flatnonzero(wrong):
-            counterexamples.append(Counterexample(
-                input_index=int(probed_idx[v_rows[pos]]),
-                true_class=int(v_labels[pos]),
-                predicted_class=int(pred[pos]),
-                level=level,
-                noisy_input=batch[pos].copy(),
-            ))
-        if wrong.any() and first_bad_level is None:
-            first_bad_level = li
+        variants_total += level_variants
+        if wrong.any():
+            pos = np.flatnonzero(wrong)
+            counterexamples.extend(map(
+                Counterexample, probed_idx[v_rows[pos]].tolist(),
+                v_labels[pos].tolist(), pred[pos].tolist(),
+                [level] * len(pos), batch[pos]))
+            if first_bad_level is None:
+                first_bad_level = li
 
     if first_bad_level is None:
         delta_x_max = spec.levels[-1]

@@ -1,11 +1,11 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
+import biasdiv
 from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
 
@@ -193,9 +193,13 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "proc_out"
+    # the child imports the same biasdiv as this process, installed or not
+    src = str(Path(biasdiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "biasdiv.cli", "probe", "--config", str(path),
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "probe_report.json").is_file()

@@ -5,7 +5,6 @@ import pytest
 
 from biasdiv.data import (
     ORIGINAL,
-    SYNTHETIC,
     ClassPartition,
     Dataset,
     DatasetSchema,

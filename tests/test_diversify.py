@@ -10,7 +10,6 @@ from biasdiv.data import SYNTHETIC, Dataset, make_toy_blobs, segment_by_class
 from biasdiv.diversify import (
     ClassBounds,
     DiversifyConfig,
-    ValidationReport,
     bounds_to_json,
     diversify,
     final_bounds,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biasdiv.data import Dataset, make_toy_blobs
+from biasdiv.data import Dataset, make_toy_blobs, split_stratified
 from biasdiv.errors import TrainingError
 from biasdiv.mlp import (
     Mlp,
@@ -225,7 +225,7 @@ def test_schedule_validation():
 def test_train_divergence_names_epoch():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 8, 2), init_seed=0))
-    with pytest.raises(TrainingError, match=r"epoch \d+"):
+    with pytest.raises(TrainingError, match=r"diverged at epoch 18$"):
         train(net, ds, TrainSchedule(((1e9, 50),)), seed=0)
 
 
@@ -267,6 +267,42 @@ def test_validation_fraction_reported():
     assert report.validation_accuracy is not None
     assert report.test_accuracy is not None
     assert 0.0 <= report.validation_accuracy <= 1.0
+
+
+def overlapping_three_class():
+    ds = make_toy_blobs(per_class=15, centers=[[0.0, 0.0], [1.0, 1.0], [0.0, 1.5]],
+                        spread=1.0, seed=11)
+    return ds, init_mlp(MlpSpec((2, 6, 3), init_seed=4))
+
+
+def fit_rows(ds, fraction, seed):
+    """The rows `train` fits to when it holds out `fraction` for validation."""
+    fit, _ = split_stratified(ds, 1.0 - fraction, int(substream(seed, "val").integers(2**32)))
+    return fit
+
+
+def test_epoch_losses_equal_reference_loss_of_truncated_runs():
+    """Loss e is `cross_entropy_loss` of the net trained for e epochs, on the
+    fitted rows, across a phase boundary; the values are frozen too."""
+    ds, net = overlapping_three_class()
+    phases = ((0.4, 4), (0.1, 3))
+    _, report = train(net, ds, TrainSchedule(phases, validation_fraction=0.25), seed=12)
+    fit = fit_rows(ds, 0.25, 12)
+    for e in range(1, 8):
+        head = ((0.4, min(e, 4)),) + (((0.1, e - 4),) if e > 4 else ())
+        model_e, _ = train(net, ds, TrainSchedule(head, validation_fraction=0.25), seed=12)
+        assert report.losses[e - 1] == cross_entropy_loss(model_e, fit.features, fit.labels)
+    assert report.losses == [1.199710010531631, 1.0266695456202295, 0.9566626989209133,
+                             0.918079879625114, 0.9108730030491664, 0.9039643977754294,
+                             0.8973101866827209]
+
+
+def test_train_accuracy_is_accuracy_on_fitted_rows():
+    ds, net = overlapping_three_class()
+    model, report = train(net, ds, TrainSchedule(((0.4, 4), (0.1, 3)), validation_fraction=0.25),
+                          seed=12)
+    assert report.train_accuracy == accuracy(model, fit_rows(ds, 0.25, 12))
+    assert report.train_accuracy == 0.48484848484848486
 
 
 def test_multi_phase_schedule_epochs():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from biasdiv.numerics import (
-    CorrMatrix,
     Interval,
     IntervalSet,
     interiors_disjoint,
@@ -149,6 +148,18 @@ def test_kmeans_frozen_1d_oracle():
     cents = sorted(result.centroids.ravel().tolist())
     assert cents == pytest.approx([0.5, 9.5])
     assert result.inertia == pytest.approx(1.0)
+
+
+def test_kmeans_empty_cluster_repair_frozen():
+    """Seed 7 starts three centroids on the duplicated origin, so clusters go
+    empty and are moved onto the farthest points; the run is frozen."""
+    pts = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0], [4.0, 4.0], [5.0, 4.0], [9.0, 1.0]])
+    result = kmeans(pts, k=4, seed=7, restarts=1)
+    assert result.centroids.tolist() == [[0.0, 0.0], [9.0, 1.0], [1.0, 0.0], [4.5, 4.0]]
+    assert result.assignments.tolist() == [0, 0, 0, 0, 0, 0, 2, 3, 3, 1]
+    assert result.inertia == 0.5
+    assert result.inertia_trace == [122.0, 2.0, 0.6224489795918366, 0.5, 0.5]
+    assert result.n_iter == 4
 
 
 def test_kmeans_k_equals_n_is_exact():

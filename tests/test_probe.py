@@ -10,6 +10,7 @@ from biasdiv.errors import BiasMetricError, ProbeError
 from biasdiv.mlp import Mlp, MlpSpec, TrainSchedule, init_mlp, predict, train
 from biasdiv.probe import (
     DEFAULT_LEVELS,
+    _uniform,
     Counterexample,
     NoiseSpec,
     apply_noise,
@@ -266,6 +267,47 @@ def test_sweep_deterministic():
     assert len(r1.counterexamples) == len(r2.counterexamples)
     assert all(np.array_equal(a.noisy_input, b.noisy_input)
                for a, b in zip(r1.counterexamples, r2.counterexamples))
+
+
+@pytest.mark.parametrize("per_sample_scale, b_r, delta_x_max, per_level, count, first", [
+    (False, 0.02896218825422367, 0.1,
+     {0.05: [0, 0], 0.1: [0, 0], 0.2: [4, 0], 0.3: [8, 6], 0.4: [8, 8]}, 34,
+     [(4, 0, 1, 0.2, [3.227869739711503, 1.9263427567032299]),
+      (4, 0, 1, 0.2, [2.930987544164625, 2.1284750375389354])]),
+    (True, 0.01768444321635811, 0.2,
+     {0.05: [0, 0], 0.1: [0, 0], 0.2: [0, 0], 0.3: [1, 4], 0.4: [4, 5]}, 14,
+     [(5, 0, 1, 0.3, [2.61278718008869, 3.270432889763093]),
+      (12, 1, 0, 0.3, [2.429125475761656, 3.0412921178729597])]),
+], ids=["feature-scales", "per-sample-scale"])
+def test_random_sweep_frozen(per_sample_scale, b_r, delta_x_max, per_level, count, first):
+    ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
+    model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
+                     TrainSchedule(((0.5, 150),)), seed=0)
+    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6,
+                     attack="random_sweep", per_sample_scale=per_sample_scale)
+    report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
+    assert report.b_r == b_r
+    assert report.delta_x_max == delta_x_max
+    assert {k: v.tolist() for k, v in report.per_level_misclassification.items()} == per_level
+    assert len(report.counterexamples) == count
+    assert [(c.input_index, c.true_class, c.predicted_class, c.level, c.noisy_input.tolist())
+            for c in report.counterexamples[:2]] == first
+    # random variants only: samples_per_input per probed input and level
+    assert report.variants_per_class.tolist() == (report.probed_per_class * 6 * 5).tolist()
+
+
+def test_affine_draw_equals_generator_uniform():
+    """The sweep's noise draw gives the bits `Generator.uniform(-b, b, size)`
+    gives, for zero, tiny and large bounds and several widths."""
+    for trial in range(60):
+        source = substream(31, "bounds", trial)
+        d = (1, 2, 4, 8, 32)[trial % 5]
+        bound = source.uniform(0.0, 1.0, size=d) * 10.0 ** source.integers(-6, 7, size=d)
+        bound[source.random(d) < 0.2] = 0.0
+        size = (int(source.integers(1, 25)), d)
+        expected = substream(trial, "draw").uniform(-bound, bound, size=size)
+        got = _uniform(substream(trial, "draw"), bound, size)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_sweep_per_sample_scale_flag():
