@@ -491,7 +491,10 @@ def _train_gated(cfg: ExperimentConfig, fit_ds: Dataset, gate_ds: Dataset,
         except TrainingError as exc:
             error = exc
             continue
-        train_acc = accuracy(model, gate_ds)
+        if gate_ds is fit_ds and schedule.validation_fraction == 0.0:
+            train_acc = rep.train_accuracy   # train already scored every fitted row
+        else:
+            train_acc = accuracy(model, gate_ds)
         if train_acc > ACCURACY_GATE and rep.test_accuracy > ACCURACY_GATE:
             return model, rep, train_acc, False, attempt > 0
         fallback = (model, rep, train_acc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import BiasMetricError, ProbeError
 from .mlp import Mlp, input_gradients, predict_batch
-from .numerics import substream
+from .numerics import stream_from_state, substream, substream_states
 
 DEFAULT_LEVELS = tuple(round(i / 100, 2) for i in range(1, 41))
 
@@ -78,16 +79,81 @@ class Counterexample:
             raise ValueError("a counterexample must be misclassified")
 
 
+class Counterexamples(Sequence):
+    """The misclassified variants of a sweep, kept as arrays: variant i is
+    input `input_index[i]` of class `true_class[i]`, perturbed at noise
+    `level[i]` into row i of `noisy_inputs` and predicted as
+    `predicted_class[i]`. Indexing or iterating builds `Counterexample`
+    objects; a slice is again a `Counterexamples`."""
+
+    def __init__(self, input_index, true_class, predicted_class, level, noisy_inputs):
+        self.input_index = np.asarray(input_index, dtype=np.intp)
+        self.true_class = np.asarray(true_class, dtype=np.intp)
+        self.predicted_class = np.asarray(predicted_class, dtype=np.intp)
+        self.level = np.asarray(level, dtype=float)
+        self.noisy_inputs = np.asarray(noisy_inputs, dtype=float)
+        if any(len(column) != len(self) for column in self._columns()):
+            raise ValueError("counterexample arrays differ in length")
+        if (self.predicted_class == self.true_class).any():
+            raise ValueError("a counterexample must be misclassified")
+
+    @classmethod
+    def from_objects(cls, items) -> "Counterexamples":
+        items = list(items)
+        noisy = (np.array([c.noisy_input for c in items], dtype=float) if items
+                 else np.empty((0, 0)))
+        return cls([c.input_index for c in items], [c.true_class for c in items],
+                   [c.predicted_class for c in items], [c.level for c in items], noisy)
+
+    def _columns(self) -> tuple:
+        return (self.input_index, self.true_class, self.predicted_class, self.level,
+                self.noisy_inputs)
+
+    def __len__(self) -> int:
+        return len(self.input_index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Counterexamples(*(column[i] for column in self._columns()))
+        i = range(len(self))[i]
+        return Counterexample(int(self.input_index[i]), int(self.true_class[i]),
+                              int(self.predicted_class[i]), float(self.level[i]),
+                              self.noisy_inputs[i])
+
+    def __iter__(self):
+        return map(Counterexample, self.input_index.tolist(), self.true_class.tolist(),
+                   self.predicted_class.tolist(), self.level.tolist(), self.noisy_inputs)
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass
 class ProbeReport:
     delta_x_max: float                 # largest all-safe relative noise level
     R: np.ndarray                      # per-class misclassified:correct variant ratio
     mu: np.ndarray                     # per-class misclassified variant percentage
     b_r: float                         # robustness bias score
-    counterexamples: list[Counterexample]
+    counterexamples: Counterexamples   # a list of Counterexample is converted
     per_level_misclassification: dict[float, np.ndarray]   # level -> per-class counts
     probed_per_class: np.ndarray       # correctly classified clean inputs per class
     variants_per_class: np.ndarray     # noisy variants probed per class (all levels)
+
+    def __post_init__(self):
+        if not isinstance(self.counterexamples, Counterexamples):
+            self.counterexamples = Counterexamples.from_objects(self.counterexamples)
+
+
+def format_level(level: float) -> str:
+    """A noise level as the reports write it: two decimals when they read
+    back as the same float (every shipped level), else its `repr`, so
+    distinct levels never share a key."""
+    text = f"{level:.2f}"
+    return text if float(text) == level else repr(float(level))
 
 
 def apply_noise(x: np.ndarray, level: float, rng: np.random.Generator,
@@ -100,11 +166,11 @@ def apply_noise(x: np.ndarray, level: float, rng: np.random.Generator,
     return x + rng.uniform(-bound, bound, size=x.shape)
 
 
-def _uniform(rng: np.random.Generator, bound: np.ndarray, size) -> np.ndarray:
-    """The draws of `rng.uniform(-bound, bound, size)` without its per-call
-    argument handling: numpy computes `low + (high - low) * u` per entry,
-    with `u` the generator's next doubles in C order, as `rng.random` does."""
-    return -bound + (bound - -bound) * rng.random(size)
+def _add_uniform(x: np.ndarray, bound: np.ndarray, u: np.ndarray) -> None:
+    """Overwrite `u`, a generator's doubles from `random`, with
+    `x + Generator.uniform(-bound, bound)` of the same draws: numpy computes
+    `low + (high - low) * u` per entry, so this is the same arithmetic."""
+    np.add(x, -bound + (bound - -bound) * u, out=u)
 
 
 def gradient_sign_attack(mlp: Mlp, x: np.ndarray, true_class: int, level: float,
@@ -195,7 +261,15 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     batch = np.empty((len(v_rows), d))
     random_block = batch[:n_random].reshape(-1, S, d)   # a view: (input, sample, d)
 
-    counterexamples: list[Counterexample] = []
+    if spec.random_enabled:
+        # The stream of (input, level) is substream(seed, "probe", input
+        # index, level index); one vectorized pass seeds them all.
+        keys = np.empty((len(spec.levels), n, 2), dtype=np.int64)
+        keys[..., 0] = probed_idx
+        keys[..., 1] = np.arange(len(spec.levels))[:, None]
+        states = substream_states(substream(seed, "probe").bit_generator.seed_seq, keys)
+
+    found = []   # per level with a miss: input index, true, predicted, level, noisy rows
     per_level: dict[float, np.ndarray] = {}
     misclassified = np.zeros(L, dtype=int)
     variants_total = np.zeros(L, dtype=int)
@@ -203,10 +277,9 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
 
     for li, level in enumerate(spec.levels):
         if spec.random_enabled:
-            bounds = level * per_input_scales
-            for row, idx in enumerate(probed_idx.tolist()):
-                rng = substream(seed, "probe", idx, li)
-                np.add(X[row], _uniform(rng, bounds[row], (S, d)), out=random_block[row])
+            for state, block in zip(states[li], random_block):
+                stream_from_state(state).random(out=block)
+            _add_uniform(X[:, None, :], (level * per_input_scales)[:, None, :], random_block)
         if spec.gradient_enabled:
             np.add(X, level * per_input_scales * signs, out=batch[n_random:])
 
@@ -219,10 +292,8 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
         variants_total += level_variants
         if wrong.any():
             pos = np.flatnonzero(wrong)
-            counterexamples.extend(map(
-                Counterexample, probed_idx[v_rows[pos]].tolist(),
-                v_labels[pos].tolist(), pred[pos].tolist(),
-                [level] * len(pos), batch[pos]))
+            found.append((probed_idx[v_rows[pos]], v_labels[pos], pred[pos],
+                          np.full(len(pos), level), batch[pos]))
             if first_bad_level is None:
                 first_bad_level = li
 
@@ -240,7 +311,8 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
         R=R,
         mu=mu,
         b_r=b_r,
-        counterexamples=counterexamples,
+        counterexamples=(Counterexamples(*map(np.concatenate, zip(*found))) if found
+                         else Counterexamples([], [], [], [], np.empty((0, d)))),
         per_level_misclassification=per_level,
         probed_per_class=probed_per_class,
         variants_per_class=variants_total,
@@ -257,7 +329,7 @@ def probe_report_to_json(report: ProbeReport, class_names=None) -> dict:
         "variants_per_class": report.variants_per_class.tolist(),
         "counterexample_count": len(report.counterexamples),
         "per_level_misclassification": {
-            f"{level:.2f}": counts.tolist()
+            format_level(level): counts.tolist()
             for level, counts in report.per_level_misclassification.items()
         },
     }
@@ -273,10 +345,16 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
 
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
+    """One row per counterexample. The noisy inputs go to `csv.writer` as
+    Python floats, which it writes as their `repr`."""
+    cex = report.counterexamples
+    level_text = {level: format_level(level) for level in set(cex.level.tolist())}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["input_index", "true_class", "predicted_class", "level"]
                         + list(feature_names))
-        for cex in report.counterexamples:
-            writer.writerow([cex.input_index, cex.true_class, cex.predicted_class,
-                             f"{cex.level:.2f}"] + [repr(float(v)) for v in cex.noisy_input])
+        writer.writerows(
+            [index, true, pred, level_text[level]] + noisy.tolist()
+            for index, true, pred, level, noisy in zip(
+                cex.input_index.tolist(), cex.true_class.tolist(),
+                cex.predicted_class.tolist(), cex.level.tolist(), cex.noisy_inputs))

@@ -447,3 +447,23 @@ def test_feasible_adasyn_on_overlapping_blobs(tmp_path):
     assert not by["adasyn"].infeasible
     assert not by["smote"].infeasible
     assert by["adasyn"].n_train >= by["original"].n_train // 2
+
+
+def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
+    # the original leg fits the whole train split, which `train` already
+    # scored; a resampled leg is gated on the train split, not its own rows
+    train, test = harness.load_split(separated_cfg)
+    real_accuracy, scored = harness.accuracy, []
+
+    def counting_accuracy(model, ds):
+        scored.append(ds)
+        return real_accuracy(model, ds)
+
+    monkeypatch.setattr(harness, "accuracy", counting_accuracy)
+    leg, model, rep, _ = harness._run_leg(separated_cfg, train, test, "original", 0)
+    assert scored == []
+    assert leg.train_accuracy == rep.train_accuracy == real_accuracy(model, train)
+
+    leg, model, rep, _ = harness._run_leg(separated_cfg, train, test, "ros", 0)
+    assert scored == [train]
+    assert leg.train_accuracy == real_accuracy(model, train)

@@ -1,5 +1,7 @@
 """Noise probe tests: perturbations, sweep bookkeeping, bias scoring."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -10,18 +12,22 @@ from biasdiv.errors import BiasMetricError, ProbeError
 from biasdiv.mlp import Mlp, MlpSpec, TrainSchedule, init_mlp, predict, train
 from biasdiv.probe import (
     DEFAULT_LEVELS,
-    _uniform,
+    _add_uniform,
     Counterexample,
+    Counterexamples,
     NoiseSpec,
+    ProbeReport,
     apply_noise,
     compute_bias,
     feature_scales,
+    format_level,
     gradient_sign_attack,
     noise_sweep,
     probe_report_to_json,
     save_probe_report,
     write_counterexamples_csv,
 )
+from biasdiv import probe as probe_module
 from biasdiv.numerics import substream
 
 
@@ -64,6 +70,30 @@ def test_noise_spec_validation():
 def test_counterexample_must_be_wrong():
     with pytest.raises(ValueError):
         Counterexample(0, 1, 1, 0.1, np.array([0.0]))
+
+
+def test_counterexample_arrays_must_be_wrong():
+    with pytest.raises(ValueError, match="misclassified"):
+        Counterexamples([0, 1], [0, 1], [1, 1], [0.1, 0.1], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="length"):
+        Counterexamples([0, 1], [0, 1], [1, 0], [0.1], np.zeros((2, 3)))
+
+
+def test_counterexample_arrays_build_objects_on_access():
+    noisy = np.arange(6.0).reshape(3, 2)
+    cex = Counterexamples([4, 0, 9], [0, 1, 2], [1, 0, 0], [0.1, 0.2, 0.3], noisy)
+    assert len(cex) == 3
+    last = cex[-1]
+    assert (last.input_index, last.true_class, last.predicted_class, last.level) == (9, 2, 0, 0.3)
+    assert last.noisy_input.tolist() == [4.0, 5.0]
+    assert [c.input_index for c in cex] == [4, 0, 9]
+    assert isinstance(cex[1:], Counterexamples) and [c.level for c in cex[1:]] == [0.2, 0.3]
+    with pytest.raises(IndexError):
+        cex[3]
+    back = Counterexamples.from_objects(list(cex))
+    assert back.input_index.tolist() == [4, 0, 9] and back.level.tolist() == [0.1, 0.2, 0.3]
+    assert back.noisy_inputs.tolist() == noisy.tolist()
+    assert Counterexamples([], [], [], [], np.empty((0, 2))) == []
 
 
 # -- apply_noise ----------------------------------------------------------------
@@ -296,17 +326,74 @@ def test_random_sweep_frozen(per_sample_scale, b_r, delta_x_max, per_level, coun
     assert report.variants_per_class.tolist() == (report.probed_per_class * 6 * 5).tolist()
 
 
+@pytest.mark.parametrize("attack, per_sample_scale, b_r, per_level, count, first, last", [
+    ("both", False, 0.013603238866396805,
+     {0.05: [0, 0], 0.1: [0, 0], 0.2: [7, 3], 0.3: [11, 14], 0.4: [12, 16]}, 63,
+     [(4, 0, 1, 0.2, [3.227869739711503, 1.9263427567032299]),
+      (4, 0, 1, 0.2, [2.930987544164625, 2.1284750375389354])],
+     (15, 1, 0, 0.4, [1.5075068889120637, 1.7421861639152725])),
+    ("both", True, 0.06633499170812604,
+     {0.05: [0, 0], 0.1: [0, 0], 0.2: [1, 3], 0.3: [4, 12], 0.4: [7, 13]}, 40,
+     [(5, 0, 1, 0.2, [2.5362446696878274, 3.106834729104516]),
+      (11, 1, 0, 0.2, [2.697363007421404, 2.3376350428102493])],
+     (15, 1, 0, 0.4, [1.8076156119467108, 1.9173948650248303])),
+    ("gradient_sign", False, 0.5714285714285716,
+     {0.05: [0, 0], 0.1: [0, 0], 0.2: [3, 3], 0.3: [3, 8], 0.4: [4, 8]}, 29,
+     [(0, 0, 1, 0.2, [2.8628243580112587, 2.856020097173522]),
+      (4, 0, 1, 0.2, [3.278844477383954, 2.1412154527080185])],
+     (15, 1, 0, 0.4, [1.5075068889120637, 1.7421861639152725])),
+], ids=["both-feature-scales", "both-per-sample-scale", "gradient-sign"])
+def test_sweep_frozen(attack, per_sample_scale, b_r, per_level, count, first, last):
+    ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
+    model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
+                     TrainSchedule(((0.5, 150),)), seed=0)
+    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6,
+                     attack=attack, per_sample_scale=per_sample_scale)
+    report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
+    assert report.b_r == b_r
+    assert report.delta_x_max == 0.1
+    assert {k: v.tolist() for k, v in report.per_level_misclassification.items()} == per_level
+    assert len(report.counterexamples) == count
+    fields = [(c.input_index, c.true_class, c.predicted_class, c.level, c.noisy_input.tolist())
+              for c in report.counterexamples]
+    assert fields[:2] == first and fields[-1] == last
+
+
+def test_sweep_seeds_all_streams_from_one_substream_call(monkeypatch):
+    ds = make_toy_blobs(per_class=6, centers=[[0.0], [3.0]], spread=1.0, seed=2)
+    model, _ = train(init_mlp(MlpSpec((1, 4, 2), init_seed=3)), ds,
+                     TrainSchedule(((0.5, 100),)), seed=0)
+    calls = []
+
+    def counting_substream(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(probe_module, "substream", counting_substream)
+    noise_sweep(model, ds, NoiseSpec(levels=(0.1, 0.2, 0.3), samples_per_input=4), seed=5)
+    assert calls == [(5, "probe")]
+    noise_sweep(model, ds, NoiseSpec(attack="gradient_sign"), seed=5)
+    assert calls == [(5, "probe")]   # no random variants, no streams
+
+
 def test_affine_draw_equals_generator_uniform():
-    """The sweep's noise draw gives the bits `Generator.uniform(-b, b, size)`
-    gives, for zero, tiny and large bounds and several widths."""
+    """The sweep turns each input's stream of doubles into noisy rows in
+    one vectorized step; the rows hold the bits of `x + Generator.uniform(
+    -b, b, size)` on the same stream, for zero, tiny and large bounds and
+    several widths."""
     for trial in range(60):
         source = substream(31, "bounds", trial)
         d = (1, 2, 4, 8, 32)[trial % 5]
-        bound = source.uniform(0.0, 1.0, size=d) * 10.0 ** source.integers(-6, 7, size=d)
-        bound[source.random(d) < 0.2] = 0.0
-        size = (int(source.integers(1, 25)), d)
-        expected = substream(trial, "draw").uniform(-bound, bound, size=size)
-        got = _uniform(substream(trial, "draw"), bound, size)
+        n, S = int(source.integers(1, 6)), int(source.integers(1, 25))
+        bound = source.uniform(0.0, 1.0, size=(n, d)) * 10.0 ** source.integers(-6, 7, size=(n, d))
+        bound[source.random((n, d)) < 0.2] = 0.0
+        x = source.normal(size=(n, d)) * 10.0 ** source.integers(-3, 4)
+        expected = np.stack([x[r] + substream(trial, "draw", r).uniform(-bound[r], bound[r], (S, d))
+                             for r in range(n)])
+        got = np.empty((n, S, d))
+        for r in range(n):
+            substream(trial, "draw", r).random(out=got[r])
+        _add_uniform(x[:, None, :], bound[:, None, :], got)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -355,3 +442,55 @@ def test_probe_report_json_and_csv(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert len(lines) == 1 + 29
     assert lines[0] == "input_index,true_class,predicted_class,level,f0"
+
+
+def test_format_level_keeps_two_decimals_when_they_round_trip():
+    assert [format_level(v) for v in (0.01, 0.1, 0.12, 0.4, 1.0)] == [
+        "0.01", "0.10", "0.12", "0.40", "1.00"]
+    assert all(format_level(v) == f"{v:.2f}" for v in DEFAULT_LEVELS)
+    assert [format_level(v) for v in (0.121, 0.124, 0.005, 0.1 + 0.2)] == [
+        "0.121", "0.124", "0.005", "0.30000000000000004"]
+
+
+def test_close_levels_keep_their_own_keys(tmp_path):
+    # 0.121 and 0.124 both print as 0.12 with two decimals; each must keep
+    # its counts in the report and its own value in the CSV
+    net = threshold_net()
+    ds = threshold_ds()
+    report = noise_sweep(net, ds, NoiseSpec(levels=(0.05, 0.121, 0.124), attack="gradient_sign"),
+                         seed=0, scales=np.array([1.0]))
+    doc = probe_report_to_json(report)
+    assert doc["per_level_misclassification"] == {"0.05": [0, 0], "0.121": [1, 0],
+                                                  "0.124": [1, 0]}
+    cpath = tmp_path / "cex.csv"
+    write_counterexamples_csv(report, cpath, ds.feature_names)
+    with open(cpath, newline="", encoding="utf-8") as fh:
+        assert [row[3] for row in csv.reader(fh)][1:] == ["0.121", "0.124"]
+
+
+def _reference_csv(counterexamples, feature_names) -> bytes:
+    """The counterexample CSV as it was written one `Counterexample` at a
+    time, each value formatted with `repr(float(v))`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["input_index", "true_class", "predicted_class", "level"]
+                    + list(feature_names))
+    for cex in counterexamples:
+        writer.writerow([cex.input_index, cex.true_class, cex.predicted_class,
+                         f"{cex.level:.2f}"] + [repr(float(v)) for v in cex.noisy_input])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_counterexample_csv_bytes_match_per_row_repr(tmp_path):
+    values = [1e-05, -0.0, 0.1 + 0.2, 1e16, 5e-324, 1 / 3, -123456789.125, 2.5, 0.0,
+              float(np.nextafter(1.0, 2.0)), 1e-300, 7.0]
+    noisy = np.array(values).reshape(4, 3)
+    objects = [Counterexample(i, 0, 1, level, row)
+               for i, (level, row) in enumerate(zip((0.01, 0.1, 0.35, 0.4), noisy))]
+    names = ("a", "b", "c")
+    for counterexamples in (objects, Counterexamples.from_objects(objects)):
+        report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, counterexamples, {},
+                             np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+        path = tmp_path / "cex.csv"
+        write_counterexamples_csv(report, path, names)
+        assert path.read_bytes() == _reference_csv(objects, names)
