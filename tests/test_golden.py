@@ -2,7 +2,8 @@
 
 `tests/golden/iris/` holds `report.json`, `runs.csv` and `report.csv` as
 written by `biasdiv experiment --config configs/iris.json`.
-`tests/golden/cli_sha256.json` holds, per subcommand (`probe`, `diversify`,
+`tests/golden/cli_sha256.json` holds, per command line (`probe`, `diversify`,
+`diversify --mode synth-only`, `diversify --mode delete-only` and
 `baseline`, each with `--config configs/iris.json`), the SHA-256 of every
 file it writes and its stdout lines other than `wrote ...`, with the output
 directory shown as `<out>`. A refactor must leave all of these unchanged.
@@ -31,14 +32,15 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 IRIS_CONFIG = REPO / "configs" / "iris.json"
 REPORT_FILES = ("report.json", "runs.csv", "report.csv")
-CLI_COMMANDS = ("probe", "diversify", "baseline")
+CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
+                "diversify --mode delete-only", "baseline")
 
 
 def cli_outputs(command: str, out: Path) -> dict:
-    """Run one subcommand on the iris config; digest what it writes."""
+    """Run one command line on the iris config; digest what it writes."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([command, "--config", str(IRIS_CONFIG), "--out", str(out)])
+        code = main(command.split() + ["--config", str(IRIS_CONFIG), "--out", str(out)])
     assert code == 0, buf.getvalue()
     stdout = [line.replace(str(out), "<out>") for line in buf.getvalue().splitlines()
               if not line.startswith("wrote ")]
@@ -57,12 +59,13 @@ def test_iris_report_matches_golden(iris_run, tmp_path):
 @pytest.mark.parametrize("command", CLI_COMMANDS)
 def test_cli_outputs_match_golden(command, tmp_path):
     golden = json.loads((GOLDEN / "cli_sha256.json").read_text(encoding="utf-8"))
-    assert cli_outputs(command, tmp_path / command) == golden[command]
+    assert cli_outputs(command, tmp_path / "out") == golden[command]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {c: cli_outputs(c, Path(tmp) / c) for c in CLI_COMMANDS}
+        digests = {c: cli_outputs(c, Path(tmp) / c.replace(" ", "_"))
+                   for c in CLI_COMMANDS}
     with open(GOLDEN / "cli_sha256.json", "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")
