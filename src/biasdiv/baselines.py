@@ -1,8 +1,7 @@
 """Reference resamplers: random under/over-sampling, SMOTE and ADASYN.
 
-All four are deterministic under their seed and flag generated rows as
-synthetic, so downstream training treats them exactly like diversified
-datasets.
+All four are deterministic under their seed and mark generated rows in
+`Dataset.synthetic`, as diversify does.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SYNTHETIC, Dataset
+from .data import Dataset
 from .errors import InfeasibleError, NeighborError
 from .numerics import round_half_up, substream
 
@@ -46,16 +45,16 @@ class ResamplePlan:
 def _append_synthetic(ds: Dataset, rows_per_class: dict[int, np.ndarray]) -> Dataset:
     blocks = [ds.features]
     labels = [ds.labels]
-    prov = [ds.provenance]
+    synthetic = [ds.synthetic]
     for c in sorted(rows_per_class):
         rows = rows_per_class[c]
         if len(rows) == 0:
             continue
         blocks.append(rows)
         labels.append(np.full(len(rows), c, dtype=int))
-        prov.append(np.full(len(rows), SYNTHETIC, dtype=object))
+        synthetic.append(np.ones(len(rows), dtype=bool))
     return Dataset(np.vstack(blocks), np.concatenate(labels),
-                   ds.class_names, ds.feature_names, np.concatenate(prov))
+                   ds.class_names, ds.feature_names, np.concatenate(synthetic))
 
 
 def rus(ds: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
@@ -85,8 +84,8 @@ def rus(ds: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
 def ros(ds: Dataset, seed: int) -> Dataset:
     """Random over-sampling with replacement up to the majority count.
 
-    Replicas are provenance-flagged synthetic even though their values
-    duplicate original rows.
+    Replicas are marked synthetic even though their values duplicate
+    original rows.
     """
     if ds.L < 2:
         raise ValueError("over-sampling needs at least 2 classes")

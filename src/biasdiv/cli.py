@@ -21,7 +21,7 @@ from .harness import (ABLATION_APPROACHES, BASELINE_APPROACHES, baseline_source,
                       diversified_set, emit_report, label_column_name,
                       load_experiment_config, load_split, reference_probe,
                       resampled_set, run_experiment, validation_summary)
-from .probe import save_probe_report, write_counterexamples_csv
+from .probe import format_level, save_probe_report, write_counterexamples_csv
 
 _MODES = {"full": FULL, "synth-only": SYNTH_ONLY, "delete-only": DELETE_ONLY}
 _MODE_APPROACH = {FULL: "diversified", SYNTH_ONLY: "synth_only",
@@ -91,7 +91,7 @@ def _cmd_probe(args) -> int:
     save_probe_report(probe, out / "probe_report.json", class_names=test_ds.class_names)
     write_counterexamples_csv(probe, out / "counterexamples.csv", test_ds.feature_names)
     gate = " (below the accuracy gate)" if flagged else ""
-    print(f"b_r={probe.b_r:.4f} delta_x_max={probe.delta_x_max:.2f} "
+    print(f"b_r={probe.b_r:.4f} delta_x_max={format_level(probe.delta_x_max)} "
           f"train_acc={rep.train_accuracy:.3f} test_acc={rep.test_accuracy:.3f}{gate}")
     print(f"wrote {out / 'probe_report.json'} and {out / 'counterexamples.csv'}")
     return 0

@@ -22,20 +22,17 @@ from .errors import (
 )
 from .numerics import round_half_up, substream
 
-ORIGINAL = "original"
-SYNTHETIC = "synthetic"
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """n samples with d real features, integer class labels in [0, L) and a
-    per-row provenance flag (original | synthetic)."""
+    per-row mask of the rows a resampler or diversify generated."""
 
     features: np.ndarray       # (n, d) float
     labels: np.ndarray         # (n,) int
     class_names: tuple[str, ...]
     feature_names: tuple[str, ...]
-    provenance: np.ndarray = None  # (n,) of ORIGINAL/SYNTHETIC, default original
+    synthetic: np.ndarray = None   # (n,) bool, default all False
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -46,17 +43,15 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if self.provenance is None:
-            prov = np.full(len(labels), ORIGINAL, dtype=object)
-        else:
-            prov = np.asarray(self.provenance, dtype=object)
-        object.__setattr__(self, "provenance", prov)
+        synthetic = (np.zeros(len(labels), dtype=bool) if self.synthetic is None
+                     else np.asarray(self.synthetic, dtype=bool))
+        object.__setattr__(self, "synthetic", synthetic)
 
         n, d = feats.shape
         if n == 0:
             raise ValueError("dataset must contain at least one row")
-        if labels.shape != (n,) or prov.shape != (n,):
-            raise ValueError("features, labels and provenance row counts differ")
+        if labels.shape != (n,) or synthetic.shape != (n,):
+            raise ValueError("features, labels and synthetic mask row counts differ")
         if d != len(self.feature_names):
             raise ValueError("feature_names length does not match feature count")
         if not np.isfinite(feats).all():
@@ -70,9 +65,6 @@ class Dataset:
         missing = [self.class_names[c] for c in range(L) if c not in present]
         if missing:
             raise ValueError(f"classes never appear in the data: {missing}")
-        bad = set(prov.tolist()) - {ORIGINAL, SYNTHETIC}
-        if bad:
-            raise ValueError(f"unknown provenance flags: {sorted(bad)}")
 
     @property
     def n(self) -> int:
@@ -94,7 +86,7 @@ class Dataset:
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.features[idx], self.labels[idx],
                        self.class_names, self.feature_names,
-                       self.provenance[idx])
+                       self.synthetic[idx])
 
 
 @dataclass(frozen=True)
@@ -120,20 +112,6 @@ class DatasetSchema:
                 raise ValueError("class mapping indices must be 0..L-1 without gaps")
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """Per-class row groups of one dataset; disjoint and exhaustive."""
-
-    parts: tuple[Dataset, ...]          # parts[c] holds only rows of class c
-    indices: tuple[np.ndarray, ...]     # original row positions per class
-    class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        seen = np.concatenate([i for i in self.indices]) if self.indices else np.array([])
-        if len(np.unique(seen)) != len(seen):
-            raise ValueError("class partitions overlap")
-
-
 def _resolve_column(col, header: list[str]) -> int:
     if isinstance(col, int):
         if not 0 <= col < len(header):
@@ -148,7 +126,7 @@ def _resolve_column(col, header: list[str]) -> int:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a comma-separated, UTF-8, header-first CSV into a Dataset.
 
-    All rows are flagged original. Error messages name the offending
+    No row is marked synthetic. Error messages name the offending
     1-based data row and column so bad cells can be located directly.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -232,20 +210,15 @@ def split_stratified(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     return ds.take(np.sort(train_idx)), ds.take(np.sort(test_idx))
 
 
-def segment_by_class(ds: Dataset) -> ClassPartition:
-    """Group rows by class, preserving within-class row order."""
-    parts, indices = [], []
+def segment_by_class(ds: Dataset) -> tuple[Dataset, ...]:
+    """One single-class dataset per class (part c holds the rows of class
+    c, all labelled 0), preserving within-class row order."""
+    parts = []
     for c in range(ds.L):
         rows = np.flatnonzero(ds.labels == c)
-        indices.append(rows)
-        parts.append(Dataset(
-            ds.features[rows],
-            np.zeros(len(rows), dtype=int),
-            (ds.class_names[c],),
-            ds.feature_names,
-            ds.provenance[rows],
-        ))
-    return ClassPartition(tuple(parts), tuple(indices), ds.class_names)
+        parts.append(Dataset(ds.features[rows], np.zeros(len(rows), dtype=int),
+                             (ds.class_names[c],), ds.feature_names, ds.synthetic[rows]))
+    return tuple(parts)
 
 
 def make_toy_blobs(per_class: int, centers, spread: float, seed: int) -> Dataset:
@@ -288,7 +261,7 @@ class MinMaxScaler:
 
     def transform(self, ds: Dataset) -> Dataset:
         return Dataset((ds.features - self.mins) / self.spans, ds.labels,
-                       ds.class_names, ds.feature_names, ds.provenance)
+                       ds.class_names, ds.feature_names, ds.synthetic)
 
 
 def builtin_dataset_path(name: str):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SYNTHETIC, ClassPartition, Dataset, segment_by_class
-from .errors import GenerationError
+from .data import Dataset, segment_by_class
 from .numerics import (
     Interval,
     IntervalSet,
@@ -43,20 +42,13 @@ def derive_seed(seed: int, *labels) -> int:
 class ClassBounds:
     """Per class, per feature: the region the class is allowed to occupy.
 
-    `notes` records reversion events (a tightening or intersection that
-    would have emptied a region) so reruns can be audited.
+    `notes` records each tightening and each final bound that reverted
+    because the intersection would have emptied a region, so reruns can be
+    audited.
     """
 
     per_class: tuple[tuple[IntervalSet, ...], ...]   # [class][feature]
     notes: tuple[str, ...] = ()
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.per_class)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.per_class[0])
 
     def get(self, class_index: int, feature: int) -> IntervalSet:
         return self.per_class[class_index][feature]
@@ -111,12 +103,13 @@ class DiversifiedDataset:
 # Bound construction
 # ---------------------------------------------------------------------------
 
-def global_extremum(part: ClassPartition, delta_x_max: float,
+def global_extremum(parts: tuple[Dataset, ...], delta_x_max: float,
                     scales: np.ndarray) -> ClassBounds:
-    """Per-class feature extrema widened by the relative noise tolerance."""
+    """Per-class feature extrema widened by the relative noise tolerance;
+    `parts` is `segment_by_class` of the training set."""
     scales = np.asarray(scales, dtype=float)
     per_class = []
-    for ds in part.parts:
+    for ds in parts:
         sets = []
         for f in range(ds.d):
             col = ds.features[:, f]
@@ -146,22 +139,31 @@ def _match_rule(p: Interval, q: Interval):
     return None
 
 
+def _first_rule(a: list[Interval], b: list[Interval]):
+    """The first (i, j, rule) over a[i] x b[j] in scan order, or None."""
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            rule = _match_rule(p, q)
+            if rule is not None:
+                return i, j, rule
+    return None
+
+
 def _tighten_pair(sa: IntervalSet, sb: IntervalSet):
-    """Fixpoint of the pairwise rules between two classes on one feature."""
+    """Fixpoint of the pairwise rules between two classes on one feature.
+
+    It is always reached. Each firing replaces one or both matched
+    intervals by strict sub-intervals with disjoint interiors, cut at an
+    endpoint of the other interval that lay inside it, so it strictly
+    reduces the overlap between the two sets: no new endpoint value
+    appears, and the count of (endpoint value, interval holding it in its
+    interior) pairs drops by at least one. The pieces are non-empty and
+    keep each set's interiors disjoint, so no `Interval` or `IntervalSet`
+    check can fail.
+    """
     a, b = list(sa.intervals), list(sb.intervals)
     fired = False
-    for _ in range(1000):
-        hit = None
-        for i, p in enumerate(a):
-            for j, q in enumerate(b):
-                rule = _match_rule(p, q)
-                if rule is not None:
-                    hit = (i, j, rule)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while (hit := _first_rule(a, b)) is not None:
         i, j, (new_low, new_high, swapped) = hit
         if swapped:
             a[i:i + 1] = list(new_high)
@@ -189,14 +191,8 @@ def tighten_overlaps(bounds: ClassBounds) -> ClassBounds:
     for f in range(d):
         for a in range(L):
             for b in range(a + 1, L):
-                before_a, before_b = per_class[a][f], per_class[b][f]
-                try:
-                    na, nb, fired = _tighten_pair(before_a, before_b)
-                except ValueError:
-                    # a rule emptied or corrupted a region; keep the originals
-                    notes.append(f"tightening reverted for classes {a},{b} feature {f}")
-                    continue
-                per_class[a][f], per_class[b][f] = na, nb
+                per_class[a][f], per_class[b][f], fired = _tighten_pair(
+                    per_class[a][f], per_class[b][f])
                 if fired:
                     notes.append(f"tightened classes {a},{b} on feature {f}")
     return ClassBounds(tuple(tuple(sets) for sets in per_class), tuple(notes))
@@ -212,20 +208,20 @@ def _dominant_cluster_values(values: np.ndarray, c: int, seed: int) -> np.ndarra
     return values[result.assignments == dominant], result.centroids[dominant, 0]
 
 
-def top_k_features(part: ClassPartition, k: int, c: int, seed: int) -> list[int]:
+def top_k_features(parts: tuple[Dataset, ...], k: int, c: int, seed: int) -> list[int]:
     """The k features whose per-class values cluster most tightly.
 
     Compactness of a feature is the worst case over classes of the distance
     from the dominant cluster's centroid to its farthest member; smaller
     means the classes sit in tighter, more characteristic ranges.
     """
-    d = part.parts[0].d
+    d = parts[0].d
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     compactness = np.zeros(d)
     for f in range(d):
         worst = 0.0
-        for i, ds in enumerate(part.parts):
+        for i, ds in enumerate(parts):
             members, centroid = _dominant_cluster_values(
                 ds.features[:, f], c, derive_seed(seed, "topk", f, i))
             worst = max(worst, float(np.abs(members - centroid).max()))
@@ -234,13 +230,13 @@ def top_k_features(part: ClassPartition, k: int, c: int, seed: int) -> list[int]
     return sorted(int(f) for f in order[:k])
 
 
-def final_bounds(bounds: ClassBounds, top: list[int], part: ClassPartition,
+def final_bounds(bounds: ClassBounds, top: list[int], parts: tuple[Dataset, ...],
                  c: int, seed: int) -> ClassBounds:
     """Narrow each top feature to the span of its class's dominant cluster."""
     per_class = [list(sets) for sets in bounds.per_class]
     notes = list(bounds.notes)
     for f in top:
-        for i, ds in enumerate(part.parts):
+        for i, ds in enumerate(parts):
             members, _ = _dominant_cluster_values(
                 ds.features[:, f], c, derive_seed(seed, "final", f, i))
             window = Interval(float(members.min()), float(members.max()))
@@ -282,14 +278,10 @@ def synth_counts(mu, base: int) -> np.ndarray:
 
 def sample_synthetic(bounds_i, count: int, rng: np.random.Generator) -> np.ndarray:
     """count x d matrix drawn coordinate-wise from the class's regions."""
-    sets = list(bounds_i)
-    for f, s in enumerate(sets):
-        if s is None or not isinstance(s, IntervalSet):
-            raise GenerationError(f"feature {f} has no region to sample from")
     if count < 0:
         raise ValueError("count must be >= 0")
-    out = np.empty((count, len(sets)))
-    for f, s in enumerate(sets):
+    out = np.empty((count, len(bounds_i)))
+    for f, s in enumerate(bounds_i):
         out[:, f] = s.sample(rng, count)
     return out
 
@@ -364,13 +356,13 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
     """
     if cfg.top_k > train.d:
         raise ValueError(f"top_k ({cfg.top_k}) exceeds feature count ({train.d})")
-    part = segment_by_class(train)
+    parts = segment_by_class(train)
     scales = feature_scales(train.features)
 
-    bounds = global_extremum(part, probe.delta_x_max, scales)
+    bounds = global_extremum(parts, probe.delta_x_max, scales)
     bounds = tighten_overlaps(bounds)
-    top = top_k_features(part, cfg.top_k, cfg.clusters, seed)
-    bounds = final_bounds(bounds, top, part, cfg.clusters, seed)
+    top = top_k_features(parts, cfg.top_k, cfg.clusters, seed)
+    bounds = final_bounds(bounds, top, parts, cfg.clusters, seed)
 
     counts = train.class_counts()
     if cfg.mode == DELETE_ONLY:
@@ -389,24 +381,23 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
 
     blocks = []
     removed = np.zeros(train.L, dtype=int)
-    for c in range(train.L):
-        orig = part.parts[c]
+    for c, orig in enumerate(parts):
         combined = np.vstack([orig.features, synth_per_class[c]])
-        prov = np.concatenate([orig.provenance,
-                               np.full(len(synth_per_class[c]), SYNTHETIC, dtype=object)])
+        synthetic = np.concatenate([orig.synthetic,
+                                    np.ones(len(synth_per_class[c]), dtype=bool)])
         if cfg.mode == SYNTH_ONLY:
             keep = np.arange(len(combined))
         else:
             keep = minimize_redundancy(combined, cfg.removal_fraction,
                                        derive_seed(seed, "rm", c))
         removed[c] = len(combined) - len(keep)
-        blocks.append((combined[keep], prov[keep]))
+        blocks.append((combined[keep], synthetic[keep]))
 
     features = np.vstack([b[0] for b in blocks])
     labels = np.concatenate([np.full(len(b[0]), c, dtype=int)
                              for c, b in enumerate(blocks)])
-    provenance = np.concatenate([b[1] for b in blocks])
-    ds = Dataset(features, labels, train.class_names, train.feature_names, provenance)
+    synthetic = np.concatenate([b[1] for b in blocks])
+    ds = Dataset(features, labels, train.class_names, train.feature_names, synthetic)
     return DiversifiedDataset(ds, validation, bounds, top, chi, removed)
 
 

@@ -46,10 +46,6 @@ class BiasMetricError(BiasdivError):
     """The bias score is undefined (a class with zero correct variants)."""
 
 
-class GenerationError(BiasdivError):
-    """Synthetic sampling was asked to draw from an empty interval set."""
-
-
 class NeighborError(BiasdivError):
     """A resampler needs more same-class rows than the dataset has."""
 

@@ -188,16 +188,11 @@ class Interval:
 
 
 def relax_interval(b: Interval, delta: float) -> Interval:
-    """Widen an interval by a non-negative noise tolerance.
-
-    The result is [min, max] over the four endpoint shifts lo +/- delta and
-    hi +/- delta, which collapses to [lo - delta, hi + delta]; the input is
-    always contained in the output.
-    """
+    """Widen an interval by a non-negative noise tolerance to
+    [lo - delta, hi + delta], which always contains the input."""
     if delta < 0:
         raise ValueError(f"tolerance must be non-negative, got {delta}")
-    candidates = (b.lo - delta, b.lo + delta, b.hi - delta, b.hi + delta)
-    return Interval(min(candidates), max(candidates))
+    return Interval(b.lo - delta, b.hi + delta)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,70 +65,32 @@ class NoiseSpec:
         return self.attack in (GRADIENT_SIGN, BOTH)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    input_index: int
-    true_class: int
-    predicted_class: int
-    level: float
-    noisy_input: np.ndarray
-
-    def __post_init__(self):
-        if self.predicted_class == self.true_class:
-            raise ValueError("a counterexample must be misclassified")
-
-
-class Counterexamples(Sequence):
+@dataclass(frozen=True, eq=False)
+class Counterexamples:
     """The misclassified variants of a sweep, kept as arrays: variant i is
     input `input_index[i]` of class `true_class[i]`, perturbed at noise
     `level[i]` into row i of `noisy_inputs` and predicted as
-    `predicted_class[i]`. Indexing or iterating builds `Counterexample`
-    objects; a slice is again a `Counterexamples`."""
+    `predicted_class[i]`."""
 
-    def __init__(self, input_index, true_class, predicted_class, level, noisy_inputs):
-        self.input_index = np.asarray(input_index, dtype=np.intp)
-        self.true_class = np.asarray(true_class, dtype=np.intp)
-        self.predicted_class = np.asarray(predicted_class, dtype=np.intp)
-        self.level = np.asarray(level, dtype=float)
-        self.noisy_inputs = np.asarray(noisy_inputs, dtype=float)
-        if any(len(column) != len(self) for column in self._columns()):
-            raise ValueError("counterexample arrays differ in length")
+    input_index: np.ndarray      # (k,) int
+    true_class: np.ndarray       # (k,) int
+    predicted_class: np.ndarray  # (k,) int
+    level: np.ndarray            # (k,) float
+    noisy_inputs: np.ndarray     # (k, d) float
+
+    def __post_init__(self):
+        for name, dtype in (("input_index", np.intp), ("true_class", np.intp),
+                            ("predicted_class", np.intp), ("level", float),
+                            ("noisy_inputs", float)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if len(column) != len(self.input_index):
+                raise ValueError("counterexample arrays differ in length")
+            object.__setattr__(self, name, column)
         if (self.predicted_class == self.true_class).any():
             raise ValueError("a counterexample must be misclassified")
 
-    @classmethod
-    def from_objects(cls, items) -> "Counterexamples":
-        items = list(items)
-        noisy = (np.array([c.noisy_input for c in items], dtype=float) if items
-                 else np.empty((0, 0)))
-        return cls([c.input_index for c in items], [c.true_class for c in items],
-                   [c.predicted_class for c in items], [c.level for c in items], noisy)
-
-    def _columns(self) -> tuple:
-        return (self.input_index, self.true_class, self.predicted_class, self.level,
-                self.noisy_inputs)
-
     def __len__(self) -> int:
         return len(self.input_index)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Counterexamples(*(column[i] for column in self._columns()))
-        i = range(len(self))[i]
-        return Counterexample(int(self.input_index[i]), int(self.true_class[i]),
-                              int(self.predicted_class[i]), float(self.level[i]),
-                              self.noisy_inputs[i])
-
-    def __iter__(self):
-        return map(Counterexample, self.input_index.tolist(), self.true_class.tolist(),
-                   self.predicted_class.tolist(), self.level.tolist(), self.noisy_inputs)
-
-    def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass
@@ -138,14 +99,10 @@ class ProbeReport:
     R: np.ndarray                      # per-class misclassified:correct variant ratio
     mu: np.ndarray                     # per-class misclassified variant percentage
     b_r: float                         # robustness bias score
-    counterexamples: Counterexamples   # a list of Counterexample is converted
+    counterexamples: Counterexamples
     per_level_misclassification: dict[float, np.ndarray]   # level -> per-class counts
     probed_per_class: np.ndarray       # correctly classified clean inputs per class
     variants_per_class: np.ndarray     # noisy variants probed per class (all levels)
-
-    def __post_init__(self):
-        if not isinstance(self.counterexamples, Counterexamples):
-            self.counterexamples = Counterexamples.from_objects(self.counterexamples)
 
 
 def format_level(level: float) -> str:

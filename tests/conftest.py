@@ -2,10 +2,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from biasdiv.harness import load_experiment_config, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Property tests draw the same examples on every run, and no timing limit
+# can fail them on a slow or busy machine.
+settings.register_profile("biasdiv", derandomize=True, deadline=None, database=None)
+settings.load_profile("biasdiv")
 
 
 @pytest.fixture(scope="session")

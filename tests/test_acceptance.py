@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from biasdiv.baselines import adasyn
-from biasdiv.data import SYNTHETIC, Dataset, make_toy_blobs, save_csv
+from biasdiv.data import Dataset, make_toy_blobs, save_csv
 from biasdiv.diversify import (ClassBounds, DiversifyConfig, diversify,
                                minimize_redundancy, tighten_overlaps)
 from biasdiv.errors import InfeasibleError
@@ -34,7 +34,7 @@ from biasdiv.mlp import (MlpSpec, cross_entropy_loss, init_mlp,
 from biasdiv.numerics import (Interval, IntervalSet, interiors_disjoint,
                               kmeans, relax_interval, round_half_up,
                               substream)
-from biasdiv.probe import ProbeReport, compute_bias
+from biasdiv.probe import Counterexamples, ProbeReport, compute_bias
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -275,7 +275,7 @@ def test_synthetic_rows_stay_inside_final_bounds():
         R=np.array([0.4, 0.1]),
         mu=np.array([30.0, 10.0]),
         b_r=0.3,
-        counterexamples=[],
+        counterexamples=Counterexamples([], [], [], [], np.empty((0, train.d))),
         per_level_misclassification={},
         probed_per_class=np.array([12, 12]),
         variants_per_class=np.array([120, 120]),
@@ -283,9 +283,8 @@ def test_synthetic_rows_stay_inside_final_bounds():
     cfg = DiversifyConfig(top_k=2, max_retries=5)
     out = diversify(train, probe, cfg, seed=3)
     ds = out.dataset
-    synthetic = ds.provenance == SYNTHETIC
-    assert synthetic.any()
-    for row, label in zip(ds.features[synthetic], ds.labels[synthetic]):
+    assert ds.synthetic.any()
+    for row, label in zip(ds.features[ds.synthetic], ds.labels[ds.synthetic]):
         for f in range(ds.d):
             assert out.bounds.get(int(label), f).contains(float(row[f]),
                                                           tol=1e-9)

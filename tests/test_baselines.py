@@ -11,7 +11,7 @@ from biasdiv.baselines import (
     rus,
     smote,
 )
-from biasdiv.data import ORIGINAL, SYNTHETIC, Dataset
+from biasdiv.data import Dataset
 from biasdiv.errors import InfeasibleError, NeighborError
 from biasdiv.numerics import substream
 
@@ -52,7 +52,7 @@ def test_rus_equalize_to_minority():
     out = rus(ds, ResamplePlan("rus_equalize"), seed=1)
     assert out.class_counts().tolist() == [11, 11]
     assert rows_as_set(out.features) <= rows_as_set(ds.features)
-    assert set(out.provenance.tolist()) == {ORIGINAL}
+    assert not out.synthetic.any()
 
 
 def test_rus_fraction_quarter():
@@ -93,7 +93,7 @@ def test_ros_equalizes_with_flagged_replicas():
     ds = imbalanced(27, 11)
     out = ros(ds, seed=1)
     assert out.class_counts().tolist() == [27, 27]
-    synth = out.provenance == SYNTHETIC
+    synth = out.synthetic
     assert synth.sum() == 16
     assert np.all(out.labels[synth] == 1)
     originals = rows_as_set(ds.features[ds.labels == 1])
@@ -105,7 +105,7 @@ def test_ros_identity_when_balanced():
     ds = imbalanced(8, 8)
     out = ros(ds, seed=2)
     assert out.n == ds.n
-    assert not (out.provenance == SYNTHETIC).any()
+    assert not out.synthetic.any()
 
 
 def test_ros_deterministic():
@@ -119,7 +119,7 @@ def test_smote_count_arithmetic():
     ds = imbalanced(27, 11)
     out = smote(ds, k=5, seed=1)
     assert out.class_counts().tolist() == [27, 27]
-    assert (out.provenance == SYNTHETIC).sum() == 16
+    assert out.synthetic.sum() == 16
 
 
 def test_smote_minority_too_small():
@@ -132,7 +132,7 @@ def test_smote_lambda_zero_duplicates():
     ds = imbalanced(12, 6)
     out = smote(ds, k=3, seed=2, lam=0.0)
     originals = rows_as_set(ds.features[ds.labels == 1])
-    synth = out.provenance == SYNTHETIC
+    synth = out.synthetic
     for row in out.features[synth]:
         assert tuple(row) in originals
 
@@ -141,7 +141,7 @@ def test_smote_synthetics_on_same_class_segments():
     ds = imbalanced(30, 9, c1=(2.0, -3.0))
     out = smote(ds, k=4, seed=3)
     minority = ds.features[ds.labels == 1]
-    synth_rows = out.features[out.provenance == SYNTHETIC]
+    synth_rows = out.features[out.synthetic]
     for row in synth_rows:
         # inside the minority bounding box (implied by segment interpolation)
         assert np.all(row >= minority.min(axis=0) - 1e-12)
@@ -191,7 +191,7 @@ def test_adasyn_hard_point_takes_all_synthetics():
                  ("maj", "min"), ("f0", "f1"))
     out = adasyn(ds, k=2, seed=1)
     assert out.class_counts().tolist() == [5, 5]
-    synth = out.features[out.provenance == SYNTHETIC]
+    synth = out.features[out.synthetic]
     assert len(synth) == 2
     hard = minority[2]
     # every synthetic interpolates from the hard point toward a same-class
@@ -212,7 +212,7 @@ def test_adasyn_equalizes_on_overlapping_classes():
     assert out.class_counts().tolist() == [25, 25]
     # synthetics stay inside the minority bounding box
     minority = ds.features[ds.labels == 1]
-    synth = out.features[out.provenance == SYNTHETIC]
+    synth = out.features[out.synthetic]
     assert np.all(synth >= minority.min(axis=0) - 1e-12)
     assert np.all(synth <= minority.max(axis=0) + 1e-12)
 

@@ -77,6 +77,20 @@ def test_probe_writes_outputs(tmp_path, capsys):
     assert doc["b_r"] >= 0.0
 
 
+def test_probe_prints_delta_x_max_as_reported(tmp_path, capsys):
+    # two decimals would print both levels as 0.00; stdout must show the
+    # value probe_report.json holds
+    doc = json.loads((REPO / "configs" / "iris.json").read_text(encoding="utf-8"))
+    doc["noise"]["levels"] = [0.001, 0.003]
+    path = tmp_path / "iris.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "probe_out"
+    assert main(["probe", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "probe_report.json").read_text())
+    assert report["delta_x_max"] == 0.001
+    assert " delta_x_max=0.001 " in capsys.readouterr().out
+
+
 def test_diversify_delete_only_shrinks(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "div_out"

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from biasdiv.data import (
-    ORIGINAL,
-    ClassPartition,
     Dataset,
     DatasetSchema,
     MinMaxScaler,
@@ -39,7 +37,19 @@ def small_ds():
 def test_dataset_defaults_to_original_provenance():
     ds = small_ds()
     assert ds.n == 4 and ds.d == 2 and ds.L == 2
-    assert set(ds.provenance.tolist()) == {ORIGINAL}
+    assert ds.synthetic.dtype == bool and not ds.synthetic.any()
+
+
+def test_synthetic_mask_follows_rows():
+    base = small_ds()
+    ds = Dataset(base.features, base.labels, base.class_names, base.feature_names,
+                 [False, True, True, False])
+    assert ds.take([3, 0, 1]).synthetic.tolist() == [False, False, True]
+    assert [p.synthetic.tolist() for p in segment_by_class(ds)] == [[False, True],
+                                                                   [True, False]]
+    with pytest.raises(ValueError, match="row counts"):
+        Dataset(base.features, base.labels, base.class_names, base.feature_names,
+                [False, True])
 
 
 def test_dataset_rejects_missing_class():
@@ -93,7 +103,7 @@ def test_load_csv_first_appearance_labels(tmp_path):
     ds = load_csv(p, DatasetSchema(label_column="y", feature_columns=["f0"]))
     assert ds.labels.tolist() == [0, 1, 0]
     assert ds.class_names == ("A", "B")
-    assert set(ds.provenance.tolist()) == {ORIGINAL}
+    assert not ds.synthetic.any()
 
 
 def test_load_csv_with_mapping_and_index_columns(tmp_path):
@@ -232,28 +242,27 @@ def test_split_keeps_both_sides_non_empty_extremes():
 
 def test_segment_interleaved():
     ds = small_ds()
-    part = segment_by_class(ds)
-    assert isinstance(part, ClassPartition)
-    assert [p.n for p in part.parts] == [2, 2]
-    assert part.indices[0].tolist() == [0, 2]
-    assert part.indices[1].tolist() == [1, 3]
-    assert np.array_equal(part.parts[0].features, ds.features[[0, 2]])
-    assert sum(p.n for p in part.parts) == ds.n
+    parts = segment_by_class(ds)
+    assert isinstance(parts, tuple)
+    assert [p.n for p in parts] == [2, 2]
+    assert np.array_equal(parts[0].features, ds.features[[0, 2]])
+    assert np.array_equal(parts[1].features, ds.features[[1, 3]])
+    assert [p.class_names for p in parts] == [("a",), ("b",)]
+    assert all(p.labels.tolist() == [0, 0] for p in parts)
 
 
 def test_segment_single_class_identity():
     ds = Dataset(np.array([[1.0], [2.0]]), np.array([0, 0]), ("only",), ("f0",))
-    part = segment_by_class(ds)
-    assert len(part.parts) == 1
-    assert np.array_equal(part.parts[0].features, ds.features)
+    parts = segment_by_class(ds)
+    assert len(parts) == 1
+    assert np.array_equal(parts[0].features, ds.features)
 
 
 def test_segment_row_order_preserved():
     ds = make_toy_blobs(per_class=6, centers=[[0.0], [8.0]], spread=1.0, seed=9)
-    part = segment_by_class(ds)
-    for c, rows in enumerate(part.indices):
-        assert np.array_equal(np.sort(rows), rows)
-        assert np.array_equal(part.parts[c].features, ds.features[rows])
+    parts = segment_by_class(ds)
+    for c, part in enumerate(parts):
+        assert np.array_equal(part.features, ds.features[ds.labels == c])
 
 
 # -- toy blobs -------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from biasdiv.data import SYNTHETIC, Dataset, make_toy_blobs, segment_by_class
+from biasdiv.data import Dataset, make_toy_blobs, segment_by_class
 from biasdiv.diversify import (
     ClassBounds,
     DiversifyConfig,
@@ -22,9 +22,8 @@ from biasdiv.diversify import (
     top_k_features,
     validate_synthetic,
 )
-from biasdiv.errors import GenerationError
 from biasdiv.numerics import Interval, IntervalSet, interiors_disjoint, substream
-from biasdiv.probe import ProbeReport
+from biasdiv.probe import Counterexamples, ProbeReport
 
 
 def fake_probe(mu, delta_x_max=0.0):
@@ -35,7 +34,7 @@ def fake_probe(mu, delta_x_max=0.0):
         R=mu / 100.0,
         mu=mu,
         b_r=0.0,
-        counterexamples=[],
+        counterexamples=Counterexamples([], [], [], [], np.empty((0, 1))),
         per_level_misclassification={},
         probed_per_class=np.full(L, 10),
         variants_per_class=np.full(L, 100),
@@ -55,19 +54,19 @@ def single_interval_bounds(per_class):
 def test_global_extremum_relaxes_extrema():
     ds = Dataset(np.array([[2.0], [5.0], [8.0]]), np.array([0, 0, 0]),
                  ("a",), ("f0",))
-    part = segment_by_class(ds)
-    bounds = global_extremum(part, 1.0, scales=np.array([1.0]))
+    parts = segment_by_class(ds)
+    bounds = global_extremum(parts, 1.0, scales=np.array([1.0]))
     assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)
 
 
 def test_global_extremum_zero_delta_exact():
     ds = make_toy_blobs(per_class=10, centers=[[0.0, 5.0], [9.0, -2.0]],
                         spread=1.0, seed=1)
-    part = segment_by_class(ds)
-    bounds = global_extremum(part, 0.0, scales=np.ones(2))
+    parts = segment_by_class(ds)
+    bounds = global_extremum(parts, 0.0, scales=np.ones(2))
     for c in range(2):
         for f in range(2):
-            col = part.parts[c].features[:, f]
+            col = parts[c].features[:, f]
             assert bounds.get(c, f) == IntervalSet.single(col.min(), col.max())
 
 
@@ -87,9 +86,9 @@ def test_global_extremum_scales_per_feature():
 
 def test_global_extremum_monotone_in_delta():
     ds = make_toy_blobs(per_class=6, centers=[[0.0], [4.0], [9.0]], spread=1.0, seed=2)
-    part = segment_by_class(ds)
-    small = global_extremum(part, 0.05, scales=np.array([2.0]))
-    large = global_extremum(part, 0.2, scales=np.array([2.0]))
+    parts = segment_by_class(ds)
+    small = global_extremum(parts, 0.05, scales=np.array([2.0]))
+    large = global_extremum(parts, 0.2, scales=np.array([2.0]))
     for c in range(3):
         assert small.get(c, 0).is_subset_of(large.get(c, 0))
 
@@ -193,8 +192,8 @@ def tight_loose_ds():
 
 def test_top_k_prefers_tight_feature():
     ds = tight_loose_ds()
-    part = segment_by_class(ds)
-    assert top_k_features(part, k=1, c=2, seed=0) == [1]
+    parts = segment_by_class(ds)
+    assert top_k_features(parts, k=1, c=2, seed=0) == [1]
 
 
 def test_top_k_constant_feature_wins():
@@ -203,26 +202,26 @@ def test_top_k_constant_feature_wins():
         np.full(12, 4.2),
     ])
     ds = Dataset(feats, np.array([0, 1] * 6), ("a", "b"), ("f0", "f1"))
-    part = segment_by_class(ds)
-    assert top_k_features(part, k=1, c=2, seed=3) == [1]
+    parts = segment_by_class(ds)
+    assert top_k_features(parts, k=1, c=2, seed=3) == [1]
 
 
 def test_top_k_select_all_and_bounds_check():
     ds = tight_loose_ds()
-    part = segment_by_class(ds)
-    assert top_k_features(part, k=2, c=2, seed=1) == [0, 1]
+    parts = segment_by_class(ds)
+    assert top_k_features(parts, k=2, c=2, seed=1) == [0, 1]
     with pytest.raises(ValueError):
-        top_k_features(part, k=3, c=2, seed=1)
+        top_k_features(parts, k=3, c=2, seed=1)
     with pytest.raises(ValueError):
-        top_k_features(part, k=0, c=2, seed=1)
+        top_k_features(parts, k=0, c=2, seed=1)
 
 
 def test_top_k_deterministic():
     ds = make_toy_blobs(per_class=15, centers=[[0.0, 1.0, 2.0], [5.0, 1.5, -2.0]],
                         spread=1.0, seed=4)
-    part = segment_by_class(ds)
-    assert (top_k_features(part, 2, 2, seed=9)
-            == top_k_features(part, 2, 2, seed=9))
+    parts = segment_by_class(ds)
+    assert (top_k_features(parts, 2, 2, seed=9)
+            == top_k_features(parts, 2, 2, seed=9))
 
 
 # -- final_bounds ----------------------------------------------------------------
@@ -230,37 +229,37 @@ def test_top_k_deterministic():
 def test_final_bounds_dominant_cluster_window():
     ds = Dataset(np.array([[1.0], [1.1], [1.2], [9.0]]),
                  np.zeros(4, dtype=int), ("a",), ("f0",))
-    part = segment_by_class(ds)
-    bounds = global_extremum(part, 0.0, scales=np.ones(1))
+    parts = segment_by_class(ds)
+    bounds = global_extremum(parts, 0.0, scales=np.ones(1))
     assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)
-    out = final_bounds(bounds, [0], part, c=2, seed=0)
+    out = final_bounds(bounds, [0], parts, c=2, seed=0)
     assert out.get(0, 0) == IntervalSet.single(1.0, 1.2)
 
 
 def test_final_bounds_untouched_off_top():
     ds = Dataset(np.array([[1.0, 1.0], [1.1, 9.0], [1.2, 1.1], [9.0, 9.1]]),
                  np.zeros(4, dtype=int), ("a",), ("f0", "f1"))
-    part = segment_by_class(ds)
-    bounds = global_extremum(part, 0.0, scales=np.ones(2))
-    out = final_bounds(bounds, [0], part, c=2, seed=0)
+    parts = segment_by_class(ds)
+    bounds = global_extremum(parts, 0.0, scales=np.ones(2))
+    out = final_bounds(bounds, [0], parts, c=2, seed=0)
     assert out.get(0, 1) == bounds.get(0, 1)
 
 
 def test_final_bounds_single_cluster_keeps_extrema():
     ds = Dataset(np.array([[1.0], [1.5], [2.0]]), np.zeros(3, dtype=int),
                  ("a",), ("f0",))
-    part = segment_by_class(ds)
-    bounds = global_extremum(part, 0.0, scales=np.ones(1))
-    out = final_bounds(bounds, [0], part, c=1, seed=0)
+    parts = segment_by_class(ds)
+    bounds = global_extremum(parts, 0.0, scales=np.ones(1))
+    out = final_bounds(bounds, [0], parts, c=1, seed=0)
     assert out.get(0, 0) == IntervalSet.single(1.0, 2.0)
 
 
 def test_final_bounds_empty_intersection_reverts_with_note():
     ds = Dataset(np.array([[1.0], [1.1], [1.2], [9.0]]),
                  np.zeros(4, dtype=int), ("a",), ("f0",))
-    part = segment_by_class(ds)
+    parts = segment_by_class(ds)
     shifted = single_interval_bounds([[(5.0, 6.0)]])   # disjoint from the data
-    out = final_bounds(shifted, [0], part, c=2, seed=0)
+    out = final_bounds(shifted, [0], parts, c=2, seed=0)
     assert out.get(0, 0) == shifted.get(0, 0)
     assert any("reverted" in note for note in out.notes)
 
@@ -307,11 +306,6 @@ def test_sample_synthetic_containment():
     rows = sample_synthetic(sets, 500, substream(2, "c"))
     assert all(sets[0].contains(v) for v in rows[:, 0])
     assert all(sets[1].contains(v) for v in rows[:, 1])
-
-
-def test_sample_synthetic_empty_region_error():
-    with pytest.raises(GenerationError):
-        sample_synthetic([IntervalSet.single(0.0, 1.0), None], 3, substream(3, "e"))
 
 
 # -- minimize_redundancy -----------------------------------------------------------
@@ -398,7 +392,7 @@ def test_diversify_delete_only_halves_classes():
     cfg = DiversifyConfig(top_k=1, removal_fraction=0.5, mode="delete_only")
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0)
     assert out.dataset.class_counts().tolist() == [6, 6]
-    assert not (out.dataset.provenance == SYNTHETIC).any()
+    assert not out.dataset.synthetic.any()
     assert out.chi.tolist() == [0, 0]
     assert out.validation.passed
 
@@ -409,7 +403,7 @@ def test_diversify_synth_only_appends_planned_counts():
                           mode="synth_only")
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0)
     assert out.chi.tolist() == [20, 10]
-    synth_mask = out.dataset.provenance == SYNTHETIC
+    synth_mask = out.dataset.synthetic
     assert synth_mask.sum() == 30
     counts = np.bincount(out.dataset.labels[synth_mask], minlength=2)
     assert counts.tolist() == [20, 10]
@@ -436,7 +430,7 @@ def test_diversify_synthetics_inside_final_bounds():
     cfg = DiversifyConfig(top_k=2, corr_threshold=1e6, synth_base=8,
                           mode="synth_only")
     out = diversify(ds, fake_probe([20.0, 10.0], delta_x_max=0.05), cfg, seed=9)
-    synth_mask = out.dataset.provenance == SYNTHETIC
+    synth_mask = out.dataset.synthetic
     for row, label in zip(out.dataset.features[synth_mask],
                           out.dataset.labels[synth_mask]):
         for f, v in enumerate(row):
@@ -460,7 +454,7 @@ def test_diversify_deterministic():
     b = diversify(ds, fake_probe([12.0, 6.0], 0.02), cfg, seed=11)
     assert np.array_equal(a.dataset.features, b.dataset.features)
     assert np.array_equal(a.dataset.labels, b.dataset.labels)
-    assert np.array_equal(a.dataset.provenance, b.dataset.provenance)
+    assert np.array_equal(a.dataset.synthetic, b.dataset.synthetic)
     assert a.validation.corr_diff == b.validation.corr_diff
     assert a.validation.attempts == b.validation.attempts
 
@@ -473,7 +467,7 @@ def test_diversify_retry_exhaustion_reports_best_attempt():
     assert not out.validation.passed
     assert out.validation.attempts <= 3
     assert math.isfinite(out.validation.corr_diff)
-    assert (out.dataset.provenance == SYNTHETIC).sum() == out.chi.sum()
+    assert out.dataset.synthetic.sum() == out.chi.sum()
 
 
 def test_diversify_validation_report_is_truthful():
@@ -481,7 +475,7 @@ def test_diversify_validation_report_is_truthful():
     cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10,
                           mode="synth_only")
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=3)
-    synth_mask = out.dataset.provenance == SYNTHETIC
+    synth_mask = out.dataset.synthetic
     recheck = validate_synthetic(out.dataset.features[synth_mask], ds.features,
                                  cfg.corr_threshold)
     assert recheck.corr_diff == pytest.approx(out.validation.corr_diff)

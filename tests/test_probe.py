@@ -13,7 +13,6 @@ from biasdiv.mlp import Mlp, MlpSpec, TrainSchedule, init_mlp, predict, train
 from biasdiv.probe import (
     DEFAULT_LEVELS,
     _add_uniform,
-    Counterexample,
     Counterexamples,
     NoiseSpec,
     ProbeReport,
@@ -44,6 +43,14 @@ def threshold_ds(x0=0.5):
                    ("low", "high"), ("f0",))
 
 
+def cex_rows(cex):
+    """Counterexamples as (input index, true class, predicted class, level,
+    noisy row) tuples of Python values."""
+    return list(zip(cex.input_index.tolist(), cex.true_class.tolist(),
+                    cex.predicted_class.tolist(), cex.level.tolist(),
+                    cex.noisy_inputs.tolist()))
+
+
 # -- spec --------------------------------------------------------------------
 
 def test_default_levels_grid():
@@ -67,11 +74,6 @@ def test_noise_spec_validation():
         NoiseSpec(attack="nonsense")
 
 
-def test_counterexample_must_be_wrong():
-    with pytest.raises(ValueError):
-        Counterexample(0, 1, 1, 0.1, np.array([0.0]))
-
-
 def test_counterexample_arrays_must_be_wrong():
     with pytest.raises(ValueError, match="misclassified"):
         Counterexamples([0, 1], [0, 1], [1, 1], [0.1, 0.1], np.zeros((2, 3)))
@@ -79,21 +81,18 @@ def test_counterexample_arrays_must_be_wrong():
         Counterexamples([0, 1], [0, 1], [1, 0], [0.1], np.zeros((2, 3)))
 
 
-def test_counterexample_arrays_build_objects_on_access():
+def test_counterexample_arrays_hold_typed_columns():
     noisy = np.arange(6.0).reshape(3, 2)
     cex = Counterexamples([4, 0, 9], [0, 1, 2], [1, 0, 0], [0.1, 0.2, 0.3], noisy)
     assert len(cex) == 3
-    last = cex[-1]
-    assert (last.input_index, last.true_class, last.predicted_class, last.level) == (9, 2, 0, 0.3)
-    assert last.noisy_input.tolist() == [4.0, 5.0]
-    assert [c.input_index for c in cex] == [4, 0, 9]
-    assert isinstance(cex[1:], Counterexamples) and [c.level for c in cex[1:]] == [0.2, 0.3]
-    with pytest.raises(IndexError):
-        cex[3]
-    back = Counterexamples.from_objects(list(cex))
-    assert back.input_index.tolist() == [4, 0, 9] and back.level.tolist() == [0.1, 0.2, 0.3]
-    assert back.noisy_inputs.tolist() == noisy.tolist()
-    assert Counterexamples([], [], [], [], np.empty((0, 2))) == []
+    assert cex_rows(cex)[-1] == (9, 2, 0, 0.3, [4.0, 5.0])
+    assert cex.input_index.dtype == np.intp and cex.level.dtype == float
+    assert len(Counterexamples([], [], [], [], np.empty((0, 2)))) == 0
+    # compared by identity, so `==` never compares arrays elementwise (and
+    # never raises on multi-feature rows)
+    twin = Counterexamples(cex.input_index, cex.true_class, cex.predicted_class,
+                           cex.level, noisy)
+    assert cex == cex and cex != twin
 
 
 # -- apply_noise ----------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_sweep_robust_single_class_fixture():
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 0]),
                  ("only",), ("f0", "f1"))
     report = noise_sweep(net, ds, NoiseSpec(samples_per_input=5), seed=1)
-    assert report.counterexamples == []
+    assert len(report.counterexamples) == 0
     assert report.delta_x_max == pytest.approx(0.40)
     assert report.b_r == 0.0
 
@@ -274,15 +273,14 @@ def test_sweep_counterexamples_replay_and_respect_bound():
     scales = feature_scales(ds.features)
     report = noise_sweep(model, ds, NoiseSpec(samples_per_input=10), seed=7,
                          scales=scales)
-    assert report.counterexamples, "expected some misclassified variants"
-    for cex in report.counterexamples[:200]:
-        cls, _ = predict(model, cex.noisy_input)
-        assert cls == cex.predicted_class != cex.true_class
-        orig = ds.features[cex.input_index]
-        assert np.all(np.abs(cex.noisy_input - orig) <= cex.level * scales + 1e-12)
+    assert len(report.counterexamples), "expected some misclassified variants"
+    for index, true, pred, level, noisy in cex_rows(report.counterexamples)[:200]:
+        noisy = np.array(noisy)
+        cls, _ = predict(model, noisy)
+        assert cls == pred != true
+        assert np.all(np.abs(noisy - ds.features[index]) <= level * scales + 1e-12)
     # no logged counterexample at or below the reported tolerance
-    for cex in report.counterexamples:
-        assert cex.level > report.delta_x_max
+    assert (report.counterexamples.level > report.delta_x_max).all()
 
 
 def test_sweep_deterministic():
@@ -295,8 +293,7 @@ def test_sweep_deterministic():
     assert r1.b_r == r2.b_r
     assert r1.delta_x_max == r2.delta_x_max
     assert len(r1.counterexamples) == len(r2.counterexamples)
-    assert all(np.array_equal(a.noisy_input, b.noisy_input)
-               for a, b in zip(r1.counterexamples, r2.counterexamples))
+    assert np.array_equal(r1.counterexamples.noisy_inputs, r2.counterexamples.noisy_inputs)
 
 
 @pytest.mark.parametrize("per_sample_scale, b_r, delta_x_max, per_level, count, first", [
@@ -320,8 +317,7 @@ def test_random_sweep_frozen(per_sample_scale, b_r, delta_x_max, per_level, coun
     assert report.delta_x_max == delta_x_max
     assert {k: v.tolist() for k, v in report.per_level_misclassification.items()} == per_level
     assert len(report.counterexamples) == count
-    assert [(c.input_index, c.true_class, c.predicted_class, c.level, c.noisy_input.tolist())
-            for c in report.counterexamples[:2]] == first
+    assert cex_rows(report.counterexamples)[:2] == first
     # random variants only: samples_per_input per probed input and level
     assert report.variants_per_class.tolist() == (report.probed_per_class * 6 * 5).tolist()
 
@@ -354,8 +350,7 @@ def test_sweep_frozen(attack, per_sample_scale, b_r, per_level, count, first, la
     assert report.delta_x_max == 0.1
     assert {k: v.tolist() for k, v in report.per_level_misclassification.items()} == per_level
     assert len(report.counterexamples) == count
-    fields = [(c.input_index, c.true_class, c.predicted_class, c.level, c.noisy_input.tolist())
-              for c in report.counterexamples]
+    fields = cex_rows(report.counterexamples)
     assert fields[:2] == first and fields[-1] == last
 
 
@@ -469,15 +464,14 @@ def test_close_levels_keep_their_own_keys(tmp_path):
 
 
 def _reference_csv(counterexamples, feature_names) -> bytes:
-    """The counterexample CSV as it was written one `Counterexample` at a
+    """The counterexample CSV as it was written one counterexample at a
     time, each value formatted with `repr(float(v))`."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["input_index", "true_class", "predicted_class", "level"]
                     + list(feature_names))
-    for cex in counterexamples:
-        writer.writerow([cex.input_index, cex.true_class, cex.predicted_class,
-                         f"{cex.level:.2f}"] + [repr(float(v)) for v in cex.noisy_input])
+    for index, true, pred, level, noisy in cex_rows(counterexamples):
+        writer.writerow([index, true, pred, f"{level:.2f}"] + [repr(float(v)) for v in noisy])
     return buf.getvalue().encode("utf-8")
 
 
@@ -485,12 +479,10 @@ def test_counterexample_csv_bytes_match_per_row_repr(tmp_path):
     values = [1e-05, -0.0, 0.1 + 0.2, 1e16, 5e-324, 1 / 3, -123456789.125, 2.5, 0.0,
               float(np.nextafter(1.0, 2.0)), 1e-300, 7.0]
     noisy = np.array(values).reshape(4, 3)
-    objects = [Counterexample(i, 0, 1, level, row)
-               for i, (level, row) in enumerate(zip((0.01, 0.1, 0.35, 0.4), noisy))]
+    cex = Counterexamples([0, 1, 2, 3], [0] * 4, [1] * 4, [0.01, 0.1, 0.35, 0.4], noisy)
     names = ("a", "b", "c")
-    for counterexamples in (objects, Counterexamples.from_objects(objects)):
-        report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, counterexamples, {},
-                             np.zeros(2, dtype=int), np.zeros(2, dtype=int))
-        path = tmp_path / "cex.csv"
-        write_counterexamples_csv(report, path, names)
-        assert path.read_bytes() == _reference_csv(objects, names)
+    report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
+                         np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+    path = tmp_path / "cex.csv"
+    write_counterexamples_csv(report, path, names)
+    assert path.read_bytes() == _reference_csv(cex, names)

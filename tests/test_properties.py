@@ -1,0 +1,81 @@
+"""Property tests: the bias score and overlap tightening under class
+relabelling, and tightening on integer grids where endpoints coincide."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biasdiv.diversify import ClassBounds, tighten_overlaps
+from biasdiv.numerics import Interval, IntervalSet
+from biasdiv.probe import compute_bias
+
+
+@st.composite
+def class_counts(draw):
+    """Per-class misclassified and correct variant counts, plus a relabelling."""
+    L = draw(st.integers(2, 6))
+    misclassified = draw(st.lists(st.integers(0, 1000), min_size=L, max_size=L))
+    correct = draw(st.lists(st.integers(1, 1000), min_size=L, max_size=L))
+    perm = draw(st.permutations(range(L)))
+    return np.array(misclassified), np.array(correct), np.array(perm)
+
+
+@given(class_counts())
+def test_compute_bias_is_relabelling_equivariant(counts):
+    m, c, perm = counts
+    R, mu, b_r = compute_bias(m, c)
+    R_p, mu_p, b_r_p = compute_bias(m[perm], c[perm])
+    assert np.array_equal(R_p, R[perm])
+    assert np.array_equal(mu_p, mu[perm])
+    # b_r sums the ratios, so only the summation order differs
+    assert b_r_p == pytest.approx(b_r, rel=0, abs=1e-12)
+
+
+@st.composite
+def grid_set(draw, grid):
+    """One or two intervals on the integer grid 0..grid; repeated values
+    give point intervals and endpoints shared with other sets."""
+    k = draw(st.sampled_from((2, 4)))
+    v = sorted(draw(st.lists(st.integers(0, grid), min_size=k, max_size=k)))
+    return IntervalSet(tuple(Interval(float(v[i]), float(v[i + 1])) for i in range(0, k, 2)))
+
+
+@st.composite
+def grid_bounds(draw, min_classes=2, max_classes=6):
+    L = draw(st.integers(min_classes, max_classes))
+    d = draw(st.integers(1, 3))
+    grid = draw(st.integers(1, 10))
+    return ClassBounds(tuple(tuple(draw(grid_set(grid)) for _ in range(d))
+                             for _ in range(L)))
+
+
+@settings(max_examples=200)
+@given(grid_bounds())
+def test_tighten_never_fails_and_only_shrinks_on_integer_grids(bounds):
+    out = tighten_overlaps(bounds)
+    for before, after in zip(bounds.per_class, out.per_class):
+        for b, a in zip(before, after):
+            assert a.is_subset_of(b)
+
+
+@given(grid_bounds(max_classes=2))
+def test_tighten_two_classes_is_swap_equivariant(bounds):
+    swapped = tighten_overlaps(ClassBounds(bounds.per_class[::-1]))
+    assert tighten_overlaps(bounds).per_class == swapped.per_class[::-1]
+
+
+def _single(per_class):
+    return ClassBounds(tuple((IntervalSet.single(lo, hi),) for lo, hi in per_class))
+
+
+@pytest.mark.xfail(strict=True, reason="pairs are tightened in class-index order, so "
+                   "with 3 or more classes the result depends on the labelling")
+def test_tighten_three_classes_is_relabelling_equivariant():
+    # A=[3,10], B=[5,8], C=[4,9]: in this order B and C both end at [5,8];
+    # relabelled as (C, A, B), C ends at [4,5] and [8,9]
+    per_class = [(3.0, 10.0), (5.0, 8.0), (4.0, 9.0)]
+    perm = [2, 0, 1]
+    out = tighten_overlaps(_single(per_class))
+    relabelled = tighten_overlaps(_single([per_class[p] for p in perm]))
+    assert relabelled.per_class == tuple(out.per_class[p] for p in perm)
