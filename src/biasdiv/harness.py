@@ -14,6 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -28,7 +29,8 @@ from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
 from .diversify import DiversifyConfig, derive_seed, diversify
 from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
                      NeighborError, ProbeError, TrainingError)
-from .mlp import MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train
+from .mlp import (MlpSpec, TrainSchedule, accuracy, fit_size, init_mlp, scale_schedule,
+                  train, train_stack)
 from .numerics import round_half_up, substream
 from .probe import BOTH, GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
 
@@ -103,6 +105,8 @@ def _as_int(value, ctx: str, minimum: int | None = None) -> int:
 def _as_float(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{ctx} must be a finite number")
     return float(value)
 
 
@@ -468,40 +472,76 @@ class LegResult:
     note: str = ""
 
 
-def _train_gated(cfg: ExperimentConfig, fit_ds: Dataset, gate_ds: Dataset,
-                 test_ds: Dataset, repeat: int, approach: str,
-                 schedule: TrainSchedule):
-    """Train one leg; a failed accuracy gate re-seeds the leg exactly once.
+def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
+                   test_ds: Dataset, repeat: int, attempt: int) -> dict:
+    """Train one net per leg in `fits` (approach -> fitted set) with the
+    leg's seeds for this attempt. Legs that fit equally many rows under the
+    same schedule train as one weight stack, which gives each the bytes it
+    would get alone. Returns approach -> (model, report) or TrainingError.
+    """
+    groups = {}
+    for approach, fit_ds in fits.items():
+        key = (fit_size(fit_ds, schedules[approach]), schedules[approach])
+        groups.setdefault(key, []).append(approach)
+    results = {}
+    for (_, schedule), members in groups.items():
+        nets = [init_mlp(MlpSpec((fits[a].d, *cfg.hidden, fits[a].L),
+                                 init_seed=derive_seed(cfg.seed, "rep", repeat, a,
+                                                       "init", attempt)))
+                for a in members]
+        seeds = [derive_seed(cfg.seed, "rep", repeat, a, "fit", attempt) for a in members]
+        if len(members) == 1:
+            (approach,) = members
+            try:
+                results[approach] = train(nets[0], fits[approach], schedule, seeds[0],
+                                          test_ds=test_ds)
+            except TrainingError as exc:
+                results[approach] = exc
+        else:
+            results.update(zip(members, train_stack(
+                nets, [fits[a] for a in members], schedule, seeds, test_ds)))
+    return results
+
+
+def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
+                 test_ds: Dataset, repeat: int) -> dict:
+    """Train every leg in `fits` (approach -> fitted set) with its epoch
+    budget rescaled to the set's size (which leaves `original` unchanged);
+    a leg that fails the accuracy gate or diverges is re-seeded exactly
+    once, and the re-seeded legs train as a second, smaller stack.
 
     The gate judges the net on the original train split, not on whatever
     augmented set it was fitted to: synthetic rows are deliberately noisy
     and need not be memorized, the real data must still be classified.
+    Returns approach -> (model, report, gate accuracy, flagged, reseeded),
+    or the TrainingError of the last attempt when no attempt trained.
     """
-    fallback = None
-    error = None
+    schedules = {a: scale_schedule(cfg.schedule, gate_ds.n, ds.n) for a, ds in fits.items()}
+    outcomes, fallbacks, pending = {}, {}, dict(fits)
     for attempt in range(2):
-        spec = MlpSpec((fit_ds.d, *cfg.hidden, fit_ds.L),
-                       init_seed=derive_seed(cfg.seed, "rep", repeat, approach,
-                                             "init", attempt))
-        try:
-            model, rep = train(init_mlp(spec), fit_ds, schedule,
-                               derive_seed(cfg.seed, "rep", repeat, approach,
-                                           "fit", attempt),
-                               test_ds=test_ds)
-        except TrainingError as exc:
-            error = exc
-            continue
-        if gate_ds is fit_ds and schedule.validation_fraction == 0.0:
-            train_acc = rep.train_accuracy   # train already scored every fitted row
-        else:
-            train_acc = accuracy(model, gate_ds)
-        if train_acc > ACCURACY_GATE and rep.test_accuracy > ACCURACY_GATE:
-            return model, rep, train_acc, False, attempt > 0
-        fallback = (model, rep, train_acc)
-    if fallback is None:
-        raise error
-    model, rep, train_acc = fallback
-    return model, rep, train_acc, True, True
+        results = _train_attempt(cfg, pending, schedules, test_ds, repeat, attempt)
+        retry = {}
+        for approach, fit_ds in pending.items():
+            result = results[approach]
+            if isinstance(result, TrainingError):
+                outcomes[approach] = result
+                retry[approach] = fit_ds
+                continue
+            model, rep = result
+            if gate_ds is fit_ds and schedules[approach].validation_fraction == 0.0:
+                train_acc = rep.train_accuracy   # train already scored every fitted row
+            else:
+                train_acc = accuracy(model, gate_ds)
+            if train_acc > ACCURACY_GATE and rep.test_accuracy > ACCURACY_GATE:
+                outcomes[approach] = (model, rep, train_acc, False, attempt > 0)
+            else:
+                fallbacks[approach] = (model, rep, train_acc)
+                retry[approach] = fit_ds
+        pending = retry
+    for approach in pending:
+        if approach in fallbacks:
+            outcomes[approach] = (*fallbacks[approach], True, True)
+    return outcomes
 
 
 def _infeasible_leg(approach, repeat, note):
@@ -550,42 +590,73 @@ def validation_summary(validation) -> str:
             f" attempts={validation.attempts} passed={validation.passed}")
 
 
-def _run_leg(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-             approach: str, repeat: int, reference=None):
-    """One approach in one repeat: prepare its training set, train it through
-    the accuracy gate with the epoch budget rescaled to the set's size (which
-    leaves `original` unchanged), and probe it.
+def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: int,
+             reference):
+    """A leg's training set and its note."""
+    if approach == "original":
+        return train_ds, ""
+    if approach in BASELINE_APPROACHES:
+        return resampled_set(cfg, train_ds, approach, repeat), ""
+    dd = diversified_set(cfg, train_ds, reference, approach, repeat)
+    return dd.dataset, validation_summary(dd.validation)
+
+
+def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
+              approaches, repeat: int, reference=None) -> list:
+    """Some approaches of one repeat, stage by stage: prepare every training
+    set, train them through the accuracy gate (see `_train_gated`), then
+    probe every trained net.
 
     Every leg is probed with the repeat's noise sub-stream and with feature
     scales taken from the original training set, so scores differ only
-    through the nets and the data they were trained on. Returns the leg, the
-    trained net, its training report and the probe.
+    through the nets and the data they were trained on. Returns, per
+    approach in the given order, (leg, trained net, training report, probe),
+    or the error that made the leg infeasible (see `_leg_of`).
     """
-    note = ""
-    if approach == "original":
-        fit_ds = train_ds
-    elif approach in BASELINE_APPROACHES:
-        fit_ds = resampled_set(cfg, train_ds, approach, repeat)
-    else:
-        dd = diversified_set(cfg, train_ds, reference, approach, repeat)
-        fit_ds, note = dd.dataset, validation_summary(dd.validation)
-    schedule = scale_schedule(cfg.schedule, train_ds.n, fit_ds.n)
-    model, rep, acc, flagged, reseeded = _train_gated(
-        cfg, fit_ds, train_ds, test_ds, repeat, approach, schedule)
-    probe = noise_sweep(model, test_ds, cfg.noise,
-                        derive_seed(cfg.seed, "rep", repeat, "probe"),
-                        feature_scales(train_ds.features))
-    leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
-                    delta_x_max=probe.delta_x_max, train_accuracy=acc,
-                    test_accuracy=rep.test_accuracy, n_train=fit_ds.n,
-                    accuracy_flag=flagged, reseeded=reseeded, note=note)
-    return leg, model, rep, probe
+    runs, fits, notes = {}, {}, {}
+    for approach in approaches:
+        try:
+            fits[approach], notes[approach] = _leg_set(cfg, train_ds, approach, repeat,
+                                                       reference)
+        except LEG_ERRORS as exc:
+            runs[approach] = exc
+    trained = _train_gated(cfg, fits, train_ds, test_ds, repeat)
+    scales = feature_scales(train_ds.features)
+    for approach in fits:
+        result = trained[approach]
+        if isinstance(result, TrainingError):
+            runs[approach] = result
+            continue
+        model, rep, acc, flagged, reseeded = result
+        try:
+            probe = noise_sweep(model, test_ds, cfg.noise,
+                                derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
+        except LEG_ERRORS as exc:
+            runs[approach] = exc
+            continue
+        leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
+                        delta_x_max=probe.delta_x_max, train_accuracy=acc,
+                        test_accuracy=rep.test_accuracy, n_train=fits[approach].n,
+                        accuracy_flag=flagged, reseeded=reseeded, note=notes[approach])
+        runs[approach] = (leg, model, rep, probe)
+    return [runs[approach] for approach in approaches]
+
+
+def _leg_of(run, approach: str, repeat: int) -> LegResult:
+    """The leg of one `_run_legs` entry; an error makes it infeasible, with
+    the reason as its note."""
+    if isinstance(run, LEG_ERRORS):
+        return _infeasible_leg(approach, repeat, str(run))
+    return run[0]
 
 
 def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
                     repeat: int = 0):
     """Train the reference network for one repeat and probe it."""
-    leg, model, rep, probe = _run_leg(cfg, train_ds, test_ds, "original", repeat)
+    run, = _run_legs(cfg, train_ds, test_ds, ["original"], repeat)
+    if isinstance(run, LEG_ERRORS):
+        raise run
+    leg, model, rep, probe = run
     return model, rep, probe, leg.accuracy_flag, leg.reseeded
 
 
@@ -594,28 +665,24 @@ def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     """Measure every configured approach once.
 
     `cfg.approaches` starts with `original` (the config parser requires it
-    and keeps `APPROACH_ORDER`), so the reference leg runs first. A leg
-    whose method cannot run (resampler infeasibility, divergence, no
-    correctly classified input, or a class with no correct variants) is
-    recorded as infeasible with the reason rather than dropped. When the
-    reference leg is infeasible, the diversify legs that need its probe are
-    too; the resampler legs do not read it and run as usual.
+    and keeps `APPROACH_ORDER`), so the reference leg and the resampler
+    legs run first, and the diversify legs then run against the reference
+    probe. A leg whose method cannot run (resampler infeasibility,
+    divergence, no correctly classified input, or a class with no correct
+    variants) is recorded as infeasible with the reason rather than
+    dropped. When the reference leg is infeasible, the diversify legs that
+    need its probe are too; the resampler legs do not read it and run as
+    usual.
     """
-    legs, reference = [], None
-    for approach in cfg.approaches:
-        if reference is None and approach not in ("original", *BASELINE_APPROACHES):
-            legs.append(_infeasible_leg(approach, repeat,
-                                        f"reference leg infeasible: {legs[0].note}"))
-            continue
-        try:
-            leg, _, _, probe = _run_leg(cfg, train_ds, test_ds, approach, repeat,
-                                        reference)
-        except LEG_ERRORS as exc:
-            leg, probe = _infeasible_leg(approach, repeat, str(exc)), None
-        if approach == "original":
-            reference = probe
-        legs.append(leg)
-    return legs
+    first = [a for a in cfg.approaches if a in ("original", *BASELINE_APPROACHES)]
+    rest = [a for a in cfg.approaches if a not in first]
+    runs = _run_legs(cfg, train_ds, test_ds, first, repeat)
+    legs = [_leg_of(run, a, repeat) for a, run in zip(first, runs)]
+    if isinstance(runs[0], LEG_ERRORS):
+        return legs + [_infeasible_leg(a, repeat, f"reference leg infeasible: {legs[0].note}")
+                       for a in rest]
+    runs = _run_legs(cfg, train_ds, test_ds, rest, repeat, reference=runs[0][3])
+    return legs + [_leg_of(run, a, repeat) for a, run in zip(rest, runs)]
 
 
 def _repeat_worker(args):

@@ -7,11 +7,12 @@ is a pure function of the initial weights and the schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, split_stratified
+from .data import Dataset, split_size, split_stratified
 from .errors import TrainingError
 from .numerics import round_half_up, substream
 
@@ -71,8 +72,8 @@ class TrainSchedule:
         if not phases:
             raise ValueError("schedule needs at least one phase")
         for lr, ep in phases:
-            if lr <= 0:
-                raise ValueError(f"learning rate must be positive, got {lr}")
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"learning rate must be positive and finite, got {lr}")
             if ep < 1:
                 raise ValueError(f"epochs must be >= 1, got {ep}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -104,22 +105,29 @@ def init_mlp(spec: MlpSpec) -> Mlp:
     return Mlp(spec, weights, biases)
 
 
-def _forward(mlp: Mlp, X: np.ndarray):
+def _forward(weights, biases, X: np.ndarray):
     """Returns (activations, pre_activations, probabilities, shifted logits,
-    softmax denominators); the last two give the loss without a second pass."""
+    softmax denominators); the last two give the loss without a second pass.
+
+    Rank-polymorphic: one net's (out, in) weights with (n, d) inputs, or a
+    stack of nets with a leading axis on every array, slice r computed by
+    the same operations as net r alone. Each bias broadcasts against its
+    layer's (..., n, out) output: (out,) for one net, (R, 1, out) for a
+    stack.
+    """
     acts = [X]
     zs = []
     a = X
-    last = len(mlp.weights) - 1
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w.T + b
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.swapaxes(-1, -2) + b
         zs.append(z)
         a = z if l == last else np.maximum(z, 0.0)
         acts.append(a)
     logits = zs[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    sums = expz.sum(axis=1, keepdims=True)
+    sums = expz.sum(axis=-1, keepdims=True)
     probs = expz / sums
     return acts, zs, probs, shifted, sums
 
@@ -128,7 +136,7 @@ def predict_batch(mlp: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mlp.spec.d:
         raise ValueError(f"expected (n, {mlp.spec.d}) inputs, got {X.shape}")
-    probs = _forward(mlp, X)[2]
+    probs = _forward(mlp.weights, mlp.biases, X)[2]
     return np.argmax(probs, axis=1), probs
 
 
@@ -143,42 +151,43 @@ def predict(mlp: Mlp, x: np.ndarray) -> tuple[int, np.ndarray]:
     return int(classes[0]), probs[0]
 
 
-def _mean_nll(shifted: np.ndarray, sums: np.ndarray, rows: np.ndarray,
-              y: np.ndarray) -> float:
+def _mean_nll(shifted: np.ndarray, sums: np.ndarray, pick) -> np.ndarray:
     """Mean cross-entropy from one forward pass's shifted logits and softmax
-    denominators; `rows` is `arange(len(y))`."""
-    return float(-(shifted[rows, y] - np.log(sums)[:, 0]).mean())
+    denominators, per net; `pick` indexes each row's true-class logit:
+    `(arange(n), y)` for one net, `(arange(R)[:, None], arange(n), y)` for
+    a stack."""
+    return -(shifted[pick] - np.log(sums)[..., 0]).mean(axis=-1)
 
 
 def cross_entropy_loss(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> float:
-    _, _, _, shifted, sums = _forward(mlp, np.asarray(X, dtype=float))
-    return _mean_nll(shifted, sums, np.arange(len(y)), y)
+    _, _, _, shifted, sums = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
+    return float(_mean_nll(shifted, sums, (np.arange(len(y)), y)))
 
 
 def _onehot(y: np.ndarray, L: int) -> np.ndarray:
-    onehot = np.zeros((len(y), L))
-    onehot[np.arange(len(y)), y] = 1.0
+    """The true classes as rows of the identity; `y` is (n,) or (R, n)."""
+    onehot = np.zeros((*y.shape, L))
+    np.put_along_axis(onehot, y[..., None], 1.0, axis=-1)
     return onehot
 
 
-def _backward(mlp: Mlp, acts, zs, probs, onehot: np.ndarray):
-    """Mean cross-entropy gradients for every parameter and the input;
-    `onehot` holds the true classes as rows of the identity."""
-    delta = (probs - onehot) / len(onehot)
-    dws, dbs = [None] * len(mlp.weights), [None] * len(mlp.biases)
-    for l in range(len(mlp.weights) - 1, -1, -1):
-        dws[l] = delta.T @ acts[l]
-        dbs[l] = delta.sum(axis=0)
+def _backward(weights, acts, zs, probs, onehot: np.ndarray):
+    """Mean cross-entropy gradients for every parameter, and the gradient
+    with respect to the first layer's pre-activations; rank-polymorphic
+    like `_forward`."""
+    delta = (probs - onehot) / onehot.shape[-2]
+    dws, dbs = [None] * len(weights), [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        dws[l] = delta.swapaxes(-1, -2) @ acts[l]
+        dbs[l] = delta.sum(axis=-2)
         if l > 0:
-            delta = (delta @ mlp.weights[l]) * (zs[l - 1] > 0)
-        else:
-            delta = delta @ mlp.weights[l]
-    return dws, dbs, delta   # final delta is dLoss/dX
+            delta = (delta @ weights[l]) * (zs[l - 1] > 0)
+    return dws, dbs, delta
 
 
 def parameter_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray):
-    acts, zs, probs, _, _ = _forward(mlp, np.asarray(X, dtype=float))
-    dws, dbs, _ = _backward(mlp, acts, zs, probs,
+    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
+    dws, dbs, _ = _backward(mlp.weights, acts, zs, probs,
                             _onehot(np.asarray(y, dtype=int), mlp.spec.L))
     return dws, dbs
 
@@ -187,9 +196,9 @@ def input_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row gradient of that row's own cross-entropy loss w.r.t. the input."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    acts, zs, probs, _, _ = _forward(mlp, X)
-    _, _, dX = _backward(mlp, acts, zs, probs, _onehot(y, mlp.spec.L))
-    return dX * len(y)    # undo the batch-mean so each row stands alone
+    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, X)
+    _, _, delta = _backward(mlp.weights, acts, zs, probs, _onehot(y, mlp.spec.L))
+    return (delta @ mlp.weights[0]) * len(y)    # undo the batch-mean so each row stands alone
 
 
 def input_gradient(mlp: Mlp, x: np.ndarray, true_class: int) -> np.ndarray:
@@ -208,6 +217,75 @@ def accuracy(mlp: Mlp, ds: Dataset) -> float:
     return float(np.mean(classes == ds.labels))
 
 
+def _check_shapes(mlp: Mlp, train_ds: Dataset) -> None:
+    if train_ds.d != mlp.spec.d or train_ds.L != mlp.spec.L:
+        raise ValueError(
+            f"dataset shape ({train_ds.d} features, {train_ds.L} classes) does not "
+            f"match spec {mlp.spec.layer_sizes}")
+
+
+def _fit_split(train_ds: Dataset, schedule: TrainSchedule, seed: int):
+    """The rows a net is fitted to and the held-out validation rows (None
+    when the schedule holds none out)."""
+    if schedule.validation_fraction == 0.0:
+        return train_ds, None
+    val_seed = int(substream(seed, "val").integers(2**32))
+    return split_stratified(train_ds, 1.0 - schedule.validation_fraction, val_seed)
+
+
+def fit_size(train_ds: Dataset, schedule: TrainSchedule) -> int:
+    """How many rows `train` fits to: all of `train_ds`, or the train side of
+    its validation split, whose size does not depend on the seed."""
+    if schedule.validation_fraction == 0.0:
+        return train_ds.n
+    return split_size(train_ds, 1.0 - schedule.validation_fraction)
+
+
+def _descend(weights, biases, X, onehot, pick, schedule: TrainSchedule):
+    """The epoch loop of `train` and `train_stack`: updates `weights` and
+    `biases` in place, for one net or a stack of nets (see `_forward`;
+    biases here are (out,) or (R, out)).
+
+    Returns the losses, shape (epochs,) or (epochs, R); the probabilities
+    of the last forward pass; and per net the 1-based epoch at which its
+    loss first went non-finite, 0 if it never did. A net that diverges
+    keeps its non-finite values in its own slice. Divergence is read off
+    the losses at the end of each phase, not every epoch, and the descent
+    stops there once every net has diverged.
+    """
+    bias_rows = [b[..., None, :] for b in biases]   # views: updates show through
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts, zs, probs, _, _ = _forward(weights, bias_rows, X)
+        for lr, epochs in schedule.phases:
+            for _ in range(epochs):
+                dws, dbs, _ = _backward(weights, acts, zs, probs, onehot)
+                for l in range(len(weights)):
+                    weights[l] -= lr * dws[l]
+                    biases[l] -= lr * dbs[l]
+                acts, zs, probs, shifted, sums = _forward(weights, bias_rows, X)
+                losses.append(_mean_nll(shifted, sums, pick))
+            if not np.isfinite(losses).all(axis=0).any():
+                break
+    losses = np.array(losses)
+    bad = ~np.isfinite(losses)
+    diverged = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
+    return losses, probs, diverged
+
+
+def _diverged(epoch) -> TrainingError:
+    return TrainingError(f"training diverged at epoch {epoch}")
+
+
+def _report(model: Mlp, losses: np.ndarray, train_accuracy, val_ds, test_ds) -> TrainReport:
+    report = TrainReport(losses=losses.tolist(), train_accuracy=float(train_accuracy))
+    if val_ds is not None:
+        report.validation_accuracy = accuracy(model, val_ds)
+    if test_ds is not None:
+        report.test_accuracy = accuracy(model, test_ds)
+    return report
+
+
 def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
           test_ds: Dataset | None = None) -> tuple[Mlp, TrainReport]:
     """Full-batch gradient descent over the schedule's phases in order.
@@ -218,46 +296,62 @@ def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
     which also gives `train_accuracy`). A non-finite epoch loss aborts with
     an error naming the (1-based) epoch.
     """
-    if train_ds.d != mlp.spec.d or train_ds.L != mlp.spec.L:
-        raise ValueError(
-            f"dataset shape ({train_ds.d} features, {train_ds.L} classes) does not "
-            f"match spec {mlp.spec.layer_sizes}")
-    fit_ds, val_ds = train_ds, None
-    if schedule.validation_fraction > 0.0:
-        val_seed = int(substream(seed, "val").integers(2**32))
-        fit_ds, val_ds = split_stratified(
-            train_ds, 1.0 - schedule.validation_fraction, val_seed)
+    _check_shapes(mlp, train_ds)
+    fit_ds, val_ds = _fit_split(train_ds, schedule, seed)
+    model = Mlp(mlp.spec, [w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases])
+    y = fit_ds.labels
+    losses, probs, diverged = _descend(model.weights, model.biases, fit_ds.features,
+                                       _onehot(y, mlp.spec.L), (np.arange(len(y)), y),
+                                       schedule)
+    if diverged:
+        raise _diverged(int(diverged))
+    return model, _report(model, losses, np.mean(np.argmax(probs, axis=1) == y),
+                          val_ds, test_ds)
 
-    weights = [w.copy() for w in mlp.weights]
-    biases = [b.copy() for b in mlp.biases]
-    model = Mlp(mlp.spec, weights, biases)
-    X, y = fit_ds.features, fit_ds.labels
-    rows = np.arange(len(y))
-    onehot = _onehot(y, mlp.spec.L)
 
-    report = TrainReport()
-    epoch = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        acts, zs, probs, _, _ = _forward(model, X)
-        for lr, epochs in schedule.phases:
-            for _ in range(epochs):
-                epoch += 1
-                dws, dbs, _ = _backward(model, acts, zs, probs, onehot)
-                for l in range(len(weights)):
-                    weights[l] -= lr * dws[l]
-                    biases[l] -= lr * dbs[l]
-                acts, zs, probs, shifted, sums = _forward(model, X)
-                loss = _mean_nll(shifted, sums, rows, y)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"training diverged at epoch {epoch}")
-                report.losses.append(loss)
+def train_stack(mlps, datasets, schedule: TrainSchedule, seeds,
+                test_ds: Dataset | None = None) -> list:
+    """Train R nets of one architecture as one `(R, out, in)` weight stack.
 
-    report.train_accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
-    if val_ds is not None:
-        report.validation_accuracy = accuracy(model, val_ds)
-    if test_ds is not None:
-        report.test_accuracy = accuracy(model, test_ds)
-    return model, report
+    Slice r sees exactly the arithmetic of `train(mlps[r], datasets[r],
+    schedule, seeds[r], test_ds)`, so its weights, losses and accuracies
+    are bit-identical to that call's. The sets must fit equally many rows
+    after the validation split (see `fit_size`). Returns, per slice, the
+    `(Mlp, TrainReport)` that `train` returns or the `TrainingError` it
+    would raise; a slice that diverges does not stop the others.
+    """
+    mlps, datasets, seeds = list(mlps), list(datasets), list(seeds)
+    if not mlps or len(datasets) != len(mlps) or len(seeds) != len(mlps):
+        raise ValueError("need one dataset and one seed per net, and at least one net")
+    if len({m.spec.layer_sizes for m in mlps}) != 1:
+        raise ValueError("stacked nets must share one architecture")
+    for mlp, ds in zip(mlps, datasets):
+        _check_shapes(mlp, ds)
+    splits = [_fit_split(ds, schedule, seed) for ds, seed in zip(datasets, seeds)]
+    if len({fit.n for fit, _ in splits}) != 1:
+        raise ValueError("stacked sets must fit equally many rows, got "
+                         f"{[fit.n for fit, _ in splits]}")
+
+    weights = [np.stack(ws) for ws in zip(*(m.weights for m in mlps))]
+    biases = [np.stack(bs) for bs in zip(*(m.biases for m in mlps))]
+    X = np.stack([fit.features for fit, _ in splits])
+    y = np.stack([fit.labels for fit, _ in splits])
+    pick = (np.arange(len(mlps))[:, None], np.arange(y.shape[1]), y)
+    losses, probs, diverged = _descend(weights, biases, X, _onehot(y, mlps[0].spec.L),
+                                       pick, schedule)
+    correct = np.argmax(probs, axis=-1) == y
+    results = []
+    for r, (mlp, (_, val_ds)) in enumerate(zip(mlps, splits)):
+        if diverged[r]:
+            results.append(_diverged(int(diverged[r])))
+            continue
+        model = Mlp(mlp.spec, mlp.weights, mlp.biases)
+        # like `train`, which checks the net before its descent, not after
+        model.weights = [w[r].copy() for w in weights]
+        model.biases = [b[r].copy() for b in biases]
+        results.append((model, _report(model, losses[:, r], np.mean(correct[r]),
+                                       val_ds, test_ds)))
+    return results
 
 
 def scale_epochs(epochs: int, n_original: int, n_new: int) -> int:

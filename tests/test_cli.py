@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import biasdiv
 from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
@@ -56,6 +58,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, banana=1)
     assert main(["probe", "--config", str(path)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("diversify", "corr_threshold", float("nan")),
+    ("schedule", "phases", [[float("inf"), 60]]),
+])
+def test_non_finite_config_number_exits_2_before_any_work(tmp_path, capsys, section,
+                                                          key, value):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))   # writes the bare NaN / Infinity tokens
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_missing_dataset_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from biasdiv import harness
 from biasdiv.data import make_toy_blobs, save_csv
 from biasdiv.errors import ConfigError, DataError, ProbeError
-from biasdiv.harness import (APPROACH_ORDER, LegResult, aggregate_legs,
-                             emit_report, load_dataset_pair,
+from biasdiv.harness import (APPROACH_ORDER, BASELINE_APPROACHES, LegResult,
+                             aggregate_legs, emit_report, load_dataset_pair,
                              load_experiment_config, parse_experiment_config,
                              reference_probe, render_boxplot, report_to_json,
                              run_experiment, run_repeat, subsample_imbalanced)
+from biasdiv.mlp import TrainSchedule
 
 
 def write_blobs_csv(path, per_class=12, centers=((0.0, 0.0), (4.0, 4.0)),
@@ -460,10 +462,66 @@ def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
         return real_accuracy(model, ds)
 
     monkeypatch.setattr(harness, "accuracy", counting_accuracy)
-    leg, model, rep, _ = harness._run_leg(separated_cfg, train, test, "original", 0)
+    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, ["original"], 0)
     assert scored == []
     assert leg.train_accuracy == rep.train_accuracy == real_accuracy(model, train)
 
-    leg, model, rep, _ = harness._run_leg(separated_cfg, train, test, "ros", 0)
+    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, ["ros"], 0)
     assert scored == [train]
     assert leg.train_accuracy == real_accuracy(model, train)
+
+
+def single_approach_legs(cfg, train, test, repeat):
+    """`run_repeat`'s legs with every approach through the leg path alone, so
+    every net trains through `train`."""
+    legs, reference = [], None
+    for approach in cfg.approaches:
+        if approach in ("original", *BASELINE_APPROACHES) or reference is not None:
+            run, = harness._run_legs(cfg, train, test, [approach], repeat, reference)
+            leg = harness._leg_of(run, approach, repeat)
+        else:
+            leg = harness._infeasible_leg(approach, repeat,
+                                          f"reference leg infeasible: {legs[0].note}")
+        if approach == "original" and not leg.infeasible:
+            reference = run[3]
+        legs.append(leg)
+    return legs
+
+
+@pytest.mark.parametrize("case", ["default", "gate_fails", "diverges"])
+def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, case):
+    cfg = separated_cfg
+    if case == "gate_fails":   # no net scores above 1: every leg re-seeds as a stack
+        monkeypatch.setattr(harness, "ACCURACY_GATE", 1.0)
+    elif case == "diverges":
+        cfg = replace(cfg, schedule=TrainSchedule(((1e9, 50),)))
+    train, test = harness.load_split(cfg)
+    real_stack, stacks = harness.train_stack, []
+    real_sweep, probed = harness.noise_sweep, []
+
+    def stack_spy(mlps, *args, **kwargs):
+        stacks.append(len(mlps))
+        return real_stack(mlps, *args, **kwargs)
+
+    def sweep_spy(model, *args):   # every leg here scores b_r 0: compare the nets
+        probed.append(b"".join(p.tobytes() for p in model.weights + model.biases))
+        return real_sweep(model, *args)
+
+    monkeypatch.setattr(harness, "train_stack", stack_spy)
+    monkeypatch.setattr(harness, "noise_sweep", sweep_spy)
+    legs = []
+    for repeat in range(2):
+        probed.clear()
+        legs += run_repeat(cfg, train, test, repeat)
+        stacked, nets = len(stacks), probed[:]
+        probed.clear()
+        assert legs[-len(cfg.approaches):] == single_approach_legs(cfg, train, test, repeat)
+        assert len(stacks) == stacked
+        assert probed == nets
+    assert stacks and min(stacks) >= 2
+    trained = [leg for leg in legs if not leg.infeasible]
+    if case == "gate_fails":
+        assert trained and all(leg.accuracy_flag and leg.reseeded for leg in trained)
+    if case == "diverges":
+        assert trained and any(leg.note.startswith("training diverged at epoch ")
+                               for leg in legs)

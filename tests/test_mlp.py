@@ -11,6 +11,7 @@ from biasdiv.mlp import (
     TrainSchedule,
     accuracy,
     cross_entropy_loss,
+    fit_size,
     init_mlp,
     input_gradient,
     input_gradients,
@@ -20,6 +21,7 @@ from biasdiv.mlp import (
     scale_epochs,
     scale_schedule,
     train,
+    train_stack,
 )
 from biasdiv.numerics import substream
 
@@ -222,6 +224,12 @@ def test_schedule_validation():
         TrainSchedule(((0.5, 10),), validation_fraction=1.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_schedule_rejects_non_finite_learning_rate(lr):
+    with pytest.raises(ValueError, match="finite"):
+        TrainSchedule(((0.5, 10), (lr, 10)))
+
+
 def test_train_divergence_names_epoch():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 8, 2), init_seed=0))
@@ -310,6 +318,82 @@ def test_multi_phase_schedule_epochs():
     net = init_mlp(MlpSpec((2, 4, 2), init_seed=0))
     _, report = train(net, ds, TrainSchedule(((0.5, 40), (0.2, 40))), seed=0)
     assert len(report.losses) == 80
+
+
+def stack_sets(R, scale_first=1.0):
+    """R distinct datasets of one shape: three classes of 12 rows each."""
+    sets = [make_toy_blobs(per_class=12, centers=[[0.0, 0.0], [1.0, 1.0], [0.0, 1.5]],
+                           spread=1.0, seed=40 + r) for r in range(R)]
+    first = sets[0]
+    sets[0] = Dataset(first.features * scale_first, first.labels, first.class_names,
+                      first.feature_names)
+    return sets
+
+
+def assert_same_training(got, want):
+    (got_model, got_report), (want_model, want_report) = got, want
+    for a, b in zip(got_model.weights + got_model.biases,
+                    want_model.weights + want_model.biases, strict=True):
+        assert np.array_equal(a, b)
+    assert got_report.losses == want_report.losses
+    assert got_report.train_accuracy == want_report.train_accuracy
+    assert got_report.validation_accuracy == want_report.validation_accuracy
+    assert got_report.test_accuracy == want_report.test_accuracy
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 4])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+@pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
+def test_train_stack_equals_per_net_train(R, hidden, validation_fraction):
+    sets = stack_sets(R)
+    nets = [init_mlp(MlpSpec((2, *hidden, 3), init_seed=r)) for r in range(R)]
+    schedule = TrainSchedule(((0.4, 30), (0.1, 20)), validation_fraction)
+    seeds = [7 + r for r in range(R)]
+    test_ds, _ = overlapping_three_class()
+    stacked = train_stack(nets, sets, schedule, seeds, test_ds=test_ds)
+    assert len(stacked) == R
+    for r in range(R):
+        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, seeds[r],
+                                               test_ds=test_ds))
+
+
+def test_train_stack_isolates_a_diverging_slice():
+    sets = stack_sets(3, scale_first=1e8)
+    nets = [init_mlp(MlpSpec((2, 6, 3), init_seed=r)) for r in range(3)]
+    schedule = TrainSchedule(((0.4, 30), (0.1, 20)))
+    stacked = train_stack(nets, sets, schedule, [0, 1, 2])
+    with pytest.raises(TrainingError) as alone:
+        train(nets[0], sets[0], schedule, 0)
+    assert isinstance(stacked[0], TrainingError)
+    assert str(stacked[0]) == str(alone.value)
+    for r in (1, 2):
+        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, r))
+
+
+def test_train_stack_rejects_mismatched_and_empty_input():
+    schedule = TrainSchedule(((0.4, 5),))
+    sets = stack_sets(2)
+    nets = [init_mlp(MlpSpec((2, 6, 3), init_seed=r)) for r in range(2)]
+    with pytest.raises(ValueError):
+        train_stack([], [], schedule, [])
+    with pytest.raises(ValueError):   # one seed short
+        train_stack(nets, sets, schedule, [0])
+    with pytest.raises(ValueError, match="equally many rows"):
+        train_stack(nets, [sets[0], sets[1].take(np.arange(30))], schedule, [0, 1])
+    three_features = make_toy_blobs(per_class=12, centers=np.eye(3), spread=1.0, seed=0)
+    with pytest.raises(ValueError, match="does not"):
+        train_stack(nets, [sets[0], three_features], schedule, [0, 1])
+    with pytest.raises(ValueError, match="architecture"):
+        train_stack([nets[0], init_mlp(MlpSpec((2, 5, 3)))], sets, schedule, [0, 1])
+
+
+def test_fit_size_counts_the_fitted_rows():
+    ds = make_toy_blobs(per_class=9, centers=[[0.0], [2.0], [4.0]], spread=0.5, seed=1)
+    ds = ds.take(np.arange(4, 27))   # classes of 5, 9 and 9 rows
+    for fraction in (0.0, 0.2, 0.25, 0.5):
+        schedule = TrainSchedule(((0.1, 1),), validation_fraction=fraction)
+        fitted = fit_rows(ds, fraction, 3) if fraction else ds
+        assert fit_size(ds, schedule) == fitted.n
 
 
 # -- accuracy ---------------------------------------------------------------------
