@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,8 @@ class DiversifyConfig:
 @dataclass
 class ValidationReport:
     corr_diff: float
-    attempts: int
+    attempts_made: int    # synthesis attempts run
+    best_attempt: int     # the attempt whose rows were kept (0: none ran)
     passed: bool
     diagnostic: str | None = None
 
@@ -337,10 +338,11 @@ def validate_synthetic(synth: np.ndarray, original_train: np.ndarray,
     synth = np.asarray(synth, dtype=float)
     if len(synth) < 2:
         return ValidationReport(
-            corr_diff=math.inf, attempts=1, passed=False,
+            corr_diff=math.inf, attempts_made=1, best_attempt=1, passed=False,
             diagnostic=f"only {len(synth)} synthetic row(s); need >= 2 to correlate")
     diff = _corr_diff(np.asarray(original_train, dtype=float), synth)
-    return ValidationReport(corr_diff=diff, attempts=1, passed=bool(diff <= t))
+    return ValidationReport(corr_diff=diff, attempts_made=1, best_attempt=1,
+                            passed=bool(diff <= t))
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +369,13 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
     counts = train.class_counts()
     if cfg.mode == DELETE_ONLY:
         chi = np.zeros(train.L, dtype=int)
-        validation = ValidationReport(0.0, 0, True, "synthesis skipped (delete_only)")
+        validation = ValidationReport(0.0, 0, 0, True, "synthesis skipped (delete_only)")
         synth_per_class = [np.empty((0, train.d)) for _ in range(train.L)]
     else:
         base = cfg.synth_base if cfg.synth_base is not None else int(counts.min())
         chi = synth_counts(probe.mu, base)
         if chi.sum() == 0:
-            validation = ValidationReport(0.0, 0, True, "probe saw no misclassification")
+            validation = ValidationReport(0.0, 0, 0, True, "probe saw no misclassification")
             synth_per_class = [np.empty((0, train.d)) for _ in range(train.L)]
         else:
             synth_per_class, validation = _generate_validated(
@@ -412,14 +414,13 @@ def _generate_validated(bounds: ClassBounds, chi: np.ndarray,
         ]
         stacked = np.vstack(rows)
         report = validate_synthetic(stacked, original, cfg.corr_threshold)
-        report.attempts = attempt
         if best_report is None or report.corr_diff < best_report.corr_diff:
-            best_rows, best_report = rows, report
-        if report.passed:
-            return rows, report
-        if len(stacked) < 2:
-            break   # retrying cannot change the row count
-    return best_rows, best_report
+            best_rows, best_report = rows, replace(report, best_attempt=attempt)
+        # a pass has the lowest corr_diff so far; with fewer than two rows
+        # retrying cannot change the row count
+        if report.passed or len(stacked) < 2:
+            break
+    return best_rows, replace(best_report, attempts_made=attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,8 @@ def save_diversify_report(dd: DiversifiedDataset, path) -> None:
     doc = {
         "validation": {
             "corr_diff": corr_diff if math.isfinite(corr_diff) else None,
-            "attempts": dd.validation.attempts,
+            "attempts_made": dd.validation.attempts_made,
+            "best_attempt": dd.validation.best_attempt,
             "passed": dd.validation.passed,
             "diagnostic": dd.validation.diagnostic,
         },

@@ -587,7 +587,8 @@ def validation_summary(validation) -> str:
     """A diversify leg's note; `biasdiv diversify` prints it too."""
     diff = validation.corr_diff
     return (f"validation corr_diff={format(diff, '.3f') if np.isfinite(diff) else 'inf'}"
-            f" attempts={validation.attempts} passed={validation.passed}")
+            f" attempts_made={validation.attempts_made} best_attempt={validation.best_attempt}"
+            f" passed={validation.passed}")
 
 
 def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: int,

@@ -7,10 +7,9 @@ reproducible across runs and independent of scheduling.
 
 from __future__ import annotations
 
-import functools
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,120 +37,6 @@ def substream(seed: int, *labels) -> np.random.Generator:
     """
     key = tuple(_label_key(l) for l in labels)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(value) -> list[int]:
-    """The 32-bit words SeedSequence assembles from a non-negative int,
-    least significant first; 0 is one word."""
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-class _HashMix:
-    """SeedSequence's `hashmix`, applied elementwise to uint32 arrays; each
-    call advances the shared hash constant, as in numpy."""
-
-    def __init__(self):
-        self.const = _INIT_A
-
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ self.const
-        self.const = (self.const * _MULT_A) & _MASK32
-        value = value * self.const
-        return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> 16)
-
-
-def substream_states(parent: np.random.SeedSequence, keys) -> np.ndarray:
-    """The PCG64 seed words of many child streams, in one vectorized pass.
-
-    `parent` has an int entropy, as `substream` gives it. Row `r` of `keys`
-    (shape `(..., k)`, entries in [0, 2**32)) names the child
-    `SeedSequence(parent.entropy, spawn_key=parent.spawn_key + r)`;
-    the result (shape `(..., 4)`, uint64) holds each child's
-    `generate_state(4, np.uint64)`, computed with SeedSequence's own
-    hashing in uint32 arithmetic, so `stream_from_state` gives the bits of
-    `substream(seed, *labels, *r)` when `parent` is that call's sequence.
-    """
-    keys = np.asarray(keys)
-    if keys.ndim < 1 or keys.shape[-1] < 1:
-        raise ValueError("keys need a last axis of at least one label")
-    if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
-        raise ValueError("child keys must lie in [0, 2**32)")
-    shape = keys.shape[:-1]
-    keys = keys.reshape(-1, keys.shape[-1]).astype(np.uint32)
-    run = _uint32_words(parent.entropy)
-    # a spawned sequence pads its run entropy to the pool size
-    run += [0] * (_POOL_SIZE - len(run))
-    prefix = run + [w for label in parent.spawn_key for w in _uint32_words(label)]
-    columns = [np.full(len(keys), w, dtype=np.uint32) for w in prefix] + list(keys.T)
-
-    hashmix = _HashMix()
-    pool = [hashmix(c) for c in columns[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for column in columns[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(column))
-
-    # generate_state(4, np.uint64): eight words cycling over the pool,
-    # paired little-endian into uint64s
-    const = _INIT_B
-    words = np.empty((len(keys), 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = value * const
-        words[:, i] = value ^ (value >> 16)
-    states = words.astype("<u4").view("<u8").astype(np.uint64)
-    return states.reshape(*shape, 4)
-
-
-@functools.cache
-def _preset_seed_type() -> type:
-    """A seed sequence type whose `generate_state(4, np.uint64)` is known.
-    Defined on first use, so importing this module does not import
-    numpy.random."""
-
-    class PresetSeed(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("state",)
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
-                raise ValueError("a preset seed holds only its PCG64 state words")
-            return self.state
-
-    return PresetSeed
-
-
-def stream_from_state(state: np.ndarray) -> np.random.Generator:
-    """The generator `default_rng` builds from a sequence whose
-    `generate_state(4, np.uint64)` is `state` (see `substream_states`)."""
-    return np.random.Generator(np.random.PCG64(_preset_seed_type()(state)))
 
 
 def round_half_up(x: float) -> int:
@@ -284,8 +169,6 @@ class KmeansResult:
     centroids: np.ndarray          # (k, d)
     assignments: np.ndarray        # (n,) cluster index per point
     inertia: float                 # sum of squared distances to assigned centroids
-    inertia_trace: list[float] = field(default_factory=list)
-    n_iter: int = 0
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -296,13 +179,9 @@ def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _lloyd_run(points, k, rng, max_iter, tol):
     n = points.shape[0]
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    trace = []
-    assignments = np.zeros(n, dtype=int)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for _ in range(max_iter):
         dists = _sq_distances(points, centroids)
         assignments = np.argmin(dists, axis=1)  # ties -> lowest index
-        trace.append(float(dists[np.arange(n), assignments].sum()))
         new_centroids = centroids.copy()
         for c in range(k):
             members = assignments == c
@@ -324,8 +203,7 @@ def _lloyd_run(points, k, rng, max_iter, tol):
     dists = _sq_distances(points, centroids)
     assignments = np.argmin(dists, axis=1)
     inertia = float(dists[np.arange(n), assignments].sum())
-    trace.append(inertia)
-    return KmeansResult(centroids, assignments, inertia, trace, n_iter)
+    return KmeansResult(centroids, assignments, inertia)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,

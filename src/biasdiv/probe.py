@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import BiasMetricError, ProbeError
 from .mlp import Mlp, input_gradients, predict_batch
-from .numerics import stream_from_state, substream, substream_states
+from .numerics import substream
 
 DEFAULT_LEVELS = tuple(round(i / 100, 2) for i in range(1, 41))
 
@@ -170,10 +170,13 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
                 scales: np.ndarray | None = None) -> ProbeReport:
     """Probe every correctly classified input at every noise level.
 
-    Each (input, level) pair draws from its own RNG sub-stream, so the
-    report is identical no matter how the work is scheduled. `scales`
-    should come from the training features; they default to the probed
-    set's own scales when omitted.
+    The random variants come from one generator per sweep,
+    `substream(seed, "probe")`, drawn level by level for every test row,
+    probed or not. So a row's noise depends only on the seed, the shape
+    of the sweep and the row's index and level, and is the same in every
+    leg probed on one test set with that seed.
+    `scales` should come from the training features; they default to the
+    probed set's own scales when omitted.
     """
     if test.d != mlp.spec.d or test.L != mlp.spec.L:
         raise ValueError("model and dataset shapes disagree")
@@ -219,12 +222,8 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     random_block = batch[:n_random].reshape(-1, S, d)   # a view: (input, sample, d)
 
     if spec.random_enabled:
-        # The stream of (input, level) is substream(seed, "probe", input
-        # index, level index); one vectorized pass seeds them all.
-        keys = np.empty((len(spec.levels), n, 2), dtype=np.int64)
-        keys[..., 0] = probed_idx
-        keys[..., 1] = np.arange(len(spec.levels))[:, None]
-        states = substream_states(substream(seed, "probe").bit_generator.seed_seq, keys)
+        rng = substream(seed, "probe")
+        draws = np.empty((test.n, S, d))
 
     found = []   # per level with a miss: input index, true, predicted, level, noisy rows
     per_level: dict[float, np.ndarray] = {}
@@ -234,8 +233,8 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
 
     for li, level in enumerate(spec.levels):
         if spec.random_enabled:
-            for state, block in zip(states[li], random_block):
-                stream_from_state(state).random(out=block)
+            rng.random(out=draws)
+            np.take(draws, probed_idx, axis=0, out=random_block)
             _add_uniform(X[:, None, :], (level * per_input_scales)[:, None, :], random_block)
         if spec.gradient_enabled:
             np.add(X, level * per_input_scales * signs, out=batch[n_random:])

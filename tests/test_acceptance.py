@@ -216,7 +216,9 @@ def test_kmeans_matches_brute_force_and_inertia_monotone():
         k = min(int(rng.integers(1, 4)), n)
         points = rng.uniform(-5.0, 5.0, size=(n, 2))
         res = kmeans(points, k, seed=trial)
-        trace = res.inertia_trace
+        # the inertia after each iteration, from runs cut after i iterations
+        trace = [kmeans(points, k, seed=trial, restarts=1, max_iter=i).inertia
+                 for i in range(1, 11)]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
         if res.inertia <= _brute_force_inertia(points, k) + 1e-9:
             hits += 1

@@ -10,6 +10,7 @@ import pytest
 import biasdiv
 from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
+from biasdiv.harness import load_experiment_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -117,6 +118,21 @@ def test_diversify_delete_only_shrinks(tmp_path, capsys):
     assert count_rows(out / "diversified.csv") == 10
     assert (out / "diversify_report.json").is_file()
     assert "rows 18 -> 10" in capsys.readouterr().out
+
+
+def test_failed_iris_validation_reports_every_attempt(tmp_path, capsys):
+    # a validation that never passes runs all max_retries attempts and keeps
+    # the best one; both counts are reported
+    out = tmp_path / "div_out"
+    assert main(["diversify", "--config", str(REPO / "configs" / "iris.json"),
+                 "--out", str(out)]) == 0
+    retries = load_experiment_config(REPO / "configs" / "iris.json").diversify.max_retries
+    validation = json.loads((out / "diversify_report.json").read_text())["validation"]
+    assert validation["passed"] is False
+    assert validation["attempts_made"] == retries
+    assert 1 <= validation["best_attempt"] <= retries
+    assert (f" attempts_made={retries} best_attempt={validation['best_attempt']} passed=False"
+            in capsys.readouterr().out)
 
 
 def test_baseline_all_methods(tmp_path, capsys):

@@ -443,7 +443,8 @@ def test_diversify_no_misclassification_no_synthesis():
     out = diversify(ds, fake_probe([0.0, 0.0]), cfg, seed=0)
     assert out.chi.tolist() == [0, 0]
     assert out.dataset.n == ds.n
-    assert out.validation.passed and out.validation.attempts == 0
+    assert out.validation.passed
+    assert out.validation.attempts_made == out.validation.best_attempt == 0
 
 
 def test_diversify_deterministic():
@@ -456,7 +457,8 @@ def test_diversify_deterministic():
     assert np.array_equal(a.dataset.labels, b.dataset.labels)
     assert np.array_equal(a.dataset.synthetic, b.dataset.synthetic)
     assert a.validation.corr_diff == b.validation.corr_diff
-    assert a.validation.attempts == b.validation.attempts
+    assert a.validation.attempts_made == b.validation.attempts_made
+    assert a.validation.best_attempt == b.validation.best_attempt
 
 
 def test_diversify_retry_exhaustion_reports_best_attempt():
@@ -465,7 +467,8 @@ def test_diversify_retry_exhaustion_reports_best_attempt():
                           max_retries=3, mode="synth_only")
     out = diversify(ds, fake_probe([10.0, 10.0]), cfg, seed=2)
     assert not out.validation.passed
-    assert out.validation.attempts <= 3
+    assert out.validation.attempts_made == 3
+    assert 1 <= out.validation.best_attempt <= 3
     assert math.isfinite(out.validation.corr_diff)
     assert out.dataset.synthetic.sum() == out.chi.sum()
 

@@ -8,11 +8,9 @@ written by `biasdiv experiment --config configs/iris.json`.
 file it writes and its stdout lines other than `wrote ...`, with the output
 directory shown as `<out>`. A refactor must leave all of these unchanged.
 A change that alters the bytes on purpose regenerates them and says why in
-CHANGES.md. From the repository root:
+CHANGES.md. One command, from the repository root, rewrites every golden
+file (the three iris report files and `cli_sha256.json`):
 
-    PYTHONPATH=src python -m biasdiv.cli experiment --config configs/iris.json \\
-        --out tests/golden/iris --no-svg
-    rm tests/golden/iris/meta.json
     PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -26,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from biasdiv.cli import main
-from biasdiv.harness import emit_report
+from biasdiv.harness import emit_report, load_experiment_config, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -64,6 +62,9 @@ def test_cli_outputs_match_golden(command, tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
+        emit_report(run_experiment(load_experiment_config(IRIS_CONFIG)), tmp, svg=False)
+        for name in REPORT_FILES:
+            (GOLDEN / "iris" / name).write_bytes((Path(tmp) / name).read_bytes())
         digests = {c: cli_outputs(c, Path(tmp) / c.replace(" ", "_"))
                    for c in CLI_COMMANDS}
     with open(GOLDEN / "cli_sha256.json", "w", encoding="utf-8") as fh:
