@@ -14,8 +14,9 @@ from .baselines import ResamplePlan, adasyn, resample, ros, rus, smote
 from .data import (Dataset, load_csv, make_toy_blobs, save_csv,
                    split_stratified)
 from .diversify import (DiversifiedDataset, DiversifyConfig, derive_seed,
-                        diversify, minimize_redundancy, sample_synthetic,
-                        tighten_overlaps, top_k_features, validate_synthetic)
+                        diversify, dominant_clusters, minimize_redundancy,
+                        sample_synthetic, tighten_overlaps, top_k_features,
+                        validate_synthetic)
 from .errors import (BiasMetricError, BiasdivError, ConfigError, DataError,
                      InfeasibleError, NeighborError, TrainingError)
 from .harness import (ExperimentConfig, ExperimentReport, emit_report,
@@ -23,7 +24,8 @@ from .harness import (ExperimentConfig, ExperimentReport, emit_report,
                       reference_probe, run_experiment)
 from .mlp import (Mlp, MlpSpec, TrainSchedule, accuracy, init_mlp,
                   input_gradient, predict, scale_schedule, train)
-from .numerics import Interval, IntervalSet, kmeans, pearson_corr, substream
+from .numerics import (Interval, IntervalSet, kmeans, kmeans_1d, pearson_corr,
+                       substream)
 from .probe import NoiseSpec, ProbeReport, compute_bias, noise_sweep
 
 __version__ = "0.1.0"
@@ -54,10 +56,12 @@ __all__ = [
     "compute_bias",
     "derive_seed",
     "diversify",
+    "dominant_clusters",
     "emit_report",
     "init_mlp",
     "input_gradient",
     "kmeans",
+    "kmeans_1d",
     "load_csv",
     "load_experiment_config",
     "make_toy_blobs",

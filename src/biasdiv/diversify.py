@@ -18,9 +18,11 @@ import numpy as np
 
 from .data import Dataset, segment_by_class
 from .numerics import (
+    CorrMatrix,
     Interval,
     IntervalSet,
     kmeans,
+    kmeans_1d,
     pearson_corr,
     relax_interval,
     round_half_up,
@@ -199,48 +201,57 @@ def tighten_overlaps(bounds: ClassBounds) -> ClassBounds:
     return ClassBounds(tuple(tuple(sets) for sets in per_class), tuple(notes))
 
 
-def _dominant_cluster_values(values: np.ndarray, c: int, seed: int) -> np.ndarray:
-    """Members of the largest 1-D cluster (ties: lowest cluster index)."""
-    values = np.asarray(values, dtype=float)
-    k = min(c, len(values))
-    result = kmeans(values[:, None], k=k, seed=seed)
-    counts = np.bincount(result.assignments, minlength=k)
-    dominant = int(np.argmax(counts))
-    return values[result.assignments == dominant], result.centroids[dominant, 0]
+@dataclass(frozen=True)
+class DominantClusters:
+    """Per class and feature, the largest cluster of the class's values
+    under exact 1-D k-means (`numerics.kmeans_1d`); equal sizes go to the
+    lowest-valued cluster."""
+
+    lo: np.ndarray        # (L, d) smallest member
+    hi: np.ndarray        # (L, d) largest member
+    radius: np.ndarray    # (L, d) farthest member's distance from the cluster mean
 
 
-def top_k_features(parts: tuple[Dataset, ...], k: int, c: int, seed: int) -> list[int]:
+def dominant_clusters(parts: tuple[Dataset, ...], c: int) -> DominantClusters:
+    """One `kmeans_1d` over all features per class; `parts` is
+    `segment_by_class` of the training set."""
+    lo, hi, radius = [], [], []
+    for ds in parts:
+        result = kmeans_1d(ds.features, c)
+        cols = np.arange(ds.d)
+        dominant = np.argmax(np.diff(result.bounds, axis=0), axis=0)   # ties -> lowest
+        first = result.values[result.bounds[dominant, cols], cols]
+        last = result.values[result.bounds[dominant + 1, cols] - 1, cols]
+        centroid = result.centroids[dominant, cols]
+        lo.append(first)
+        hi.append(last)
+        radius.append(np.maximum(centroid - first, last - centroid))
+    return DominantClusters(np.array(lo), np.array(hi), np.array(radius))
+
+
+def top_k_features(clusters: DominantClusters, k: int) -> list[int]:
     """The k features whose per-class values cluster most tightly.
 
     Compactness of a feature is the worst case over classes of the distance
     from the dominant cluster's centroid to its farthest member; smaller
     means the classes sit in tighter, more characteristic ranges.
     """
-    d = parts[0].d
+    d = clusters.radius.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    compactness = np.zeros(d)
-    for f in range(d):
-        worst = 0.0
-        for i, ds in enumerate(parts):
-            members, centroid = _dominant_cluster_values(
-                ds.features[:, f], c, derive_seed(seed, "topk", f, i))
-            worst = max(worst, float(np.abs(members - centroid).max()))
-        compactness[f] = worst
+    compactness = clusters.radius.max(axis=0)
     order = np.argsort(compactness, kind="stable")   # ties -> lower index
     return sorted(int(f) for f in order[:k])
 
 
-def final_bounds(bounds: ClassBounds, top: list[int], parts: tuple[Dataset, ...],
-                 c: int, seed: int) -> ClassBounds:
+def final_bounds(bounds: ClassBounds, top: list[int],
+                 clusters: DominantClusters) -> ClassBounds:
     """Narrow each top feature to the span of its class's dominant cluster."""
     per_class = [list(sets) for sets in bounds.per_class]
     notes = list(bounds.notes)
     for f in top:
-        for i, ds in enumerate(parts):
-            members, _ = _dominant_cluster_values(
-                ds.features[:, f], c, derive_seed(seed, "final", f, i))
-            window = Interval(float(members.min()), float(members.max()))
+        for i in range(len(per_class)):
+            window = Interval(float(clusters.lo[i, f]), float(clusters.hi[i, f]))
             clipped = per_class[i][f].intersect(window)
             if clipped is None:
                 notes.append(
@@ -278,13 +289,25 @@ def synth_counts(mu, base: int) -> np.ndarray:
 
 
 def sample_synthetic(bounds_i, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count x d matrix drawn coordinate-wise from the class's regions."""
+    """count x d matrix drawn coordinate-wise from the class's regions.
+
+    One `rng.random((d, 2, count))` block holds, per feature, the draws of
+    a per-feature loop of `rng.choice(p=length weights)` then
+    `rng.uniform(0, 1)` (which returns `random`'s doubles unchanged), and
+    `IntervalSet.place` turns them into the same values, so the rows equal
+    that loop's bit for bit.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    out = np.empty((count, len(bounds_i)))
+    draws = rng.random((len(bounds_i), 2, count))
+    first = [s.intervals[0] for s in bounds_i]
+    lo = np.array([iv.lo for iv in first])[:, None]
+    span = np.array([iv.length for iv in first])[:, None]
+    cols = lo + draws[:, 1] * span
     for f, s in enumerate(bounds_i):
-        out[:, f] = s.sample(rng, count)
-    return out
+        if len(s.intervals) > 1:
+            cols[f] = s.place(draws[f, 0], draws[f, 1])
+    return cols.T.copy()
 
 
 def minimize_redundancy(class_rows: np.ndarray, removal_fraction: float,
@@ -316,31 +339,30 @@ def minimize_redundancy(class_rows: np.ndarray, removal_fraction: float,
 # Validation
 # ---------------------------------------------------------------------------
 
-def _corr_diff(a: np.ndarray, b: np.ndarray) -> float:
-    ca, cb = pearson_corr(a), pearson_corr(b)
+def _corr_diff(ca: CorrMatrix, b: np.ndarray) -> float:
+    """Largest relative change, in percent, of a correlation coefficient
+    between the original rows (`ca`, their `pearson_corr`) and `b`, over the
+    feature pairs where neither side has a zero-variance column."""
+    cb = pearson_corr(b)
     skip = ca.zero_variance_flags | cb.zero_variance_flags
-    d = a.shape[1]
-    worst = 0.0
-    for p in range(d):
-        for q in range(p + 1, d):
-            if skip[p] or skip[q]:
-                continue
-            denom = max(abs(ca.coefficients[p, q]), 0.1)
-            worst = max(worst, abs(cb.coefficients[p, q] - ca.coefficients[p, q])
-                        / denom * 100.0)
-    return float(worst)
+    p, q = np.triu_indices(b.shape[1], 1)
+    keep = ~(skip[p] | skip[q])
+    a_pq, b_pq = ca.coefficients[p, q][keep], cb.coefficients[p, q][keep]
+    diffs = np.abs(b_pq - a_pq) / np.maximum(np.abs(a_pq), 0.1) * 100.0
+    return float(diffs.max(initial=0.0))
 
 
-def validate_synthetic(synth: np.ndarray, original_train: np.ndarray,
+def validate_synthetic(synth: np.ndarray, original_corr: CorrMatrix,
                        t: float) -> ValidationReport:
     """Single-attempt check that synthetic rows keep the original feature
-    correlations within t percent."""
+    correlations (`original_corr`, the training rows' `pearson_corr`)
+    within t percent."""
     synth = np.asarray(synth, dtype=float)
     if len(synth) < 2:
         return ValidationReport(
             corr_diff=math.inf, attempts_made=1, best_attempt=1, passed=False,
             diagnostic=f"only {len(synth)} synthetic row(s); need >= 2 to correlate")
-    diff = _corr_diff(np.asarray(original_train, dtype=float), synth)
+    diff = _corr_diff(original_corr, synth)
     return ValidationReport(corr_diff=diff, attempts_made=1, best_attempt=1,
                             passed=bool(diff <= t))
 
@@ -363,8 +385,9 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
 
     bounds = global_extremum(parts, probe.delta_x_max, scales)
     bounds = tighten_overlaps(bounds)
-    top = top_k_features(parts, cfg.top_k, cfg.clusters, seed)
-    bounds = final_bounds(bounds, top, parts, cfg.clusters, seed)
+    clusters = dominant_clusters(parts, cfg.clusters)
+    top = top_k_features(clusters, cfg.top_k)
+    bounds = final_bounds(bounds, top, clusters)
 
     counts = train.class_counts()
     if cfg.mode == DELETE_ONLY:
@@ -406,6 +429,7 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
 def _generate_validated(bounds: ClassBounds, chi: np.ndarray,
                         original: np.ndarray, cfg: DiversifyConfig, seed: int):
     best_rows, best_report = None, None
+    original_corr = pearson_corr(original)
     for attempt in range(1, cfg.max_retries + 1):
         rows = [
             sample_synthetic(bounds.per_class[c], int(chi[c]),
@@ -413,7 +437,7 @@ def _generate_validated(bounds: ClassBounds, chi: np.ndarray,
             for c in range(len(chi))
         ]
         stacked = np.vstack(rows)
-        report = validate_synthetic(stacked, original, cfg.corr_threshold)
+        report = validate_synthetic(stacked, original_corr, cfg.corr_threshold)
         if best_report is None or report.corr_diff < best_report.corr_diff:
             best_rows, best_report = rows, replace(report, best_attempt=attempt)
         # a pass has the lowest corr_diff so far; with fewer than two rows

@@ -427,8 +427,16 @@ def load_dataset_pair(dcfg: DatasetConfig, split_seed: int) -> tuple[Dataset, Da
 
 
 def load_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The experiment's train/test pair, split under the master seed."""
-    return load_dataset_pair(cfg.dataset, derive_seed(cfg.seed, "split"))
+    """The experiment's train/test pair, split under the master seed.
+
+    A `diversify.top_k` above the feature count is a config error, raised
+    here, before any leg trains.
+    """
+    train, test = load_dataset_pair(cfg.dataset, derive_seed(cfg.seed, "split"))
+    if cfg.diversify.top_k > train.d:
+        raise ConfigError(f"diversify.top_k ({cfg.diversify.top_k}) exceeds the "
+                          f"dataset's {train.d} features")
+    return train, test
 
 
 def subsample_imbalanced(ds: Dataset, fraction: float, seed: int) -> Dataset:

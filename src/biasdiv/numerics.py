@@ -1,5 +1,6 @@
 """Deterministic numeric kernels: seeded RNG streams, interval arithmetic,
-Lloyd's K-means and Pearson correlation.
+exact 1-D k-means (per-feature clustering, no seed), seeded Lloyd's K-means
+(multi-dimensional rows) and Pearson correlation.
 
 Everything here is a pure function of its inputs and seed, so results are
 reproducible across runs and independent of scheduling.
@@ -129,11 +130,16 @@ class IntervalSet:
                 pieces.append(Interval(lo, hi))
         return IntervalSet(tuple(pieces)) if pieces else None
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw uniformly, weighting intervals by length.
+    def place(self, pick: np.ndarray, position: np.ndarray) -> np.ndarray:
+        """Values drawn uniformly from the set, weighting intervals by
+        length, given two equal-length arrays of uniform [0, 1) draws.
 
-        If every interval is a point (total length zero) the points are
-        chosen with equal probability instead.
+        `pick` chooses an interval with probability proportional to its
+        length, as `Generator.choice(p=...)` does with the same draws
+        (`cdf.searchsorted(pick, side="right")` over the normalized
+        cumulative weights); `position` places the value inside it. If every
+        interval is a point (total length zero) the points are chosen with
+        equal probability instead.
         """
         lengths = np.array([iv.length for iv in self.intervals])
         total = lengths.sum()
@@ -141,11 +147,11 @@ class IntervalSet:
             weights = lengths / total
         else:
             weights = np.full(len(lengths), 1.0 / len(lengths))
-        picks = rng.choice(len(self.intervals), size=count, p=weights)
-        u = rng.uniform(0.0, 1.0, size=count)
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        picks = cdf.searchsorted(pick, side="right")
         los = np.array([iv.lo for iv in self.intervals])[picks]
-        spans = lengths[picks]
-        return los + u * spans
+        return los + position * lengths[picks]
 
     def to_json(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
@@ -158,6 +164,101 @@ def interiors_disjoint(a: IntervalSet, b: IntervalSet) -> bool:
             if max(x.lo, y.lo) < min(x.hi, y.hi):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Exact 1-D k-means
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kmeans1dResult:
+    """Optimal contiguous clusters of every column, in ascending value order.
+
+    Cluster j of column f is `values[bounds[j, f]:bounds[j + 1, f], f]`.
+    """
+
+    values: np.ndarray             # (n, d) every column sorted ascending
+    bounds: np.ndarray             # (k + 1, d) cluster starts, then n
+    centroids: np.ndarray          # (k, d) cluster means
+    inertia: np.ndarray            # (d,) within-cluster sum of squares
+
+
+def kmeans_1d(columns: np.ndarray, clusters: int) -> Kmeans1dResult:
+    """Exact k-means of each column of an (n, d) matrix on its own.
+
+    In one dimension an optimal clustering splits the sorted values into
+    contiguous ranges, so dynamic programming over the ranges finds the
+    minimum within-cluster sum of squares (Wang & Song 2011, Ckmeans.1d.dp,
+    The R Journal 3(2)); with two clusters it is one scan over the split
+    points. k = min(clusters, n), so a column with fewer rows than
+    `clusters` gets one cluster per row.
+
+    Range sums of squares come from prefix sums of the values minus the
+    column's median row, which keeps integer data integer. Ties: sums of
+    squares within 1e-12 of the column's one-cluster sum of squares count
+    as equal, so partitions that are equal in exact arithmetic stay equal
+    after rounding; among equal partitions the one whose last cluster
+    starts first wins, then the one whose second-to-last cluster starts
+    first, and so on (with two clusters, the first split point).
+    """
+    values = np.sort(np.asarray(columns, dtype=float), axis=0)
+    if values.ndim != 2 or len(values) < 1:
+        raise ValueError("need a non-empty 2-D column matrix")
+    if clusters < 1:
+        raise ValueError(f"clusters must be >= 1, got {clusters}")
+    n, d = values.shape
+    k = min(clusters, n)
+    centered = values - values[n // 2]
+    s1 = np.zeros((n + 1, d))
+    s2 = np.zeros((n + 1, d))
+    np.cumsum(centered, axis=0, out=s1[1:])
+    np.cumsum(centered * centered, axis=0, out=s2[1:])
+
+    def range_sse(starts, stops):
+        """Sum of squares of rows starts..stops-1 of each column; either
+        bound may be an index array."""
+        t = s1[stops] - s1[starts]
+        m = np.subtract(stops, starts)[..., None]
+        return np.maximum(s2[stops] - s2[starts] - t * t / m, 0.0)
+
+    def first_min(cand):
+        """Row of each column's first candidate tied with its minimum."""
+        return np.argmax(cand <= cand.min(axis=0) + tol, axis=0)
+
+    cols = np.arange(d)
+    tol = 1e-12 * range_sse(0, n)
+    bounds = np.zeros((k + 1, d), dtype=np.intp)
+    bounds[k] = n
+    # cost[i]: the least sum of squares of the first i rows in j clusters,
+    # from j = 1 up; back[j][i]: where the last of those j clusters starts
+    cost = np.zeros((n + 1, d))
+    cost[1:] = range_sse(0, np.arange(1, n + 1))
+    back = {}
+    for j in range(2, k):
+        nxt = np.full((n + 1, d), np.inf)
+        back[j] = np.zeros((n + 1, d), dtype=np.intp)
+        for i in range(j, n - (k - j) + 1):
+            starts = np.arange(j - 1, i)
+            cand = cost[starts] + range_sse(starts, i)
+            a = first_min(cand)
+            back[j][i] = starts[a]
+            nxt[i] = cand[a, cols]
+        cost = nxt
+    if k > 1:
+        starts = np.arange(k - 1, n)
+        cand = cost[starts] + range_sse(starts, n)
+        a = first_min(cand)
+        bounds[k - 1] = starts[a]
+        inertia = cand[a, cols]
+        for j in range(k - 1, 1, -1):
+            bounds[j - 1] = back[j][bounds[j], cols]
+    else:
+        inertia = cost[n]
+    lo, hi = values[bounds[:-1], cols], values[bounds[1:] - 1, cols]
+    means = values[n // 2] + (s1[bounds[1:], cols] - s1[bounds[:-1], cols]) / (
+        bounds[1:] - bounds[:-1])
+    centroids = np.clip(means, lo, hi)   # a constant cluster's mean is exact
+    return Kmeans1dResult(values, bounds, centroids, inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +280,31 @@ def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _lloyd_run(points, k, rng, max_iter, tol):
     n = points.shape[0]
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    dists = _sq_distances(points, centroids)
     for _ in range(max_iter):
-        dists = _sq_distances(points, centroids)
         assignments = np.argmin(dists, axis=1)  # ties -> lowest index
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = assignments == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
+        onehot = (assignments[:, None] == np.arange(k)).astype(float)
+        counts = np.bincount(assignments, minlength=k)
+        filled = counts > 0
+        new_centroids = centroids.copy()   # an empty cluster keeps its centroid
+        new_centroids[filled] = (onehot.T @ points)[filled] / counts[filled, None]
         # empty-cluster repair: move the centroid onto the point currently
         # farthest from its own centroid, keeping k constant
         dists = _sq_distances(points, new_centroids)
         owner = np.argmin(dists, axis=1)
         best = dists[np.arange(n), owner]
-        for c in np.flatnonzero(np.bincount(owner, minlength=k) == 0):
+        empty = np.flatnonzero(np.bincount(owner, minlength=k) == 0)
+        for c in empty:
             far = int(np.argmax(best))
             new_centroids[c] = points[far]
             best[far] = 0.0
+        if len(empty):
+            dists = _sq_distances(points, new_centroids)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < tol:
             break
-    dists = _sq_distances(points, centroids)
+    # `dists` holds the distances to the final centroids
     assignments = np.argmin(dists, axis=1)
     inertia = float(dists[np.arange(n), assignments].sum())
     return KmeansResult(centroids, assignments, inertia)
@@ -223,8 +327,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
         raise ValueError("max_iter must be >= 1")
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     best = None
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         result = _lloyd_run(points, k, substream(seed, r), max_iter, tol)
         if best is None or result.inertia < best.inertia:
             best = result

@@ -113,31 +113,11 @@ def format_level(level: float) -> str:
     return text if float(text) == level else repr(float(level))
 
 
-def apply_noise(x: np.ndarray, level: float, rng: np.random.Generator,
-                scales: np.ndarray) -> np.ndarray:
-    """Uniform L-inf noise: coordinate j moves by at most level * scales[j]."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    x = np.asarray(x, dtype=float)
-    bound = level * np.asarray(scales, dtype=float)
-    return x + rng.uniform(-bound, bound, size=x.shape)
-
-
 def _add_uniform(x: np.ndarray, bound: np.ndarray, u: np.ndarray) -> None:
     """Overwrite `u`, a generator's doubles from `random`, with
     `x + Generator.uniform(-bound, bound)` of the same draws: numpy computes
     `low + (high - low) * u` per entry, so this is the same arithmetic."""
     np.add(x, -bound + (bound - -bound) * u, out=u)
-
-
-def gradient_sign_attack(mlp: Mlp, x: np.ndarray, true_class: int, level: float,
-                         scales: np.ndarray) -> np.ndarray:
-    """Single-step gradient-sign perturbation at the given relative level."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    x = np.asarray(x, dtype=float)
-    grad = input_gradients(mlp, x[None, :], np.array([true_class]))[0]
-    return x + level * np.asarray(scales, dtype=float) * np.sign(grad)
 
 
 def compute_bias(per_class_misclassified, per_class_correct):

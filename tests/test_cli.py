@@ -76,6 +76,19 @@ def test_non_finite_config_number_exits_2_before_any_work(tmp_path, capsys, sect
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "diversify"])
+def test_top_k_above_feature_count_exits_2_before_any_leg_trains(tmp_path, capsys,
+                                                                 monkeypatch, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a leg trained")
+
+    monkeypatch.setattr("biasdiv.harness._train_gated", no_training)
+    path = write_config(tmp_path, diversify={"top_k": 3})   # the blobs have 2 features
+    assert main([command, "--config", str(path)]) == 2
+    assert "top_k (3) exceeds the dataset's 2 features" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     path = write_config(tmp_path)
     (tmp_path / "blobs.csv").unlink()

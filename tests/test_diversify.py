@@ -9,9 +9,11 @@ import pytest
 from biasdiv.data import Dataset, make_toy_blobs, segment_by_class
 from biasdiv.diversify import (
     ClassBounds,
+    _corr_diff,
     DiversifyConfig,
     bounds_to_json,
     diversify,
+    dominant_clusters,
     final_bounds,
     global_extremum,
     minimize_redundancy,
@@ -22,7 +24,7 @@ from biasdiv.diversify import (
     top_k_features,
     validate_synthetic,
 )
-from biasdiv.numerics import Interval, IntervalSet, interiors_disjoint, substream
+from biasdiv.numerics import Interval, IntervalSet, interiors_disjoint, pearson_corr, substream
 from biasdiv.probe import Counterexamples, ProbeReport
 
 
@@ -193,7 +195,7 @@ def tight_loose_ds():
 def test_top_k_prefers_tight_feature():
     ds = tight_loose_ds()
     parts = segment_by_class(ds)
-    assert top_k_features(parts, k=1, c=2, seed=0) == [1]
+    assert top_k_features(dominant_clusters(parts, 2), k=1) == [1]
 
 
 def test_top_k_constant_feature_wins():
@@ -203,25 +205,45 @@ def test_top_k_constant_feature_wins():
     ])
     ds = Dataset(feats, np.array([0, 1] * 6), ("a", "b"), ("f0", "f1"))
     parts = segment_by_class(ds)
-    assert top_k_features(parts, k=1, c=2, seed=3) == [1]
+    assert top_k_features(dominant_clusters(parts, 2), k=1) == [1]
 
 
 def test_top_k_select_all_and_bounds_check():
     ds = tight_loose_ds()
     parts = segment_by_class(ds)
-    assert top_k_features(parts, k=2, c=2, seed=1) == [0, 1]
+    assert top_k_features(dominant_clusters(parts, 2), k=2) == [0, 1]
     with pytest.raises(ValueError):
-        top_k_features(parts, k=3, c=2, seed=1)
+        top_k_features(dominant_clusters(parts, 2), k=3)
     with pytest.raises(ValueError):
-        top_k_features(parts, k=0, c=2, seed=1)
+        top_k_features(dominant_clusters(parts, 2), k=0)
 
 
 def test_top_k_deterministic():
     ds = make_toy_blobs(per_class=15, centers=[[0.0, 1.0, 2.0], [5.0, 1.5, -2.0]],
                         spread=1.0, seed=4)
     parts = segment_by_class(ds)
-    assert (top_k_features(parts, 2, 2, seed=9)
-            == top_k_features(parts, 2, 2, seed=9))
+    assert (top_k_features(dominant_clusters(parts, 2), 2)
+            == top_k_features(dominant_clusters(parts, 2), 2))
+
+
+def test_dominant_cluster_is_largest_then_lowest_valued():
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 1.0], [10.5, 1.0]])
+    ds = Dataset(feats, np.zeros(5, dtype=int), ("a",), ("f0", "f1"))
+    out = dominant_clusters(segment_by_class(ds), 2)
+    # f0: {0, 1} and {9, 10, 10.5}; f1: {0, 0, 0} and {1, 1}
+    assert out.lo.tolist() == [[9.0, 0.0]] and out.hi.tolist() == [[10.5, 0.0]]
+    assert out.radius[0, 1] == 0.0
+    assert out.radius[0, 0] == pytest.approx(29.5 / 3 - 9.0)
+    tie = Dataset(np.array([[0.0], [1.0], [9.0], [10.0]]), np.zeros(4, dtype=int),
+                  ("a",), ("f0",))
+    out = dominant_clusters(segment_by_class(tie), 2)
+    assert (out.lo[0, 0], out.hi[0, 0]) == (0.0, 1.0)   # equal sizes -> lowest
+    # a constant dominant cluster has radius 0, though its prefix-sum mean
+    # rounds to 0.09999999999999964
+    flat = Dataset(np.array([[0.1]] * 3 + [[7.3]] * 3), np.zeros(6, dtype=int),
+                   ("a",), ("f0",))
+    out = dominant_clusters(segment_by_class(flat), 2)
+    assert (out.lo[0, 0], out.hi[0, 0], out.radius[0, 0]) == (0.1, 0.1, 0.0)
 
 
 # -- final_bounds ----------------------------------------------------------------
@@ -232,7 +254,7 @@ def test_final_bounds_dominant_cluster_window():
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 0.0, scales=np.ones(1))
     assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)
-    out = final_bounds(bounds, [0], parts, c=2, seed=0)
+    out = final_bounds(bounds, [0], dominant_clusters(parts, 2))
     assert out.get(0, 0) == IntervalSet.single(1.0, 1.2)
 
 
@@ -241,7 +263,7 @@ def test_final_bounds_untouched_off_top():
                  np.zeros(4, dtype=int), ("a",), ("f0", "f1"))
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 0.0, scales=np.ones(2))
-    out = final_bounds(bounds, [0], parts, c=2, seed=0)
+    out = final_bounds(bounds, [0], dominant_clusters(parts, 2))
     assert out.get(0, 1) == bounds.get(0, 1)
 
 
@@ -250,7 +272,7 @@ def test_final_bounds_single_cluster_keeps_extrema():
                  ("a",), ("f0",))
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 0.0, scales=np.ones(1))
-    out = final_bounds(bounds, [0], parts, c=1, seed=0)
+    out = final_bounds(bounds, [0], dominant_clusters(parts, 1))
     assert out.get(0, 0) == IntervalSet.single(1.0, 2.0)
 
 
@@ -259,7 +281,7 @@ def test_final_bounds_empty_intersection_reverts_with_note():
                  np.zeros(4, dtype=int), ("a",), ("f0",))
     parts = segment_by_class(ds)
     shifted = single_interval_bounds([[(5.0, 6.0)]])   # disjoint from the data
-    out = final_bounds(shifted, [0], parts, c=2, seed=0)
+    out = final_bounds(shifted, [0], dominant_clusters(parts, 2))
     assert out.get(0, 0) == shifted.get(0, 0)
     assert any("reverted" in note for note in out.notes)
 
@@ -308,6 +330,41 @@ def test_sample_synthetic_containment():
     assert all(sets[1].contains(v) for v in rows[:, 1])
 
 
+def per_feature_sample(bounds_i, count, rng):
+    """Reference: each feature in turn draws `choice(p=length weights)`
+    then `uniform(0, 1)` from the shared stream."""
+    out = np.empty((count, len(bounds_i)))
+    for f, s in enumerate(bounds_i):
+        lengths = np.array([iv.length for iv in s.intervals])
+        total = lengths.sum()
+        weights = (lengths / total if total > 0
+                   else np.full(len(lengths), 1.0 / len(lengths)))
+        picks = rng.choice(len(lengths), size=count, p=weights)
+        u = rng.uniform(0.0, 1.0, size=count)
+        out[:, f] = np.array([iv.lo for iv in s.intervals])[picks] + u * lengths[picks]
+    return out
+
+
+def test_sample_synthetic_is_the_per_feature_draw_bit_for_bit():
+    rng = substream(81, "block")
+    for trial in range(300):
+        sets = []
+        for _ in range(int(rng.integers(1, 6))):
+            m = int(rng.integers(1, 4))
+            edges = np.sort(rng.uniform(-5.0, 5.0, size=2 * m))
+            if rng.random() < 0.2:
+                edges[1::2] = edges[0::2]          # every interval a point
+            elif rng.random() < 0.2:
+                edges[1] = edges[0]                # one point among intervals
+            sets.append(IntervalSet(tuple(Interval(float(edges[i]), float(edges[i + 1]))
+                                          for i in range(0, 2 * m, 2))))
+        count = int(rng.integers(0, 50))
+        got = sample_synthetic(sets, count, substream(trial, "s"))
+        want = per_feature_sample(sets, count, substream(trial, "s"))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+
 # -- minimize_redundancy -----------------------------------------------------------
 
 def test_minimize_redundancy_halves_eight_rows():
@@ -346,7 +403,7 @@ def test_minimize_redundancy_count_law():
 
 def test_validate_copy_passes():
     rows = substream(77, "v").normal(size=(30, 3))
-    report = validate_synthetic(rows.copy(), rows, t=1.0)
+    report = validate_synthetic(rows.copy(), pearson_corr(rows), t=1.0)
     assert report.passed and report.corr_diff == pytest.approx(0.0)
 
 
@@ -355,7 +412,7 @@ def test_validate_decorrelated_fails():
     x = rng.normal(size=50)
     original = np.column_stack([x, 2 * x])                     # rho = 1
     synth = np.column_stack([rng.normal(size=50), rng.normal(size=50)])
-    report = validate_synthetic(synth, original, t=50.0)
+    report = validate_synthetic(synth, pearson_corr(original), t=50.0)
     assert not report.passed
     assert report.corr_diff > 50.0
 
@@ -367,17 +424,45 @@ def test_validate_flagged_columns_excluded():
     synth = np.column_stack([rng.normal(size=40) * 0 + original[:, 0],
                              original[:, 1],
                              rng.normal(size=40)])   # constant column replaced
-    report = validate_synthetic(synth, original, t=5.0)
+    report = validate_synthetic(synth, pearson_corr(original), t=5.0)
     # only the (0,1) pair is comparable; it is identical
     assert report.passed and report.corr_diff == pytest.approx(0.0)
 
 
 def test_validate_too_few_rows_auto_fails():
     original = substream(80, "vr").normal(size=(20, 2))
-    report = validate_synthetic(original[:1], original, t=99.0)
+    report = validate_synthetic(original[:1], pearson_corr(original), t=99.0)
     assert not report.passed
     assert math.isinf(report.corr_diff)
     assert "need >= 2" in report.diagnostic
+
+
+def double_loop_corr_diff(a, b):
+    """Reference: the largest relative coefficient change over the pairs
+    p < q that no zero-variance column touches."""
+    ca, cb = pearson_corr(a), pearson_corr(b)
+    skip = ca.zero_variance_flags | cb.zero_variance_flags
+    worst = 0.0
+    for p in range(a.shape[1]):
+        for q in range(p + 1, a.shape[1]):
+            if skip[p] or skip[q]:
+                continue
+            denom = max(abs(ca.coefficients[p, q]), 0.1)
+            worst = max(worst, abs(cb.coefficients[p, q] - ca.coefficients[p, q])
+                        / denom * 100.0)
+    return worst
+
+
+def test_corr_diff_equals_the_double_loop():
+    rng = substream(83, "corr")
+    for trial in range(300):
+        d = int(rng.integers(1, 7))
+        a = rng.normal(size=(int(rng.integers(2, 30)), d))
+        b = rng.normal(size=(int(rng.integers(2, 30)), d))
+        for m in (a, b):
+            m[:, rng.random(d) < 0.2] = 3.0                 # zero-variance columns
+        assert _corr_diff(pearson_corr(a), b) == double_loop_corr_diff(a, b)
+    assert _corr_diff(pearson_corr(np.ones((3, 2))), np.ones((3, 2))) == 0.0
 
 
 # -- diversify pipeline --------------------------------------------------------------
@@ -479,7 +564,7 @@ def test_diversify_validation_report_is_truthful():
                           mode="synth_only")
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=3)
     synth_mask = out.dataset.synthetic
-    recheck = validate_synthetic(out.dataset.features[synth_mask], ds.features,
+    recheck = validate_synthetic(out.dataset.features[synth_mask], pearson_corr(ds.features),
                                  cfg.corr_threshold)
     assert recheck.corr_diff == pytest.approx(out.validation.corr_diff)
     assert recheck.passed == out.validation.passed

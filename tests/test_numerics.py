@@ -8,8 +8,10 @@ import pytest
 from biasdiv.numerics import (
     Interval,
     IntervalSet,
+    _lloyd_run,
     interiors_disjoint,
     kmeans,
+    kmeans_1d,
     pearson_corr,
     relax_interval,
     round_half_up,
@@ -113,7 +115,7 @@ def test_interval_set_intersect():
 
 def test_interval_set_sample_respects_support():
     s = IntervalSet((Interval(0.0, 1.0), Interval(4.0, 6.0)))
-    draws = s.sample(substream(3, "draw"), 4000)
+    draws = s.place(*substream(3, "draw").random((2, 4000)))
     assert all(s.contains(v, tol=1e-12) for v in draws)
     # length weighting: second interval is twice as long
     frac_hi = float(np.mean(draws >= 4.0))
@@ -122,7 +124,7 @@ def test_interval_set_sample_respects_support():
 
 def test_interval_set_sample_degenerate_points():
     s = IntervalSet((Interval(1.0, 1.0), Interval(5.0, 5.0)))
-    draws = s.sample(substream(3, "deg"), 500)
+    draws = s.place(*substream(3, "deg").random((2, 500)))
     assert set(np.unique(draws)) == {1.0, 5.0}
     frac = float(np.mean(draws == 1.0))
     assert 0.4 < frac < 0.6   # equal weights when total length is zero
@@ -182,6 +184,75 @@ def test_kmeans_validation():
         kmeans(pts, k=0, seed=0)
     with pytest.raises(ValueError):
         kmeans(pts, k=5, seed=0)
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, k=2, seed=0, restarts=restarts)
+
+
+def test_lloyd_update_is_the_member_mean():
+    # one iteration from the seeded start: every centroid moves to the mean
+    # of the points nearest its starting row
+    for trial in range(20):
+        rng = substream(37, "update", trial)
+        n, d, k = int(rng.integers(5, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        start = pts[np.random.default_rng(trial).choice(n, size=k, replace=False)]
+        owner = np.argmin(((pts[:, None, :] - start[None]) ** 2).sum(axis=2), axis=1)
+        result = _lloyd_run(pts, k, np.random.default_rng(trial), 1, 0.0)
+        for c in range(k):
+            assert np.abs(result.centroids[c] - pts[owner == c].mean(axis=0)).max() \
+                <= 1e-12 * max(1.0, np.abs(pts).max())
+
+
+def test_kmeans_converged_centroids_are_member_means():
+    for trial in range(10):
+        pts = substream(41, "means", trial).uniform(-5, 5, size=(60, 3))
+        result = kmeans(pts, k=6, seed=trial)
+        for c in range(6):
+            members = pts[result.assignments == c]
+            assert np.abs(result.centroids[c] - members.mean(axis=0)).max() <= 1e-12
+
+
+def test_kmeans_1d_frozen_cases():
+    result = kmeans_1d(np.array([[9.0, 3.0], [0.0, 3.0], [10.0, 3.0], [1.0, 3.0]]), 2)
+    assert result.values[:, 0].tolist() == [0.0, 1.0, 9.0, 10.0]
+    assert result.bounds.tolist() == [[0, 0], [2, 1], [4, 4]]   # constant: first split
+    assert result.centroids.tolist() == [[0.5, 3.0], [9.5, 3.0]]
+    assert result.inertia.tolist() == [1.0, 0.0]
+    # fewer rows than clusters: one cluster per row
+    few = kmeans_1d(np.array([[2.0], [1.0]]), 4)
+    assert few.bounds[:, 0].tolist() == [0, 1, 2]
+    assert few.inertia.tolist() == [0.0]
+    one = kmeans_1d(np.array([[1.0], [2.0], [6.0]]), 1)
+    assert one.bounds[:, 0].tolist() == [0, 3]
+    assert one.centroids[0, 0] == 3.0 and one.inertia[0] == pytest.approx(14.0)
+
+
+def test_kmeans_1d_is_optimal_on_floats():
+    # on real-valued columns: the brute-force optimum, never above Lloyd
+    for trial in range(20):
+        rng = substream(43, "float1d", trial)
+        col = rng.normal(size=int(rng.integers(2, 30))) * 3.0
+        k = int(rng.integers(1, min(4, len(col)) + 1))
+        exact = kmeans_1d(col[:, None], k).inertia[0]
+        assert exact <= kmeans(col, k, seed=trial).inertia + 1e-9
+        assert exact == pytest.approx(_brute_force_inertia_1d(col, k), rel=1e-9, abs=1e-12)
+
+
+def test_kmeans_1d_validation():
+    with pytest.raises(ValueError):
+        kmeans_1d(np.empty((0, 2)), 2)
+    with pytest.raises(ValueError):
+        kmeans_1d(np.zeros(3), 2)
+    with pytest.raises(ValueError):
+        kmeans_1d(np.zeros((3, 1)), 0)
+
+
+def _brute_force_inertia_1d(col, k):
+    v = np.sort(col)
+    return min(sum(((v[a:b] - v[a:b].mean()) ** 2).sum()
+                   for a, b in zip((0, *cuts), (*cuts, len(v))))
+               for cuts in itertools.combinations(range(1, len(v)), k - 1))
 
 
 def _brute_force_inertia(points, k):

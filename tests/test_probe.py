@@ -9,18 +9,17 @@ import pytest
 
 from biasdiv.data import Dataset, make_toy_blobs
 from biasdiv.errors import BiasMetricError, ProbeError
-from biasdiv.mlp import Mlp, MlpSpec, TrainSchedule, init_mlp, predict, predict_batch, train
+from biasdiv.mlp import (Mlp, MlpSpec, TrainSchedule, init_mlp, input_gradients, predict,
+                         predict_batch, train)
 from biasdiv.probe import (
     DEFAULT_LEVELS,
     _add_uniform,
     Counterexamples,
     NoiseSpec,
     ProbeReport,
-    apply_noise,
     compute_bias,
     feature_scales,
     format_level,
-    gradient_sign_attack,
     noise_sweep,
     probe_report_to_json,
     save_probe_report,
@@ -28,6 +27,29 @@ from biasdiv.probe import (
 )
 from biasdiv import probe as probe_module
 from biasdiv.numerics import substream
+
+
+# Per-input reference versions of the sweep's two perturbations; the sweep
+# vectorizes both routes itself.
+
+def apply_noise(x: np.ndarray, level: float, rng: np.random.Generator,
+                scales: np.ndarray) -> np.ndarray:
+    """Uniform L-inf noise: coordinate j moves by at most level * scales[j]."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    x = np.asarray(x, dtype=float)
+    bound = level * np.asarray(scales, dtype=float)
+    return x + rng.uniform(-bound, bound, size=x.shape)
+
+
+def gradient_sign_attack(mlp: Mlp, x: np.ndarray, true_class: int, level: float,
+                         scales: np.ndarray) -> np.ndarray:
+    """Single-step gradient-sign perturbation at the given relative level."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    x = np.asarray(x, dtype=float)
+    grad = input_gradients(mlp, x[None, :], np.array([true_class]))[0]
+    return x + level * np.asarray(scales, dtype=float) * np.sign(grad)
 
 
 def threshold_net(theta=0.615):

@@ -1,13 +1,18 @@
 """Property tests: the bias score and overlap tightening under class
-relabelling, and tightening on integer grids where endpoints coincide."""
+relabelling, tightening on integer grids where endpoints coincide, and exact
+1-D k-means against brute force on integer grids with duplicates."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasdiv.diversify import ClassBounds, tighten_overlaps
-from biasdiv.numerics import Interval, IntervalSet
+from biasdiv.data import Dataset
+from biasdiv.diversify import ClassBounds, dominant_clusters, tighten_overlaps
+from biasdiv.numerics import Interval, IntervalSet, kmeans_1d
 from biasdiv.probe import compute_bias
 
 
@@ -79,3 +84,56 @@ def test_tighten_three_classes_is_relabelling_equivariant():
     out = tighten_overlaps(_single(per_class))
     relabelled = tighten_overlaps(_single([per_class[p] for p in perm]))
     assert relabelled.per_class == tuple(out.per_class[p] for p in perm)
+
+
+def _brute_force_1d(column, clusters):
+    """Exact best partition of sorted `column` into min(clusters, n)
+    contiguous ranges, as (sum of squares, bounds), in Fractions. Among
+    equal sums the one whose last range starts first wins, then the one
+    whose second-to-last range starts first, and so on."""
+    v = sorted(Fraction(int(x)) for x in column)
+    n = len(v)
+    best = None
+    for cuts in itertools.combinations(range(1, n), min(clusters, n) - 1):
+        bounds = (0, *cuts, n)
+        sse = Fraction(0)
+        for a, b in zip(bounds, bounds[1:]):
+            mean = sum(v[a:b]) / (b - a)
+            sse += sum((x - mean) ** 2 for x in v[a:b])
+        key = (sse, cuts[::-1])
+        if best is None or key < best[0]:
+            best = (key, bounds)
+    return best[0][0], best[1]
+
+
+@st.composite
+def integer_columns(draw):
+    """An (n, d) matrix on a small integer grid, so values repeat and
+    different partitions often have equal sums of squares."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 3))
+    grid = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(-grid, grid), min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=float).reshape(n, d), draw(st.integers(1, 4))
+
+
+@settings(max_examples=400)
+@given(integer_columns())
+def test_kmeans_1d_matches_brute_force_on_integer_grids(case):
+    columns, clusters = case
+    n, d = columns.shape
+    result = kmeans_1d(columns, clusters)
+    one_class = Dataset(columns, np.zeros(n, dtype=int), ("a",),
+                        tuple(f"f{f}" for f in range(d)))
+    dominant = dominant_clusters((one_class,), clusters)
+    for f in range(d):
+        sse, bounds = _brute_force_1d(columns[:, f], clusters)
+        assert result.bounds[:, f].tolist() == list(bounds)
+        assert result.inertia[f] == pytest.approx(float(sse), rel=1e-12, abs=1e-12)
+        # the dominant cluster is the largest; equal sizes -> lowest-valued
+        sizes = np.diff(bounds)
+        j = int(np.argmax(sizes))
+        members = np.sort(columns[:, f])[bounds[j]:bounds[j + 1]]
+        assert (dominant.lo[0, f], dominant.hi[0, f]) == (members[0], members[-1])
+        assert dominant.radius[0, f] == pytest.approx(
+            float(np.abs(members - members.mean()).max()), abs=1e-12)
