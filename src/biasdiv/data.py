@@ -193,17 +193,6 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
             writer.writerow([repr(float(v)) for v in x] + [ds.class_names[y]])
 
 
-def _train_take(count: int, train_fraction: float) -> int:
-    """Rows of a class of `count` rows that go to the train side of a split."""
-    return min(count - 1, max(1, round_half_up(train_fraction * count)))
-
-
-def split_size(ds: Dataset, train_fraction: float) -> int:
-    """Rows on the train side of `split_stratified(ds, train_fraction, seed)`,
-    which are the same for every seed."""
-    return sum(_train_take(int(count), train_fraction) for count in ds.class_counts())
-
-
 def split_stratified(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Per-class shuffled split; both sides keep every class non-empty."""
     if not 0.0 < train_fraction < 1.0:
@@ -214,7 +203,7 @@ def split_stratified(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
         if len(rows) < 2:
             raise StratificationError(
                 f"class '{ds.class_names[c]}' has {len(rows)} row(s); need >= 2 to split")
-        take = _train_take(len(rows), train_fraction)
+        take = min(len(rows) - 1, max(1, round_half_up(train_fraction * len(rows))))
         perm = substream(seed, "split", c).permutation(len(rows))
         train_idx.extend(rows[perm[:take]].tolist())
         test_idx.extend(rows[perm[take:]].tolist())

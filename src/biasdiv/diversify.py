@@ -314,8 +314,12 @@ def minimize_redundancy(class_rows: np.ndarray, removal_fraction: float,
                         seed: int) -> np.ndarray:
     """Indices of one representative row per cluster, ascending.
 
-    Clustering into round(m * (1 - x)) groups and keeping the row nearest
-    each centroid removes about a fraction x of near-duplicate rows.
+    Clustering into k = round(m * (1 - x)) groups and keeping the row
+    nearest each centroid removes about a fraction x of near-duplicate
+    rows. When the rows hold no more than k distinct values, the first row
+    of each distinct value is kept instead (fewer than k rows when there
+    are fewer values); that is what the clustering gives when there are
+    exactly k.
     """
     rows = np.asarray(class_rows, dtype=float)
     if rows.ndim != 2 or len(rows) < 1:
@@ -326,6 +330,9 @@ def minimize_redundancy(class_rows: np.ndarray, removal_fraction: float,
     k = max(1, round_half_up(m * (1.0 - removal_fraction)))
     if k >= m:
         return np.arange(m)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    if len(first) <= k:
+        return np.sort(first)
     result = kmeans(rows, k=k, seed=seed)
     retained = []
     for cluster in range(k):

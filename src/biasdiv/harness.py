@@ -29,8 +29,8 @@ from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
 from .diversify import DiversifyConfig, derive_seed, diversify
 from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
                      NeighborError, ProbeError, TrainingError)
-from .mlp import (MlpSpec, TrainSchedule, accuracy, fit_size, init_mlp, scale_schedule,
-                  train, train_stack)
+from .mlp import (MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train,
+                  train_stack)
 from .numerics import round_half_up, substream
 from .probe import BOTH, GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
 
@@ -175,7 +175,7 @@ def _parse_dataset(doc, base_dir) -> DatasetConfig:
 
 def _parse_schedule(doc) -> TrainSchedule:
     d = _expect_mapping(doc, "schedule")
-    _check_keys(d, {"phases", "validation_fraction"}, "schedule")
+    _check_keys(d, {"phases"}, "schedule")
     phases = d.get("phases")
     if not isinstance(phases, list) or not phases:
         raise ConfigError("schedule.phases must be a non-empty list of [lr, epochs]")
@@ -185,9 +185,8 @@ def _parse_schedule(doc) -> TrainSchedule:
             raise ConfigError(f"schedule.phases[{i}] must be a [lr, epochs] pair")
         parsed.append((_as_float(phase[0], f"schedule.phases[{i}] lr"),
                        _as_int(phase[1], f"schedule.phases[{i}] epochs", minimum=1)))
-    vf = _as_float(d.get("validation_fraction", 0.0), "schedule.validation_fraction")
     try:
-        return TrainSchedule(tuple(parsed), vf)
+        return TrainSchedule(tuple(parsed))
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from None
 
@@ -482,32 +481,30 @@ class LegResult:
 
 def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
                    test_ds: Dataset, repeat: int, attempt: int) -> dict:
-    """Train one net per leg in `fits` (approach -> fitted set) with the
-    leg's seeds for this attempt. Legs that fit equally many rows under the
-    same schedule train as one weight stack, which gives each the bytes it
-    would get alone. Returns approach -> (model, report) or TrainingError.
+    """Train one net per leg in `fits` (approach -> fitted set), initialised
+    from the leg's init seed for this attempt; training itself draws no
+    random numbers. Legs with equally many rows under the same schedule
+    train as one weight stack, which gives each the bytes it would get
+    alone. Returns approach -> (model, report) or TrainingError.
     """
     groups = {}
     for approach, fit_ds in fits.items():
-        key = (fit_size(fit_ds, schedules[approach]), schedules[approach])
-        groups.setdefault(key, []).append(approach)
+        groups.setdefault((fit_ds.n, schedules[approach]), []).append(approach)
     results = {}
     for (_, schedule), members in groups.items():
         nets = [init_mlp(MlpSpec((fits[a].d, *cfg.hidden, fits[a].L),
                                  init_seed=derive_seed(cfg.seed, "rep", repeat, a,
                                                        "init", attempt)))
                 for a in members]
-        seeds = [derive_seed(cfg.seed, "rep", repeat, a, "fit", attempt) for a in members]
         if len(members) == 1:
             (approach,) = members
             try:
-                results[approach] = train(nets[0], fits[approach], schedule, seeds[0],
-                                          test_ds=test_ds)
+                results[approach] = train(nets[0], fits[approach], schedule, test_ds=test_ds)
             except TrainingError as exc:
                 results[approach] = exc
         else:
             results.update(zip(members, train_stack(
-                nets, [fits[a] for a in members], schedule, seeds, test_ds)))
+                nets, [fits[a] for a in members], schedule, test_ds)))
     return results
 
 
@@ -536,7 +533,7 @@ def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
                 retry[approach] = fit_ds
                 continue
             model, rep = result
-            if gate_ds is fit_ds and schedules[approach].validation_fraction == 0.0:
+            if gate_ds is fit_ds:
                 train_acc = rep.train_accuracy   # train already scored every fitted row
             else:
                 train_acc = accuracy(model, gate_ds)

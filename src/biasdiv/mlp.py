@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, split_size, split_stratified
+from .data import Dataset
 from .errors import TrainingError
 from .numerics import round_half_up, substream
 
@@ -60,11 +60,9 @@ class Mlp:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Sequential (learning_rate, epochs) phases plus an optional held-out
-    validation fraction carved from the training data."""
+    """Sequential (learning_rate, epochs) phases."""
 
     phases: tuple[tuple[float, int], ...]
-    validation_fraction: float = 0.0
 
     def __post_init__(self):
         phases = tuple((float(lr), int(ep)) for lr, ep in self.phases)
@@ -76,12 +74,6 @@ class TrainSchedule:
                 raise ValueError(f"learning rate must be positive and finite, got {lr}")
             if ep < 1:
                 raise ValueError(f"epochs must be >= 1, got {ep}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in [0, 1)")
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(ep for _, ep in self.phases)
 
 
 @dataclass
@@ -89,7 +81,6 @@ class TrainReport:
     losses: list[float] = field(default_factory=list)   # one entry per epoch
     train_accuracy: float = 0.0
     test_accuracy: float | None = None
-    validation_accuracy: float | None = None
 
 
 def init_mlp(spec: MlpSpec) -> Mlp:
@@ -185,13 +176,6 @@ def _backward(weights, acts, zs, probs, onehot: np.ndarray):
     return dws, dbs, delta
 
 
-def parameter_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray):
-    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
-    dws, dbs, _ = _backward(mlp.weights, acts, zs, probs,
-                            _onehot(np.asarray(y, dtype=int), mlp.spec.L))
-    return dws, dbs
-
-
 def input_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row gradient of that row's own cross-entropy loss w.r.t. the input."""
     X = np.asarray(X, dtype=float)
@@ -222,23 +206,6 @@ def _check_shapes(mlp: Mlp, train_ds: Dataset) -> None:
         raise ValueError(
             f"dataset shape ({train_ds.d} features, {train_ds.L} classes) does not "
             f"match spec {mlp.spec.layer_sizes}")
-
-
-def _fit_split(train_ds: Dataset, schedule: TrainSchedule, seed: int):
-    """The rows a net is fitted to and the held-out validation rows (None
-    when the schedule holds none out)."""
-    if schedule.validation_fraction == 0.0:
-        return train_ds, None
-    val_seed = int(substream(seed, "val").integers(2**32))
-    return split_stratified(train_ds, 1.0 - schedule.validation_fraction, val_seed)
-
-
-def fit_size(train_ds: Dataset, schedule: TrainSchedule) -> int:
-    """How many rows `train` fits to: all of `train_ds`, or the train side of
-    its validation split, whose size does not depend on the seed."""
-    if schedule.validation_fraction == 0.0:
-        return train_ds.n
-    return split_size(train_ds, 1.0 - schedule.validation_fraction)
 
 
 def _descend(weights, biases, X, onehot, pick, schedule: TrainSchedule):
@@ -277,18 +244,17 @@ def _diverged(epoch) -> TrainingError:
     return TrainingError(f"training diverged at epoch {epoch}")
 
 
-def _report(model: Mlp, losses: np.ndarray, train_accuracy, val_ds, test_ds) -> TrainReport:
+def _report(model: Mlp, losses: np.ndarray, train_accuracy, test_ds) -> TrainReport:
     report = TrainReport(losses=losses.tolist(), train_accuracy=float(train_accuracy))
-    if val_ds is not None:
-        report.validation_accuracy = accuracy(model, val_ds)
     if test_ds is not None:
         report.test_accuracy = accuracy(model, test_ds)
     return report
 
 
-def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
+def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule,
           test_ds: Dataset | None = None) -> tuple[Mlp, TrainReport]:
-    """Full-batch gradient descent over the schedule's phases in order.
+    """Full-batch gradient descent on every row of `train_ds`, over the
+    schedule's phases in order.
 
     Returns a new model; the input model is not modified. The loss of epoch
     e is the loss of the weights after e's update, read off the forward pass
@@ -297,51 +263,48 @@ def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule, seed: int,
     an error naming the (1-based) epoch.
     """
     _check_shapes(mlp, train_ds)
-    fit_ds, val_ds = _fit_split(train_ds, schedule, seed)
     model = Mlp(mlp.spec, [w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases])
-    y = fit_ds.labels
-    losses, probs, diverged = _descend(model.weights, model.biases, fit_ds.features,
+    y = train_ds.labels
+    losses, probs, diverged = _descend(model.weights, model.biases, train_ds.features,
                                        _onehot(y, mlp.spec.L), (np.arange(len(y)), y),
                                        schedule)
     if diverged:
         raise _diverged(int(diverged))
-    return model, _report(model, losses, np.mean(np.argmax(probs, axis=1) == y),
-                          val_ds, test_ds)
+    return model, _report(model, losses, np.mean(np.argmax(probs, axis=1) == y), test_ds)
 
 
-def train_stack(mlps, datasets, schedule: TrainSchedule, seeds,
+def train_stack(mlps, datasets, schedule: TrainSchedule,
                 test_ds: Dataset | None = None) -> list:
     """Train R nets of one architecture as one `(R, out, in)` weight stack.
 
     Slice r sees exactly the arithmetic of `train(mlps[r], datasets[r],
-    schedule, seeds[r], test_ds)`, so its weights, losses and accuracies
-    are bit-identical to that call's. The sets must fit equally many rows
-    after the validation split (see `fit_size`). Returns, per slice, the
-    `(Mlp, TrainReport)` that `train` returns or the `TrainingError` it
-    would raise; a slice that diverges does not stop the others.
+    schedule, test_ds)`, so its weights, losses and accuracies are
+    bit-identical to that call's. The sets must have equally many rows.
+    Returns, per slice, the `(Mlp, TrainReport)` that `train` returns or
+    the `TrainingError` it would raise; a slice that diverges does not
+    stop the others.
     """
-    mlps, datasets, seeds = list(mlps), list(datasets), list(seeds)
-    if not mlps or len(datasets) != len(mlps) or len(seeds) != len(mlps):
-        raise ValueError("need one dataset and one seed per net, and at least one net")
+    mlps, datasets = list(mlps), list(datasets)
+    if not mlps or len(datasets) != len(mlps):
+        raise ValueError("need one dataset per net, and at least one net")
     if len({m.spec.layer_sizes for m in mlps}) != 1:
         raise ValueError("stacked nets must share one architecture")
     for mlp, ds in zip(mlps, datasets):
         _check_shapes(mlp, ds)
-    splits = [_fit_split(ds, schedule, seed) for ds, seed in zip(datasets, seeds)]
-    if len({fit.n for fit, _ in splits}) != 1:
-        raise ValueError("stacked sets must fit equally many rows, got "
-                         f"{[fit.n for fit, _ in splits]}")
+    if len({ds.n for ds in datasets}) != 1:
+        raise ValueError("stacked sets must have equally many rows, got "
+                         f"{[ds.n for ds in datasets]}")
 
     weights = [np.stack(ws) for ws in zip(*(m.weights for m in mlps))]
     biases = [np.stack(bs) for bs in zip(*(m.biases for m in mlps))]
-    X = np.stack([fit.features for fit, _ in splits])
-    y = np.stack([fit.labels for fit, _ in splits])
+    X = np.stack([ds.features for ds in datasets])
+    y = np.stack([ds.labels for ds in datasets])
     pick = (np.arange(len(mlps))[:, None], np.arange(y.shape[1]), y)
     losses, probs, diverged = _descend(weights, biases, X, _onehot(y, mlps[0].spec.L),
                                        pick, schedule)
     correct = np.argmax(probs, axis=-1) == y
     results = []
-    for r, (mlp, (_, val_ds)) in enumerate(zip(mlps, splits)):
+    for r, mlp in enumerate(mlps):
         if diverged[r]:
             results.append(_diverged(int(diverged[r])))
             continue
@@ -349,8 +312,7 @@ def train_stack(mlps, datasets, schedule: TrainSchedule, seeds,
         # like `train`, which checks the net before its descent, not after
         model.weights = [w[r].copy() for w in weights]
         model.biases = [b[r].copy() for b in biases]
-        results.append((model, _report(model, losses[:, r], np.mean(correct[r]),
-                                       val_ds, test_ds)))
+        results.append((model, _report(model, losses[:, r], np.mean(correct[r]), test_ds)))
     return results
 
 
@@ -364,6 +326,4 @@ def scale_epochs(epochs: int, n_original: int, n_new: int) -> int:
 
 def scale_schedule(schedule: TrainSchedule, n_original: int, n_new: int) -> TrainSchedule:
     return TrainSchedule(
-        tuple((lr, scale_epochs(ep, n_original, n_new)) for lr, ep in schedule.phases),
-        schedule.validation_fraction,
-    )
+        tuple((lr, scale_epochs(ep, n_original, n_new)) for lr, ep in schedule.phases))

@@ -399,6 +399,31 @@ def test_minimize_redundancy_count_law():
         assert set(kept.tolist()) <= set(range(m))
 
 
+def test_minimize_redundancy_keeps_each_value_when_too_few_distinct():
+    # two distinct values for k = 4 clusters: k-means left clusters empty
+    rows = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 2)
+    for seed in range(5):
+        assert minimize_redundancy(rows, 0.5, seed).tolist() == [0, 6]
+
+
+def test_minimize_redundancy_duplicate_sweep_one_row_per_value():
+    rng = substream(76, "dups")
+    for _ in range(40):
+        values = rng.integers(0, 3, size=(int(rng.integers(1, 6)), 2)).astype(float)
+        rows = values[rng.integers(len(values), size=int(rng.integers(2, 16)))]
+        x = float(rng.uniform(0, 0.95))
+        k = max(1, int(np.floor(len(rows) * (1 - x) + 0.5)))
+        _, first = np.unique(rows, axis=0, return_index=True)
+        kept = minimize_redundancy(rows, x, seed=int(rng.integers(1000)))
+        if k >= len(rows):
+            assert kept.tolist() == list(range(len(rows)))
+        elif len(first) <= k:
+            assert kept.tolist() == sorted(first.tolist())
+        else:
+            assert len(kept) == k
+            assert len(np.unique(rows[kept], axis=0)) == k
+
+
 # -- validate_synthetic -------------------------------------------------------------
 
 def test_validate_copy_passes():

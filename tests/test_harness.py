@@ -76,6 +76,7 @@ def test_parse_config_defaults(tmp_path):
     lambda d: d["dataset"].update(banana=1),
     lambda d: d["baselines"].update(banana=1),
     lambda d: d["network"].update(depth=3),
+    lambda d: d["schedule"].update(validation_fraction=0.2),
 ])
 def test_parse_config_rejects_unknown_keys(tmp_path, mutate):
     doc = config_doc(tmp_path / "blobs.csv")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biasdiv.data import Dataset, make_toy_blobs, split_stratified
+from biasdiv.data import Dataset, make_toy_blobs
 from biasdiv.errors import TrainingError
 from biasdiv.mlp import (
     Mlp,
@@ -11,11 +11,9 @@ from biasdiv.mlp import (
     TrainSchedule,
     accuracy,
     cross_entropy_loss,
-    fit_size,
     init_mlp,
     input_gradient,
     input_gradients,
-    parameter_gradients,
     predict,
     predict_batch,
     scale_epochs,
@@ -23,6 +21,7 @@ from biasdiv.mlp import (
     train,
     train_stack,
 )
+from biasdiv.mlp import _backward, _forward, _onehot
 from biasdiv.numerics import substream
 
 
@@ -154,6 +153,14 @@ def test_input_gradient_matches_finite_differences():
     assert checked >= 20
 
 
+def parameter_gradients(mlp, X, y):
+    """Reference: mean cross-entropy gradients of every weight and bias."""
+    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
+    dws, dbs, _ = _backward(mlp.weights, acts, zs, probs,
+                            _onehot(np.asarray(y, dtype=int), mlp.spec.L))
+    return dws, dbs
+
+
 def test_parameter_gradients_match_finite_differences():
     h = 1e-5
     rng = substream(43, "pgrad")
@@ -207,7 +214,7 @@ def blobs_ds():
 def test_train_separable_blobs_to_full_accuracy():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 8, 2), init_seed=0))
-    model, report = train(net, ds, TrainSchedule(((0.5, 200),)), seed=0)
+    model, report = train(net, ds, TrainSchedule(((0.5, 200),)))
     assert report.train_accuracy == 1.0
     assert len(report.losses) == 200
     assert report.losses[-1] < report.losses[0]
@@ -220,8 +227,6 @@ def test_schedule_validation():
         TrainSchedule(((0.5, 0),))
     with pytest.raises(ValueError):
         TrainSchedule(((0.0, 10),))
-    with pytest.raises(ValueError):
-        TrainSchedule(((0.5, 10),), validation_fraction=1.0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
@@ -234,14 +239,14 @@ def test_train_divergence_names_epoch():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 8, 2), init_seed=0))
     with pytest.raises(TrainingError, match=r"diverged at epoch 18$"):
-        train(net, ds, TrainSchedule(((1e9, 50),)), seed=0)
+        train(net, ds, TrainSchedule(((1e9, 50),)))
 
 
 def test_train_deterministic():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 8, 2), init_seed=1))
-    m1, r1 = train(net, ds, TrainSchedule(((0.3, 50),)), seed=5)
-    m2, r2 = train(net, ds, TrainSchedule(((0.3, 50),)), seed=5)
+    m1, r1 = train(net, ds, TrainSchedule(((0.3, 50),)))
+    m2, r2 = train(net, ds, TrainSchedule(((0.3, 50),)))
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
     assert r1.losses == r2.losses
     # input model untouched
@@ -256,7 +261,7 @@ def test_small_step_never_increases_loss():
                             spread=1.0, seed=trial)
         net = init_mlp(MlpSpec((3, 5, 2), init_seed=trial))
         before = cross_entropy_loss(net, ds.features, ds.labels)
-        _, report = train(net, ds, TrainSchedule(((1e-4, 1),)), seed=0)
+        _, report = train(net, ds, TrainSchedule(((1e-4, 1),)))
         assert report.losses[0] <= before + 1e-12
 
 
@@ -264,17 +269,7 @@ def test_train_shape_mismatch():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((3, 8, 2), init_seed=0))
     with pytest.raises(ValueError, match="does not"):
-        train(net, ds, TrainSchedule(((0.5, 10),)), seed=0)
-
-
-def test_validation_fraction_reported():
-    ds = make_toy_blobs(per_class=20, centers=[[0.0], [5.0]], spread=0.5, seed=3)
-    net = init_mlp(MlpSpec((1, 4, 2), init_seed=0))
-    _, report = train(net, ds, TrainSchedule(((0.5, 100),), validation_fraction=0.2),
-                      seed=9, test_ds=ds)
-    assert report.validation_accuracy is not None
-    assert report.test_accuracy is not None
-    assert 0.0 <= report.validation_accuracy <= 1.0
+        train(net, ds, TrainSchedule(((0.5, 10),)))
 
 
 def overlapping_three_class():
@@ -283,40 +278,32 @@ def overlapping_three_class():
     return ds, init_mlp(MlpSpec((2, 6, 3), init_seed=4))
 
 
-def fit_rows(ds, fraction, seed):
-    """The rows `train` fits to when it holds out `fraction` for validation."""
-    fit, _ = split_stratified(ds, 1.0 - fraction, int(substream(seed, "val").integers(2**32)))
-    return fit
-
-
 def test_epoch_losses_equal_reference_loss_of_truncated_runs():
     """Loss e is `cross_entropy_loss` of the net trained for e epochs, on the
     fitted rows, across a phase boundary; the values are frozen too."""
     ds, net = overlapping_three_class()
     phases = ((0.4, 4), (0.1, 3))
-    _, report = train(net, ds, TrainSchedule(phases, validation_fraction=0.25), seed=12)
-    fit = fit_rows(ds, 0.25, 12)
+    _, report = train(net, ds, TrainSchedule(phases))
     for e in range(1, 8):
         head = ((0.4, min(e, 4)),) + (((0.1, e - 4),) if e > 4 else ())
-        model_e, _ = train(net, ds, TrainSchedule(head, validation_fraction=0.25), seed=12)
-        assert report.losses[e - 1] == cross_entropy_loss(model_e, fit.features, fit.labels)
-    assert report.losses == [1.199710010531631, 1.0266695456202295, 0.9566626989209133,
-                             0.918079879625114, 0.9108730030491664, 0.9039643977754294,
-                             0.8973101866827209]
+        model_e, _ = train(net, ds, TrainSchedule(head))
+        assert report.losses[e - 1] == cross_entropy_loss(model_e, ds.features, ds.labels)
+    assert report.losses == [1.1893295954709577, 1.0165886248270535, 0.9446733955884282,
+                             0.9068352660554184, 0.8999503993984528, 0.8934000708678571,
+                             0.8871223883661952]
 
 
 def test_train_accuracy_is_accuracy_on_fitted_rows():
     ds, net = overlapping_three_class()
-    model, report = train(net, ds, TrainSchedule(((0.4, 4), (0.1, 3)), validation_fraction=0.25),
-                          seed=12)
-    assert report.train_accuracy == accuracy(model, fit_rows(ds, 0.25, 12))
-    assert report.train_accuracy == 0.48484848484848486
+    model, report = train(net, ds, TrainSchedule(((0.4, 4), (0.1, 3))))
+    assert report.train_accuracy == accuracy(model, ds)
+    assert report.train_accuracy == 0.6
 
 
 def test_multi_phase_schedule_epochs():
     ds = blobs_ds()
     net = init_mlp(MlpSpec((2, 4, 2), init_seed=0))
-    _, report = train(net, ds, TrainSchedule(((0.5, 40), (0.2, 40))), seed=0)
+    _, report = train(net, ds, TrainSchedule(((0.5, 40), (0.2, 40))))
     assert len(report.losses) == 80
 
 
@@ -337,37 +324,33 @@ def assert_same_training(got, want):
         assert np.array_equal(a, b)
     assert got_report.losses == want_report.losses
     assert got_report.train_accuracy == want_report.train_accuracy
-    assert got_report.validation_accuracy == want_report.validation_accuracy
     assert got_report.test_accuracy == want_report.test_accuracy
 
 
 @pytest.mark.parametrize("R", [1, 2, 3, 4])
 @pytest.mark.parametrize("hidden", [(6,), (6, 5)])
-@pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
-def test_train_stack_equals_per_net_train(R, hidden, validation_fraction):
+def test_train_stack_equals_per_net_train(R, hidden):
     sets = stack_sets(R)
     nets = [init_mlp(MlpSpec((2, *hidden, 3), init_seed=r)) for r in range(R)]
-    schedule = TrainSchedule(((0.4, 30), (0.1, 20)), validation_fraction)
-    seeds = [7 + r for r in range(R)]
+    schedule = TrainSchedule(((0.4, 30), (0.1, 20)))
     test_ds, _ = overlapping_three_class()
-    stacked = train_stack(nets, sets, schedule, seeds, test_ds=test_ds)
+    stacked = train_stack(nets, sets, schedule, test_ds=test_ds)
     assert len(stacked) == R
     for r in range(R):
-        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, seeds[r],
-                                               test_ds=test_ds))
+        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, test_ds=test_ds))
 
 
 def test_train_stack_isolates_a_diverging_slice():
     sets = stack_sets(3, scale_first=1e8)
     nets = [init_mlp(MlpSpec((2, 6, 3), init_seed=r)) for r in range(3)]
     schedule = TrainSchedule(((0.4, 30), (0.1, 20)))
-    stacked = train_stack(nets, sets, schedule, [0, 1, 2])
+    stacked = train_stack(nets, sets, schedule)
     with pytest.raises(TrainingError) as alone:
-        train(nets[0], sets[0], schedule, 0)
+        train(nets[0], sets[0], schedule)
     assert isinstance(stacked[0], TrainingError)
     assert str(stacked[0]) == str(alone.value)
     for r in (1, 2):
-        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, r))
+        assert_same_training(stacked[r], train(nets[r], sets[r], schedule))
 
 
 def test_train_stack_rejects_mismatched_and_empty_input():
@@ -375,25 +358,16 @@ def test_train_stack_rejects_mismatched_and_empty_input():
     sets = stack_sets(2)
     nets = [init_mlp(MlpSpec((2, 6, 3), init_seed=r)) for r in range(2)]
     with pytest.raises(ValueError):
-        train_stack([], [], schedule, [])
-    with pytest.raises(ValueError):   # one seed short
-        train_stack(nets, sets, schedule, [0])
+        train_stack([], [], schedule)
+    with pytest.raises(ValueError):   # one dataset short
+        train_stack(nets, sets[:1], schedule)
     with pytest.raises(ValueError, match="equally many rows"):
-        train_stack(nets, [sets[0], sets[1].take(np.arange(30))], schedule, [0, 1])
+        train_stack(nets, [sets[0], sets[1].take(np.arange(30))], schedule)
     three_features = make_toy_blobs(per_class=12, centers=np.eye(3), spread=1.0, seed=0)
     with pytest.raises(ValueError, match="does not"):
-        train_stack(nets, [sets[0], three_features], schedule, [0, 1])
+        train_stack(nets, [sets[0], three_features], schedule)
     with pytest.raises(ValueError, match="architecture"):
-        train_stack([nets[0], init_mlp(MlpSpec((2, 5, 3)))], sets, schedule, [0, 1])
-
-
-def test_fit_size_counts_the_fitted_rows():
-    ds = make_toy_blobs(per_class=9, centers=[[0.0], [2.0], [4.0]], spread=0.5, seed=1)
-    ds = ds.take(np.arange(4, 27))   # classes of 5, 9 and 9 rows
-    for fraction in (0.0, 0.2, 0.25, 0.5):
-        schedule = TrainSchedule(((0.1, 1),), validation_fraction=fraction)
-        fitted = fit_rows(ds, fraction, 3) if fraction else ds
-        assert fit_size(ds, schedule) == fitted.n
+        train_stack([nets[0], init_mlp(MlpSpec((2, 5, 3)))], sets, schedule)
 
 
 # -- accuracy ---------------------------------------------------------------------
@@ -429,10 +403,9 @@ def test_scale_epochs(epochs, n_orig, n_new, expected):
 
 
 def test_scale_schedule():
-    sched = TrainSchedule(((0.5, 40), (0.2, 40)), validation_fraction=0.2)
+    sched = TrainSchedule(((0.5, 40), (0.2, 40)))
     scaled = scale_schedule(sched, 38, 76)
     assert scaled.phases == ((0.5, 20), (0.2, 20))
-    assert scaled.validation_fraction == 0.2
 
 
 def test_scale_epochs_validation():

@@ -281,7 +281,7 @@ def test_sweep_skips_clean_misclassifications():
 def test_sweep_no_correct_inputs_is_probe_error():
     ds = make_toy_blobs(per_class=10, centers=[[0.0], [10.0]], spread=0.5, seed=0)
     net = init_mlp(MlpSpec((1, 4, 2), init_seed=0))
-    model, _ = train(net, ds, TrainSchedule(((0.5, 200),)), seed=0)
+    model, _ = train(net, ds, TrainSchedule(((0.5, 200),)))
     flipped = Dataset(ds.features, 1 - ds.labels, ds.class_names, ds.feature_names)
     with pytest.raises(ProbeError):
         noise_sweep(model, flipped, NoiseSpec(samples_per_input=2), seed=0)
@@ -291,7 +291,7 @@ def test_sweep_counterexamples_replay_and_respect_bound():
     ds = make_toy_blobs(per_class=8, centers=[[0.0, 0.0], [2.0, 2.0]],
                         spread=0.8, seed=4)
     net = init_mlp(MlpSpec((2, 6, 2), init_seed=1))
-    model, _ = train(net, ds, TrainSchedule(((0.5, 150),)), seed=0)
+    model, _ = train(net, ds, TrainSchedule(((0.5, 150),)))
     scales = feature_scales(ds.features)
     report = noise_sweep(model, ds, NoiseSpec(samples_per_input=10), seed=7,
                          scales=scales)
@@ -308,7 +308,7 @@ def test_sweep_counterexamples_replay_and_respect_bound():
 def test_sweep_deterministic():
     ds = make_toy_blobs(per_class=6, centers=[[0.0], [3.0]], spread=1.0, seed=2)
     net = init_mlp(MlpSpec((1, 4, 2), init_seed=3))
-    model, _ = train(net, ds, TrainSchedule(((0.5, 100),)), seed=0)
+    model, _ = train(net, ds, TrainSchedule(((0.5, 100),)))
     spec = NoiseSpec(samples_per_input=5)
     r1 = noise_sweep(model, ds, spec, seed=5)
     r2 = noise_sweep(model, ds, spec, seed=5)
@@ -331,7 +331,7 @@ def test_sweep_deterministic():
 def test_random_sweep_frozen(per_sample_scale, b_r, delta_x_max, per_level, count, first):
     ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
     model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
-                     TrainSchedule(((0.5, 150),)), seed=0)
+                     TrainSchedule(((0.5, 150),)))
     spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6,
                      attack="random_sweep", per_sample_scale=per_sample_scale)
     report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
@@ -364,7 +364,7 @@ def test_random_sweep_frozen(per_sample_scale, b_r, delta_x_max, per_level, coun
 def test_sweep_frozen(attack, per_sample_scale, b_r, per_level, count, first, last):
     ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
     model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
-                     TrainSchedule(((0.5, 150),)), seed=0)
+                     TrainSchedule(((0.5, 150),)))
     spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6,
                      attack=attack, per_sample_scale=per_sample_scale)
     report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
@@ -379,7 +379,7 @@ def test_sweep_frozen(attack, per_sample_scale, b_r, per_level, count, first, la
 def test_sweep_seeds_all_streams_from_one_substream_call(monkeypatch):
     ds = make_toy_blobs(per_class=6, centers=[[0.0], [3.0]], spread=1.0, seed=2)
     model, _ = train(init_mlp(MlpSpec((1, 4, 2), init_seed=3)), ds,
-                     TrainSchedule(((0.5, 100),)), seed=0)
+                     TrainSchedule(((0.5, 100),)))
     calls = []
 
     def counting_substream(*args):
@@ -400,7 +400,7 @@ def test_row_noise_does_not_depend_on_which_rows_are_probed(monkeypatch):
     misclassifies it."""
     ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
     model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
-                     TrainSchedule(((0.5, 150),)), seed=0)
+                     TrainSchedule(((0.5, 150),)))
     spec = NoiseSpec(levels=(0.1, 0.2, 0.3), samples_per_input=4, attack="random_sweep")
     scales = feature_scales(ds.features)
 
@@ -462,7 +462,7 @@ def test_sweep_counts_are_consistent():
     ds = make_toy_blobs(per_class=8, centers=[[0.0, 0.0], [2.5, 2.5]],
                         spread=1.0, seed=9)
     net = init_mlp(MlpSpec((2, 6, 2), init_seed=2))
-    model, _ = train(net, ds, TrainSchedule(((0.5, 150),)), seed=0)
+    model, _ = train(net, ds, TrainSchedule(((0.5, 150),)))
     spec = NoiseSpec(samples_per_input=4)
     report = noise_sweep(model, ds, spec, seed=3)
     per_level_total = sum(c.sum() for c in report.per_level_misclassification.values())
