@@ -93,23 +93,25 @@ class Dataset:
 class DatasetSchema:
     """Maps CSV columns to features and labels.
 
-    Columns may be header names or 0-based indices. `class_name_mapping`
-    fixes label indices; when None, classes are numbered by first appearance.
+    Columns may be header names or 0-based indices; `feature_columns=None`
+    means every column but the label. `class_name_mapping` fixes label
+    indices; when None, classes are numbered by first appearance.
     """
 
     label_column: str | int
-    feature_columns: list
+    feature_columns: list | None = None
     class_name_mapping: dict[str, int] | None = None
 
     def __post_init__(self):
-        if not self.feature_columns:
-            raise ValueError("feature_columns must be non-empty")
-        if self.label_column in self.feature_columns:
-            raise ValueError("label_column must not be among feature_columns")
+        if self.feature_columns is not None:
+            if not self.feature_columns:
+                raise ValueError("feature_columns must be non-empty")
+            if self.label_column in self.feature_columns:
+                raise ValueError("label_column must not be among feature_columns")
         if self.class_name_mapping is not None:
             idxs = sorted(self.class_name_mapping.values())
             if idxs != list(range(len(idxs))):
-                raise ValueError("class mapping indices must be 0..L-1 without gaps")
+                raise ValueError(f"class indices must be 0..L-1 without gaps, got {idxs}")
 
 
 def _resolve_column(col, header: list[str]) -> int:
@@ -126,8 +128,9 @@ def _resolve_column(col, header: list[str]) -> int:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a comma-separated, UTF-8, header-first CSV into a Dataset.
 
-    No row is marked synthetic. Error messages name the offending
-    1-based data row and column so bad cells can be located directly.
+    No row is marked synthetic, and an empty label cell is an error. Error
+    messages name the offending 1-based data row and column so bad cells
+    can be located directly.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -135,8 +138,14 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        feat_idx = [_resolve_column(c, header) for c in schema.feature_columns]
-        label_idx = _resolve_column(schema.label_column, header)
+        label, columns = schema.label_column, schema.feature_columns
+        if columns is None:
+            columns = [c for c in (header if isinstance(label, str) else range(len(header)))
+                       if c != label]
+            if not columns:
+                raise SchemaError(f"{path}: no feature columns besides the label")
+        feat_idx = [_resolve_column(c, header) for c in columns]
+        label_idx = _resolve_column(label, header)
         feat_names = tuple(header[i] for i in feat_idx)
 
         rows, raw_labels = [], []
@@ -157,6 +166,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     raise CsvParseError(
                         f"row {rownum}, column '{header[i]}': non-finite value '{cell}'")
                 values.append(v)
+            if not row[label_idx]:
+                raise LabelError(f"row {rownum}, column '{header[label_idx]}': empty class label")
             rows.append(values)
             raw_labels.append(row[label_idx])
 

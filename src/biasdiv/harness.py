@@ -32,7 +32,7 @@ from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
 from .mlp import (MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train,
                   train_stack)
 from .numerics import round_half_up, substream
-from .probe import BOTH, GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
+from .probe import GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
 
 APPROACH_ORDER = ("original", "rus", "ros", "smote", "adasyn",
                   "diversified", "synth_only", "delete_only")
@@ -46,23 +46,33 @@ ACCURACY_GATE = 0.90
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _default_label(builtin: str | None) -> str:
+    return "species" if builtin == "iris" else "label"
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where the rows come from and how to read them.
+    """Where the rows come from and how `schema` reads them.
 
     Exactly one source is set: a bundled dataset name, a single CSV that
     gets a stratified split, or an explicit train/test CSV pair.
     """
 
+    schema: DatasetSchema
     builtin: str | None = None
     csv_path: str | None = None
     train_csv: str | None = None
     test_csv: str | None = None
-    label_column: str | int | None = None
-    feature_columns: tuple | None = None
-    class_names: dict | None = None       # label text -> class index
     train_fraction: float = 0.8
     normalize: bool = False
+
+    def __post_init__(self):
+        if sum(s is not None for s in (self.builtin, self.csv_path, self.train_csv)) != 1:
+            raise ValueError("needs exactly one of 'builtin', 'csv' or 'train_csv'/'test_csv'")
+        if (self.train_csv is None) != (self.test_csv is None):
+            raise ValueError("'train_csv' and 'test_csv' must be given together")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -78,276 +88,185 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     workers: int = 1
-    approaches: tuple[str, ...] = APPROACH_ORDER
+    approaches: tuple[str, ...] = APPROACH_ORDER   # kept in APPROACH_ORDER
     raw: dict | None = None               # parsed JSON, echoed into reports
 
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("hidden must be a non-empty list of layer widths >= 1")
+        if self.subsample_fraction is not None and not 0.0 < self.subsample_fraction < 1.0:
+            raise ValueError("subsample_fraction must be in (0, 1)")
+        for key, low in (("repeats", 1), ("seed", 0), ("workers", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
+        unknown = sorted(set(self.approaches) - set(APPROACH_ORDER))
+        if unknown:
+            raise ValueError(f"unknown approach(es): {', '.join(unknown)}")
+        if "original" not in self.approaches:
+            raise ValueError("approaches must include 'original'")
+        object.__setattr__(self, "approaches",
+                           tuple(a for a in APPROACH_ORDER if a in self.approaches))
 
-def _expect_mapping(value, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{ctx} must be a JSON object")
-    return value
+
+# The keys of each config section and the JSON kinds their values may take.
+# A kind is a type (float: a finite number), None (null), a tuple of
+# alternatives, [k] (a list of k), [k1, k2] (a list of exactly those
+# entries) or {str: k} (an object of k). A null value means the default.
+_SECTIONS = {
+    "config": {"dataset": dict, "network": dict, "schedule": dict, "noise": (None, dict),
+               "diversify": dict, "baselines": (None, dict), "repeats": int, "seed": int,
+               "out_dir": str, "workers": int, "approaches": (None, [str])},
+    "dataset": {"builtin": str, "csv": str, "train_csv": str, "test_csv": str,
+                "label_column": (None, str, int), "feature_columns": (None, [(str, int)]),
+                "class_names": (None, {str: int}), "train_fraction": float,
+                "normalize": bool},
+    "network": {"hidden": [int]},
+    "schedule": {"phases": [[float, int]]},
+    "noise": {"levels": (None, [float]), "samples_per_input": int, "attack": str,
+              "per_sample_scale": bool},
+    "diversify": {"top_k": int, "removal_fraction": float, "corr_threshold": float,
+                  "clusters": int, "synth_base": (None, int), "max_retries": int,
+                  "mode": str},
+    "baselines": {"subsample_fraction": (None, float), "rus": dict, "smote": dict,
+                  "adasyn": dict},
+    "baselines.rus": {"method": str, "fraction": float},
+    "baselines.smote": {"k_neighbors": int},
+    "baselines.adasyn": {"k_neighbors": int, "balance": float},
+}
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", dict: "a JSON object", None: "null"}
 
 
-def _check_keys(d: dict, allowed, ctx: str) -> None:
-    extra = sorted(set(d) - set(allowed))
+def _matches(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_matches(value, k) for k in kind)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            return False
+        entries = kind * len(value) if len(kind) == 1 else kind
+        return len(value) == len(entries) and all(map(_matches, value, entries))
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(_matches(v, kind[str]) for v in value.values())
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):     # JSON true/false is not a number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    if isinstance(kind, list):
+        if len(kind) == 1:
+            return f"a list of entries each {_describe(kind[0])}"
+        return f"a [{', '.join(map(_describe, kind))}] list"
+    if isinstance(kind, dict):
+        return f"a JSON object of values each {_describe(kind[str])}"
+    return _KIND_NAMES[kind]
+
+
+def _section(doc, name: str) -> dict:
+    """`doc`, checked against the keys and kinds `_SECTIONS` gives `name`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    kinds = _SECTIONS[name]
+    extra = sorted(set(doc) - set(kinds))
     if extra:
-        raise ConfigError(f"unknown key(s) in {ctx}: {', '.join(extra)}")
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(extra)}")
+    for key, value in doc.items():
+        if not _matches(value, kinds[key]):
+            raise ConfigError(f"{name}.{key} must be {_describe(kinds[key])}")
+    return doc
 
 
-def _as_int(value, ctx: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{ctx} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{ctx} must be >= {minimum}")
-    return value
+def _build(cls, section: str, *args, **kwargs):
+    """`cls(*args, **kwargs)`. The range rules live in `cls`; its ValueError
+    becomes a ConfigError that names the config section."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
-def _as_float(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{ctx} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{ctx} must be a finite number")
-    return float(value)
-
-
-def _as_str(value, ctx: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{ctx} must be a string")
-    return value
-
-
-def _as_bool(value, ctx: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{ctx} must be true or false")
-    return value
-
-
-def _resolve_path(raw, base_dir, ctx: str) -> str:
-    path = Path(os.path.expandvars(_as_str(raw, ctx)))
+def _resolve_path(raw: str, base_dir) -> str:
+    path = Path(os.path.expandvars(raw))
     if not path.is_absolute():
         path = Path(base_dir) / path
     return str(path)
 
 
 def _parse_dataset(doc, base_dir) -> DatasetConfig:
-    d = _expect_mapping(doc, "dataset")
-    _check_keys(d, {"builtin", "csv", "train_csv", "test_csv", "label_column",
-                    "feature_columns", "class_names", "train_fraction",
-                    "normalize"}, "dataset")
-    sources = [k for k in ("builtin", "csv", "train_csv") if k in d]
-    if len(sources) != 1:
-        raise ConfigError(
-            "dataset needs exactly one of 'builtin', 'csv' or 'train_csv'/'test_csv'")
-    if ("train_csv" in d) != ("test_csv" in d):
-        raise ConfigError("'train_csv' and 'test_csv' must be given together")
-
-    label = d.get("label_column")
-    if label is not None and (isinstance(label, bool) or not isinstance(label, (str, int))):
-        raise ConfigError("dataset.label_column must be a column name or index")
-    feats = d.get("feature_columns")
-    if feats is not None:
-        if not isinstance(feats, list) or not feats:
-            raise ConfigError("dataset.feature_columns must be a non-empty list")
-        feats = tuple(feats)
-    mapping = d.get("class_names")
-    if mapping is not None:
-        mapping = dict(_expect_mapping(mapping, "dataset.class_names"))
-        for name, idx in mapping.items():
-            _as_int(idx, f"dataset.class_names['{name}']", minimum=0)
-    fraction = _as_float(d.get("train_fraction", 0.8), "dataset.train_fraction")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("dataset.train_fraction must be in (0, 1)")
-
-    return DatasetConfig(
-        builtin=_as_str(d["builtin"], "dataset.builtin") if "builtin" in d else None,
-        csv_path=_resolve_path(d["csv"], base_dir, "dataset.csv") if "csv" in d else None,
-        train_csv=_resolve_path(d["train_csv"], base_dir, "dataset.train_csv")
-        if "train_csv" in d else None,
-        test_csv=_resolve_path(d["test_csv"], base_dir, "dataset.test_csv")
-        if "test_csv" in d else None,
-        label_column=label,
-        feature_columns=feats,
-        class_names=mapping,
-        train_fraction=fraction,
-        normalize=_as_bool(d.get("normalize", False), "dataset.normalize"),
-    )
+    d = dict(_section(doc, "dataset"))
+    label = d.pop("label_column", None)
+    schema = _build(DatasetSchema, "dataset",
+                    _default_label(d.get("builtin")) if label is None else label,
+                    d.pop("feature_columns", None), d.pop("class_names", None) or None)
+    for key, field in (("csv", "csv_path"), ("train_csv", "train_csv"), ("test_csv", "test_csv")):
+        if key in d:
+            d[field] = _resolve_path(d.pop(key), base_dir)
+    return _build(DatasetConfig, "dataset", schema, **d)
 
 
-def _parse_schedule(doc) -> TrainSchedule:
-    d = _expect_mapping(doc, "schedule")
-    _check_keys(d, {"phases"}, "schedule")
-    phases = d.get("phases")
-    if not isinstance(phases, list) or not phases:
-        raise ConfigError("schedule.phases must be a non-empty list of [lr, epochs]")
-    parsed = []
-    for i, phase in enumerate(phases):
-        if not isinstance(phase, list) or len(phase) != 2:
-            raise ConfigError(f"schedule.phases[{i}] must be a [lr, epochs] pair")
-        parsed.append((_as_float(phase[0], f"schedule.phases[{i}] lr"),
-                       _as_int(phase[1], f"schedule.phases[{i}] epochs", minimum=1)))
-    try:
-        return TrainSchedule(tuple(parsed))
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
-
-
-_ATTACKS = {"random": RANDOM_SWEEP, "random_sweep": RANDOM_SWEEP,
-            "gradient": GRADIENT_SIGN, "gradient_sign": GRADIENT_SIGN,
-            "both": BOTH}
+_ATTACK_ALIASES = {"random": RANDOM_SWEEP, "gradient": GRADIENT_SIGN}
 
 
 def _parse_noise(doc) -> NoiseSpec:
-    if doc is None:
-        return NoiseSpec()
-    d = _expect_mapping(doc, "noise")
-    _check_keys(d, {"levels", "samples_per_input", "attack", "per_sample_scale"},
-                "noise")
-    kwargs = {}
-    levels = d.get("levels")
-    if levels is not None:
-        if not isinstance(levels, list) or not levels:
-            raise ConfigError("noise.levels must be a non-empty list of numbers")
-        kwargs["levels"] = tuple(_as_float(v, "noise.levels entry") for v in levels)
-    if "samples_per_input" in d:
-        kwargs["samples_per_input"] = _as_int(d["samples_per_input"],
-                                              "noise.samples_per_input", minimum=1)
-    if "attack" in d:
-        name = _as_str(d["attack"], "noise.attack")
-        if name not in _ATTACKS:
-            raise ConfigError(f"noise.attack must be one of {sorted(set(_ATTACKS))}")
-        kwargs["attack"] = _ATTACKS[name]
-    if "per_sample_scale" in d:
-        kwargs["per_sample_scale"] = _as_bool(d["per_sample_scale"],
-                                              "noise.per_sample_scale")
-    try:
-        return NoiseSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
+    kwargs = {k: v for k, v in _section(doc, "noise").items() if v is not None}
+    if "attack" in kwargs:
+        kwargs["attack"] = _ATTACK_ALIASES.get(kwargs["attack"], kwargs["attack"])
+    return _build(NoiseSpec, "noise", **kwargs)
 
 
 def _parse_diversify(doc) -> DiversifyConfig:
-    d = _expect_mapping(doc, "diversify")
-    _check_keys(d, {"top_k", "removal_fraction", "corr_threshold", "clusters",
-                    "synth_base", "max_retries", "mode"}, "diversify")
+    d = dict(_section(doc, "diversify"))
     if "top_k" not in d:
         raise ConfigError("diversify.top_k is required")
-    kwargs = {"top_k": _as_int(d["top_k"], "diversify.top_k", minimum=1)}
-    if "removal_fraction" in d:
-        kwargs["removal_fraction"] = _as_float(d["removal_fraction"],
-                                               "diversify.removal_fraction")
-    if "corr_threshold" in d:
-        kwargs["corr_threshold"] = _as_float(d["corr_threshold"],
-                                             "diversify.corr_threshold")
-    if "clusters" in d:
-        kwargs["clusters"] = _as_int(d["clusters"], "diversify.clusters", minimum=1)
-    if d.get("synth_base") is not None:
-        kwargs["synth_base"] = _as_int(d["synth_base"], "diversify.synth_base",
-                                       minimum=1)
-    if "max_retries" in d:
-        kwargs["max_retries"] = _as_int(d["max_retries"], "diversify.max_retries",
-                                        minimum=1)
     if "mode" in d:
-        kwargs["mode"] = _as_str(d["mode"], "diversify.mode").replace("-", "_")
-    try:
-        return DiversifyConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"diversify: {exc}") from None
+        d["mode"] = d["mode"].replace("-", "_")
+    return _build(DiversifyConfig, "diversify", **d)
 
 
-def _parse_baselines(doc) -> tuple[dict, float | None]:
-    if doc is None:
-        doc = {}
-    d = _expect_mapping(doc, "baselines")
-    _check_keys(d, {"subsample_fraction", "rus", "smote", "adasyn"}, "baselines")
-
-    fraction = None
-    if d.get("subsample_fraction") is not None:
-        fraction = _as_float(d["subsample_fraction"], "baselines.subsample_fraction")
-        if not 0.0 < fraction < 1.0:
-            raise ConfigError("baselines.subsample_fraction must be in (0, 1)")
-
-    rus_doc = _expect_mapping(d.get("rus", {}), "baselines.rus")
-    _check_keys(rus_doc, {"method", "fraction"}, "baselines.rus")
-    method = _as_str(rus_doc.get("method", "equalize"), "baselines.rus.method")
-    try:
-        if method == "equalize":
-            rus_plan = ResamplePlan(RUS_EQUALIZE)
-        elif method == "fraction":
-            rus_plan = ResamplePlan(
-                RUS_FRACTION,
-                fraction=_as_float(rus_doc.get("fraction", 0.25),
-                                   "baselines.rus.fraction"))
-        else:
-            raise ConfigError("baselines.rus.method must be 'equalize' or 'fraction'")
-
-        smote_doc = _expect_mapping(d.get("smote", {}), "baselines.smote")
-        _check_keys(smote_doc, {"k_neighbors"}, "baselines.smote")
-        smote_plan = ResamplePlan(
-            SMOTE, k_neighbors=_as_int(smote_doc.get("k_neighbors", 5),
-                                       "baselines.smote.k_neighbors", minimum=1))
-
-        adasyn_doc = _expect_mapping(d.get("adasyn", {}), "baselines.adasyn")
-        _check_keys(adasyn_doc, {"k_neighbors", "balance"}, "baselines.adasyn")
-        adasyn_plan = ResamplePlan(
-            ADASYN,
-            k_neighbors=_as_int(adasyn_doc.get("k_neighbors", 5),
-                                "baselines.adasyn.k_neighbors", minimum=1),
-            balance=_as_float(adasyn_doc.get("balance", 1.0),
-                              "baselines.adasyn.balance"))
-    except ValueError as exc:
-        raise ConfigError(f"baselines: {exc}") from None
-
-    plans = {"rus": rus_plan, "ros": ResamplePlan(ROS),
-             "smote": smote_plan, "adasyn": adasyn_plan}
-    return plans, fraction
+def _parse_plans(d: dict) -> dict:
+    """The resampler plans of a checked `baselines` section."""
+    rus = _section(d.get("rus", {}), "baselines.rus")
+    method = rus.get("method", "equalize")
+    if method == "equalize":
+        rus_plan = ResamplePlan(RUS_EQUALIZE)
+    elif method == "fraction":
+        rus_plan = _build(ResamplePlan, "baselines.rus", RUS_FRACTION,
+                          fraction=rus.get("fraction", 0.25))
+    else:
+        raise ConfigError("baselines.rus.method must be 'equalize' or 'fraction'")
+    smote, adasyn = (_section(d.get(k, {}), f"baselines.{k}") for k in ("smote", "adasyn"))
+    return {"rus": rus_plan, "ros": ResamplePlan(ROS),
+            "smote": _build(ResamplePlan, "baselines.smote", SMOTE, **smote),
+            "adasyn": _build(ResamplePlan, "baselines.adasyn", ADASYN, **adasyn)}
 
 
 def parse_experiment_config(doc: dict, base_dir=".") -> ExperimentConfig:
-    d = _expect_mapping(doc, "config")
-    _check_keys(d, {"dataset", "network", "schedule", "noise", "diversify",
-                    "baselines", "repeats", "seed", "out_dir", "workers",
-                    "approaches"}, "config")
+    d = _section(doc, "config")
     for key in ("dataset", "network", "schedule", "diversify"):
         if key not in d:
             raise ConfigError(f"config is missing required section '{key}'")
-
-    net = _expect_mapping(d["network"], "network")
-    _check_keys(net, {"hidden"}, "network")
-    hidden = net.get("hidden")
-    if not isinstance(hidden, list) or not hidden:
-        raise ConfigError("network.hidden must be a non-empty list of layer widths")
-    hidden = tuple(_as_int(w, "network.hidden entry", minimum=1) for w in hidden)
-
-    plans, subsample_fraction = _parse_baselines(d.get("baselines"))
-
-    approaches = d.get("approaches")
-    if approaches is None:
-        approaches = APPROACH_ORDER
-    else:
-        if not isinstance(approaches, list) or not approaches:
-            raise ConfigError("approaches must be a non-empty list")
-        unknown = sorted(set(approaches) - set(APPROACH_ORDER))
-        if unknown:
-            raise ConfigError(f"unknown approach(es): {', '.join(unknown)}")
-        if "original" not in approaches:
-            raise ConfigError("approaches must include 'original'")
-        approaches = tuple(a for a in APPROACH_ORDER if a in approaches)
-
-    return ExperimentConfig(
+    baselines = _section(d.get("baselines") or {}, "baselines")
+    return _build(
+        ExperimentConfig, "config",
         dataset=_parse_dataset(d["dataset"], base_dir),
-        hidden=hidden,
-        schedule=_parse_schedule(d["schedule"]),
-        noise=_parse_noise(d.get("noise")),
+        hidden=_section(d["network"], "network").get("hidden", ()),
+        schedule=_build(TrainSchedule, "schedule",
+                        _section(d["schedule"], "schedule").get("phases", ())),
+        noise=_parse_noise(d.get("noise") or {}),
         diversify=_parse_diversify(d["diversify"]),
-        plans=plans,
-        subsample_fraction=subsample_fraction,
-        repeats=_as_int(d.get("repeats", 10), "repeats", minimum=1),
-        seed=_as_int(d.get("seed", 0), "seed", minimum=0),
-        out_dir=_as_str(d.get("out_dir", "results"), "out_dir"),
-        workers=_as_int(d.get("workers", 1), "workers", minimum=1),
-        approaches=approaches,
+        plans=_parse_plans(baselines),
+        subsample_fraction=baselines.get("subsample_fraction"),
         raw=d,
-    )
+        **{k: d[k] for k in ("repeats", "seed", "out_dir", "workers", "approaches")
+           if d.get(k) is not None})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -365,28 +284,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
-def _read_header(path) -> list[str]:
+def _load(path, schema: DatasetSchema) -> Dataset:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: file is empty")
-    return header
-
-
-def _load_one(path, label, feature_columns, mapping) -> Dataset:
-    if feature_columns is None:
-        header = _read_header(path)
-        if isinstance(label, int):
-            feature_columns = [i for i in range(len(header)) if i != label]
-        else:
-            feature_columns = [name for name in header if name != label]
-        if not feature_columns:
-            raise DataError(f"{path}: no feature columns besides the label")
-    try:
-        return load_csv(path, DatasetSchema(label, list(feature_columns), mapping))
+        return load_csv(path, schema)
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
 
@@ -395,9 +295,8 @@ def label_column_name(dcfg: DatasetConfig) -> str:
     """The label column's name: as configured, else "species" for the bundled
     iris and "label" otherwise. A label given by index has no name, so CSVs
     written from such a dataset use the default."""
-    if isinstance(dcfg.label_column, str):
-        return dcfg.label_column
-    return "species" if dcfg.builtin == "iris" else "label"
+    label = dcfg.schema.label_column
+    return label if isinstance(label, str) else _default_label(dcfg.builtin)
 
 
 def load_dataset_pair(dcfg: DatasetConfig, split_seed: int) -> tuple[Dataset, Dataset]:
@@ -406,18 +305,16 @@ def load_dataset_pair(dcfg: DatasetConfig, split_seed: int) -> tuple[Dataset, Da
     Single-source configs are split with a stratified shuffle; explicit
     pairs share one class-index mapping so labels agree across files.
     """
-    label = label_column_name(dcfg) if dcfg.label_column is None else dcfg.label_column
-    mapping = dict(dcfg.class_names) if dcfg.class_names else None
-
+    schema = dcfg.schema
     if dcfg.train_csv is not None:
-        train = _load_one(dcfg.train_csv, label, dcfg.feature_columns, mapping)
-        if mapping is None:
-            mapping = {name: i for i, name in enumerate(train.class_names)}
-        test = _load_one(dcfg.test_csv, label, dcfg.feature_columns, mapping)
+        train = _load(dcfg.train_csv, schema)
+        if schema.class_name_mapping is None:
+            schema = replace(schema, class_name_mapping={
+                name: i for i, name in enumerate(train.class_names)})
+        test = _load(dcfg.test_csv, schema)
     else:
         path = builtin_dataset_path(dcfg.builtin) if dcfg.builtin else dcfg.csv_path
-        full = _load_one(path, label, dcfg.feature_columns, mapping)
-        train, test = split_stratified(full, dcfg.train_fraction, split_seed)
+        train, test = split_stratified(_load(path, schema), dcfg.train_fraction, split_seed)
 
     if dcfg.normalize:
         scaler = MinMaxScaler.fit(train.features)

@@ -68,7 +68,7 @@ class TrainSchedule:
         phases = tuple((float(lr), int(ep)) for lr, ep in self.phases)
         object.__setattr__(self, "phases", phases)
         if not phases:
-            raise ValueError("schedule needs at least one phase")
+            raise ValueError("phases must be non-empty")
         for lr, ep in phases:
             if not (math.isfinite(lr) and lr > 0):
                 raise ValueError(f"learning rate must be positive and finite, got {lr}")

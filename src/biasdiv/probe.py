@@ -46,7 +46,7 @@ class NoiseSpec:
         levels = tuple(float(v) for v in self.levels)
         object.__setattr__(self, "levels", levels)
         if not levels:
-            raise ValueError("need at least one noise level")
+            raise ValueError("levels must be non-empty")
         if any(not 0.0 < v <= 1.0 for v in levels):
             raise ValueError("levels must lie in (0, 1]")
         if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -89,6 +89,32 @@ def test_top_k_above_feature_count_exits_2_before_any_leg_trains(tmp_path, capsy
     assert not (tmp_path / "results").exists()
 
 
+
+def run_iris_probe_with(tmp_path, dataset_keys):
+    doc = json.loads((REPO / "configs" / "iris.json").read_text(encoding="utf-8"))
+    doc["dataset"].update(dataset_keys)
+    path = tmp_path / "iris.json"
+    path.write_text(json.dumps(doc))
+    return main(["probe", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("mapping", [
+    {"setosa": 0, "versicolor": 0, "virginica": 1},   # duplicate index
+    {"setosa": 0, "versicolor": 1, "virginica": 3},   # gap
+])
+def test_bad_class_names_exits_2(tmp_path, capsys, mapping):
+    assert run_iris_probe_with(tmp_path, {"class_names": mapping}) == 2
+    assert capsys.readouterr().err.startswith("config error: dataset: class indices")
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_among_feature_columns_exits_2(tmp_path, capsys):
+    # the bundled iris's label column is "species"
+    assert run_iris_probe_with(tmp_path, {"feature_columns": ["species", "sepal_length"]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "label_column" in err
+    assert not (tmp_path / "out").exists()
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     path = write_config(tmp_path)
     (tmp_path / "blobs.csv").unlink()

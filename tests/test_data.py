@@ -150,6 +150,23 @@ def test_load_csv_mapped_class_absent(tmp_path):
         load_csv(p, schema)
 
 
+
+def test_load_csv_rejects_empty_label(tmp_path):
+    p = write(tmp_path, "f0,y\n1.0,x\n2.0,y\n3.0,\n4.0,x\n5.0,y\n6.0,\n")
+    with pytest.raises(LabelError, match="row 3, column 'y': empty class label"):
+        load_csv(p, DatasetSchema(label_column="y", feature_columns=["f0"]))
+
+
+def test_load_csv_default_features_are_the_other_columns(tmp_path):
+    p = write(tmp_path, "f0,y,f1\n1.0,A,2.0\n3.0,B,4.0\n")
+    for label in ("y", 1):
+        ds = load_csv(p, DatasetSchema(label_column=label))
+        assert ds.feature_names == ("f0", "f1")
+        assert ds.class_names == ("A", "B")
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(SchemaError, match="no feature columns"):
+        load_csv(write(tmp_path, "y\nA\n", name="only.csv"), DatasetSchema(label_column="y"))
+
 def test_load_csv_empty_and_ragged(tmp_path):
     with pytest.raises(DataError):
         load_csv(write(tmp_path, "", name="e.csv"),
