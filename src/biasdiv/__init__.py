@@ -22,8 +22,8 @@ from .errors import (BiasMetricError, BiasdivError, ConfigError, DataError,
 from .harness import (ExperimentConfig, ExperimentReport, emit_report,
                       load_experiment_config, parse_experiment_config,
                       reference_probe, run_experiment)
-from .mlp import (Mlp, MlpSpec, TrainSchedule, accuracy, init_mlp,
-                  input_gradient, predict, scale_schedule, train)
+from .mlp import (Mlp, MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule,
+                  train)
 from .numerics import (Interval, IntervalSet, kmeans, kmeans_1d, pearson_corr,
                        substream)
 from .probe import NoiseSpec, ProbeReport, compute_bias, noise_sweep
@@ -59,7 +59,6 @@ __all__ = [
     "dominant_clusters",
     "emit_report",
     "init_mlp",
-    "input_gradient",
     "kmeans",
     "kmeans_1d",
     "load_csv",
@@ -69,7 +68,6 @@ __all__ = [
     "noise_sweep",
     "parse_experiment_config",
     "pearson_corr",
-    "predict",
     "reference_probe",
     "resample",
     "ros",

@@ -131,28 +131,12 @@ def predict_batch(mlp: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(probs, axis=1), probs
 
 
-def predict(mlp: Mlp, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Class index (argmax, ties to the lowest index) and probability vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (mlp.spec.d,):
-        raise ValueError(f"expected input of length {mlp.spec.d}, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite entries")
-    classes, probs = predict_batch(mlp, x[None, :])
-    return int(classes[0]), probs[0]
-
-
 def _mean_nll(shifted: np.ndarray, sums: np.ndarray, pick) -> np.ndarray:
     """Mean cross-entropy from one forward pass's shifted logits and softmax
     denominators, per net; `pick` indexes each row's true-class logit:
     `(arange(n), y)` for one net, `(arange(R)[:, None], arange(n), y)` for
     a stack."""
     return -(shifted[pick] - np.log(sums)[..., 0]).mean(axis=-1)
-
-
-def cross_entropy_loss(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> float:
-    _, _, _, shifted, sums = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
-    return float(_mean_nll(shifted, sums, (np.arange(len(y)), y)))
 
 
 def _onehot(y: np.ndarray, L: int) -> np.ndarray:
@@ -183,17 +167,6 @@ def input_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, X)
     _, _, delta = _backward(mlp.weights, acts, zs, probs, _onehot(y, mlp.spec.L))
     return (delta @ mlp.weights[0]) * len(y)    # undo the batch-mean so each row stands alone
-
-
-def input_gradient(mlp: Mlp, x: np.ndarray, true_class: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (mlp.spec.d,):
-        raise ValueError(f"expected input of length {mlp.spec.d}, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite entries")
-    if not 0 <= true_class < mlp.spec.L:
-        raise ValueError(f"class index {true_class} out of range")
-    return input_gradients(mlp, x[None, :], np.array([true_class]))[0]
 
 
 def accuracy(mlp: Mlp, ds: Dataset) -> float:

@@ -29,12 +29,12 @@ from biasdiv.errors import InfeasibleError
 from biasdiv.harness import (ABLATION_APPROACHES, emit_report,
                              load_experiment_config, parse_experiment_config,
                              run_experiment)
-from biasdiv.mlp import (MlpSpec, cross_entropy_loss, init_mlp,
-                         input_gradient)
+from biasdiv.mlp import MlpSpec, init_mlp
 from biasdiv.numerics import (Interval, IntervalSet, interiors_disjoint,
                               kmeans, relax_interval, round_half_up,
                               substream)
 from biasdiv.probe import Counterexamples, ProbeReport, compute_bias
+from test_mlp import cross_entropy_loss, input_gradient
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"

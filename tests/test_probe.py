@@ -9,7 +9,7 @@ import pytest
 
 from biasdiv.data import Dataset, make_toy_blobs
 from biasdiv.errors import BiasMetricError, ProbeError
-from biasdiv.mlp import (Mlp, MlpSpec, TrainSchedule, init_mlp, input_gradients, predict,
+from biasdiv.mlp import (Mlp, MlpSpec, TrainSchedule, init_mlp, input_gradients,
                          predict_batch, train)
 from biasdiv.probe import (
     DEFAULT_LEVELS,
@@ -298,7 +298,7 @@ def test_sweep_counterexamples_replay_and_respect_bound():
     assert len(report.counterexamples), "expected some misclassified variants"
     for index, true, pred, level, noisy in cex_rows(report.counterexamples)[:200]:
         noisy = np.array(noisy)
-        cls, _ = predict(model, noisy)
+        cls = predict_batch(model, noisy[None, :])[0][0]
         assert cls == pred != true
         assert np.all(np.abs(noisy - ds.features[index]) <= level * scales + 1e-12)
     # no logged counterexample at or below the reported tolerance
