@@ -203,10 +203,9 @@ def without(path):
     return doc
 
 
-# (dotted key, bad value, fragment the message must contain)
+# (dotted key, bad value, fragment the message must contain); the cases of
+# tests/test_harness.py::test_parse_config_value_errors are not repeated
 BAD_VALUES = [
-    ("repeats", "ten", "repeats"),
-    ("repeats", 0, "repeats"),
     ("seed", 1.5, "seed"),
     ("seed", -1, "seed"),
     ("workers", True, "workers"),
@@ -215,7 +214,6 @@ BAD_VALUES = [
     ("approaches", [], "approaches"),
     ("network.hidden", [8, "wide"], "hidden"),
     ("network.hidden", [0], "hidden"),
-    ("network.hidden", [], "hidden"),
     ("schedule.phases", [], "phases"),
     ("schedule.phases", [[0.1, 2.5]], "phases"),
     ("schedule.phases", [[0.1, 5, 1]], "phases"),
@@ -224,7 +222,6 @@ BAD_VALUES = [
     ("noise.levels", ["x"], "levels"),
     ("noise.levels", [0.5, 0.1], "levels"),
     ("noise.samples_per_input", 0, "samples_per_input"),
-    ("noise.attack", "meteor", "attack"),
     ("noise.per_sample_scale", "yes", "per_sample_scale"),
     ("diversify", {"max_retries": 5}, "top_k"),
     ("diversify.top_k", 0, "top_k"),
@@ -234,7 +231,6 @@ BAD_VALUES = [
     ("diversify.max_retries", 0, "max_retries"),
     ("diversify.removal_fraction", 1.0, "removal_fraction"),
     ("diversify.corr_threshold", 0, "corr_threshold"),
-    ("diversify.mode", "sideways", "mode"),
     ("dataset.csv", 5, "csv"),
     ("dataset.train_fraction", 0, "train_fraction"),
     ("dataset.normalize", "yes", "normalize"),
