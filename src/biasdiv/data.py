@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +129,9 @@ def _resolve_column(col, header: list[str]) -> int:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a comma-separated, UTF-8, header-first CSV into a Dataset.
 
-    No row is marked synthetic, and an empty label cell is an error. Error
-    messages name the offending 1-based data row and column so bad cells
-    can be located directly.
+    No row is marked synthetic. A header that repeats a column name and an
+    empty label cell are errors. Error messages name the offending 1-based
+    data row and column so bad cells can be located directly.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -138,6 +139,9 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
+        repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise SchemaError(f"{path}: header repeats column name(s) {repeated}")
         label, columns = schema.label_column, schema.feature_columns
         if columns is None:
             columns = [c for c in (header if isinstance(label, str) else range(len(header)))

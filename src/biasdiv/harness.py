@@ -7,6 +7,12 @@ per candidate with a proportionally scaled epoch budget, and re-measures
 the score. Every repeat draws all of its randomness from sub-streams
 keyed by the repeat index, so repeats can run in parallel without
 changing the result and equal master seeds give bit-identical reports.
+
+Repeats run in contiguous chunks, one per worker process, and a chunk runs
+stage-major (`run_repeat`): the reference and resampler legs of every
+repeat in it are prepared, trained and probed, then the diversify legs.
+Legs of equal size train as one weight stack across repeats, each net
+with the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -377,57 +383,60 @@ class LegResult:
 
 
 def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
-                   test_ds: Dataset, repeat: int, attempt: int) -> dict:
-    """Train one net per leg in `fits` (approach -> fitted set), initialised
-    from the leg's init seed for this attempt; training itself draws no
-    random numbers. Legs with equally many rows under the same schedule
-    train as one weight stack, which gives each the bytes it would get
-    alone. Returns approach -> (model, report) or TrainingError.
+                   test_ds: Dataset, attempt: int) -> dict:
+    """Train one net per leg in `fits` ((repeat, approach) -> fitted set),
+    initialised from the leg's init seed for this attempt; training itself
+    draws no random numbers. Legs with equally many rows under the same
+    schedule train as one weight stack, whatever their repeat, which gives
+    each the bytes it would get alone. Returns (repeat, approach) ->
+    (model, report) or TrainingError.
     """
     groups = {}
-    for approach, fit_ds in fits.items():
-        groups.setdefault((fit_ds.n, schedules[approach]), []).append(approach)
+    for key, fit_ds in fits.items():
+        groups.setdefault((fit_ds.n, schedules[key]), []).append(key)
     results = {}
     for (_, schedule), members in groups.items():
-        nets = [init_mlp(MlpSpec((fits[a].d, *cfg.hidden, fits[a].L),
-                                 init_seed=derive_seed(cfg.seed, "rep", repeat, a,
+        nets = [init_mlp(MlpSpec((fits[repeat, approach].d, *cfg.hidden,
+                                  fits[repeat, approach].L),
+                                 init_seed=derive_seed(cfg.seed, "rep", repeat, approach,
                                                        "init", attempt)))
-                for a in members]
+                for repeat, approach in members]
         if len(members) == 1:
-            (approach,) = members
+            (key,) = members
             try:
-                results[approach] = train(nets[0], fits[approach], schedule, test_ds=test_ds)
+                results[key] = train(nets[0], fits[key], schedule, test_ds=test_ds)
             except TrainingError as exc:
-                results[approach] = exc
+                results[key] = exc
         else:
             results.update(zip(members, train_stack(
-                nets, [fits[a] for a in members], schedule, test_ds)))
+                nets, [fits[key] for key in members], schedule, test_ds)))
     return results
 
 
 def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
-                 test_ds: Dataset, repeat: int) -> dict:
-    """Train every leg in `fits` (approach -> fitted set) with its epoch
-    budget rescaled to the set's size (which leaves `original` unchanged);
-    a leg that fails the accuracy gate or diverges is re-seeded exactly
-    once, and the re-seeded legs train as a second, smaller stack.
+                 test_ds: Dataset) -> dict:
+    """Train every leg in `fits` ((repeat, approach) -> fitted set) with its
+    epoch budget rescaled to the set's size (which leaves `original`
+    unchanged); a leg that fails the accuracy gate or diverges is re-seeded
+    exactly once, and the re-seeded legs train as a second round of stacks.
 
     The gate judges the net on the original train split, not on whatever
     augmented set it was fitted to: synthetic rows are deliberately noisy
     and need not be memorized, the real data must still be classified.
-    Returns approach -> (model, report, gate accuracy, flagged, reseeded),
-    or the TrainingError of the last attempt when no attempt trained.
+    Returns (repeat, approach) -> (model, report, gate accuracy, flagged,
+    reseeded), or the TrainingError of the last attempt when no attempt
+    trained.
     """
-    schedules = {a: scale_schedule(cfg.schedule, gate_ds.n, ds.n) for a, ds in fits.items()}
+    schedules = {key: scale_schedule(cfg.schedule, gate_ds.n, ds.n) for key, ds in fits.items()}
     outcomes, fallbacks, pending = {}, {}, dict(fits)
     for attempt in range(2):
-        results = _train_attempt(cfg, pending, schedules, test_ds, repeat, attempt)
+        results = _train_attempt(cfg, pending, schedules, test_ds, attempt)
         retry = {}
-        for approach, fit_ds in pending.items():
-            result = results[approach]
+        for key, fit_ds in pending.items():
+            result = results[key]
             if isinstance(result, TrainingError):
-                outcomes[approach] = result
-                retry[approach] = fit_ds
+                outcomes[key] = result
+                retry[key] = fit_ds
                 continue
             model, rep = result
             if gate_ds is fit_ds:
@@ -435,14 +444,14 @@ def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
             else:
                 train_acc = accuracy(model, gate_ds)
             if train_acc > ACCURACY_GATE and rep.test_accuracy > ACCURACY_GATE:
-                outcomes[approach] = (model, rep, train_acc, False, attempt > 0)
+                outcomes[key] = (model, rep, train_acc, False, attempt > 0)
             else:
-                fallbacks[approach] = (model, rep, train_acc)
-                retry[approach] = fit_ds
+                fallbacks[key] = (model, rep, train_acc)
+                retry[key] = fit_ds
         pending = retry
-    for approach in pending:
-        if approach in fallbacks:
-            outcomes[approach] = (*fallbacks[approach], True, True)
+    for key in pending:
+        if key in fallbacks:
+            outcomes[key] = (*fallbacks[key], True, True)
     return outcomes
 
 
@@ -505,44 +514,50 @@ def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: in
 
 
 def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-              approaches, repeat: int, reference=None) -> list:
-    """Some approaches of one repeat, stage by stage: prepare every training
-    set, train them through the accuracy gate (see `_train_gated`), then
-    probe every trained net.
+              legs, references=None) -> list:
+    """Some legs, given as (repeat, approach) pairs, stage by stage: prepare
+    every training set, train them through the accuracy gate (see
+    `_train_gated`), then probe every trained net. A diversify leg reads its
+    repeat's reference probe from `references` (repeat -> probe).
 
-    Every leg is probed with the repeat's noise sub-stream and with feature
+    Every leg is probed with its repeat's noise sub-stream and with feature
     scales taken from the original training set, so scores differ only
-    through the nets and the data they were trained on. Returns, per
-    approach in the given order, (leg, trained net, training report, probe),
-    or the error that made the leg infeasible (see `_leg_of`).
+    through the nets and the data they were trained on. Returns, per leg in
+    the given order, (leg, trained net, training report, probe), the probe
+    kept for `original` legs only, or the error that made the leg
+    infeasible (see `_leg_of`).
     """
     runs, fits, notes = {}, {}, {}
-    for approach in approaches:
+    for key in legs:
+        repeat, approach = key
         try:
-            fits[approach], notes[approach] = _leg_set(cfg, train_ds, approach, repeat,
-                                                       reference)
+            fits[key], notes[key] = _leg_set(cfg, train_ds, approach, repeat,
+                                             (references or {}).get(repeat))
         except LEG_ERRORS as exc:
-            runs[approach] = exc
-    trained = _train_gated(cfg, fits, train_ds, test_ds, repeat)
+            runs[key] = exc
+    trained = _train_gated(cfg, fits, train_ds, test_ds)
     scales = feature_scales(train_ds.features)
-    for approach in fits:
-        result = trained[approach]
+    for key in fits:
+        repeat, approach = key
+        result = trained[key]
         if isinstance(result, TrainingError):
-            runs[approach] = result
+            runs[key] = result
             continue
         model, rep, acc, flagged, reseeded = result
         try:
             probe = noise_sweep(model, test_ds, cfg.noise,
                                 derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
         except LEG_ERRORS as exc:
-            runs[approach] = exc
+            runs[key] = exc
             continue
         leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
                         delta_x_max=probe.delta_x_max, train_accuracy=acc,
-                        test_accuracy=rep.test_accuracy, n_train=fits[approach].n,
-                        accuracy_flag=flagged, reseeded=reseeded, note=notes[approach])
-        runs[approach] = (leg, model, rep, probe)
-    return [runs[approach] for approach in approaches]
+                        test_accuracy=rep.test_accuracy, n_train=fits[key].n,
+                        accuracy_flag=flagged, reseeded=reseeded, note=notes[key])
+        # only a reference probe is read after this round; dropping the others
+        # keeps a chunk from holding every leg's counterexamples at once
+        runs[key] = (leg, model, rep, probe if approach == "original" else None)
+    return [runs[key] for key in legs]
 
 
 def _leg_of(run, approach: str, repeat: int) -> LegResult:
@@ -556,7 +571,7 @@ def _leg_of(run, approach: str, repeat: int) -> LegResult:
 def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
                     repeat: int = 0):
     """Train the reference network for one repeat and probe it."""
-    run, = _run_legs(cfg, train_ds, test_ds, ["original"], repeat)
+    run, = _run_legs(cfg, train_ds, test_ds, [(repeat, "original")])
     if isinstance(run, LEG_ERRORS):
         raise run
     leg, model, rep, probe = run
@@ -564,35 +579,56 @@ def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
 
 
 def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-               repeat: int) -> list[LegResult]:
-    """Measure every configured approach once.
+               repeats) -> list[LegResult]:
+    """Measure every configured approach once in each of `repeats` (a
+    chunk of repeat indices), stage-major across the chunk.
 
     `cfg.approaches` starts with `original` (the config parser requires it
-    and keeps `APPROACH_ORDER`), so the reference leg and the resampler
-    legs run first, and the diversify legs then run against the reference
-    probe. A leg whose method cannot run (resampler infeasibility,
-    divergence, no correctly classified input, or a class with no correct
-    variants) is recorded as infeasible with the reason rather than
-    dropped. When the reference leg is infeasible, the diversify legs that
-    need its probe are too; the resampler legs do not read it and run as
-    usual.
+    and keeps `APPROACH_ORDER`), so the first round runs the reference and
+    resampler legs of every repeat in the chunk, and the second round the
+    diversify legs, each against its own repeat's reference probe. Within a
+    round, same-size legs of different repeats train as one stack (see
+    `_train_attempt`); each leg draws only from sub-streams keyed by its
+    repeat, so a repeat's legs are the same bytes in any chunk. A leg whose
+    method cannot run (resampler infeasibility, divergence, no correctly
+    classified input, or a class with no correct variants) is recorded as
+    infeasible with the reason rather than dropped. When a repeat's
+    reference leg is infeasible, that repeat's diversify legs, which need
+    its probe, are too; its resampler legs do not read it and run as usual.
+    Returns the legs repeat by repeat, in approach order within a repeat.
     """
+    repeats = list(repeats)
     first = [a for a in cfg.approaches if a in ("original", *BASELINE_APPROACHES)]
     rest = [a for a in cfg.approaches if a not in first]
-    runs = _run_legs(cfg, train_ds, test_ds, first, repeat)
-    legs = [_leg_of(run, a, repeat) for a, run in zip(first, runs)]
-    if isinstance(runs[0], LEG_ERRORS):
-        return legs + [_infeasible_leg(a, repeat, f"reference leg infeasible: {legs[0].note}")
-                       for a in rest]
-    runs = _run_legs(cfg, train_ds, test_ds, rest, repeat, reference=runs[0][3])
-    return legs + [_leg_of(run, a, repeat) for a, run in zip(rest, runs)]
+    keys = [(r, a) for r in repeats for a in first]
+    runs = dict(zip(keys, _run_legs(cfg, train_ds, test_ds, keys)))
+    references = {r: runs[r, "original"][3] for r in repeats
+                  if not isinstance(runs[r, "original"], LEG_ERRORS)}
+    keys = [(r, a) for r in references for a in rest]
+    runs.update(zip(keys, _run_legs(cfg, train_ds, test_ds, keys, references)))
+    legs = []
+    for r in repeats:
+        reference = _leg_of(runs[r, "original"], "original", r)
+        legs += [_leg_of(runs[r, a], a, r) if (r, a) in runs else
+                 _infeasible_leg(a, r, f"reference leg infeasible: {reference.note}")
+                 for a in cfg.approaches]
+    return legs
 
 
-def _repeat_worker(args):
-    cfg, train_ds, test_ds, repeat = args
+def _chunks(repeats: int, workers: int) -> list:
+    """`range(repeats)` cut into one contiguous chunk per worker, at most
+    `repeats` chunks, their sizes differing by at most one."""
+    count = min(workers, repeats)
+    bounds = [repeats * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _chunk_worker(args):
+    """A chunk's legs, and its wall time shared evenly among its repeats."""
+    cfg, train_ds, test_ds, repeats = args
     started = time.perf_counter()
-    legs = run_repeat(cfg, train_ds, test_ds, repeat)
-    return legs, time.perf_counter() - started
+    legs = run_repeat(cfg, train_ds, test_ds, repeats)
+    return legs, [(time.perf_counter() - started) / len(repeats)] * len(repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +684,22 @@ def aggregate_legs(legs, approaches, repeats) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Every repeat of the experiment. Each worker runs one contiguous chunk
+    of repeats (all of them at `workers=1`) through `run_repeat`, and the
+    chunks' legs are joined in repeat order."""
     started = time.perf_counter()
     train_ds, test_ds = load_split(cfg)
-    tasks = [(cfg, train_ds, test_ds, r) for r in range(cfg.repeats)]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_repeat_worker, tasks))
+    tasks = [(cfg, train_ds, test_ds, chunk) for chunk in _chunks(cfg.repeats, cfg.workers)]
+    if len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            outcomes = list(pool.map(_chunk_worker, tasks))
     else:
-        outcomes = [_repeat_worker(task) for task in tasks]
+        outcomes = [_chunk_worker(task) for task in tasks]
 
     legs = tuple(leg for result, _ in outcomes for leg in result)
     aggregates = aggregate_legs(legs, cfg.approaches, cfg.repeats)
     durations = {"total_seconds": time.perf_counter() - started,
-                 "per_repeat_seconds": [elapsed for _, elapsed in outcomes]}
+                 "per_repeat_seconds": [s for _, seconds in outcomes for s in seconds]}
     return ExperimentReport(
         approaches=cfg.approaches,
         repeats=cfg.repeats,

@@ -96,47 +96,75 @@ def init_mlp(spec: MlpSpec) -> Mlp:
     return Mlp(spec, weights, biases)
 
 
-def _forward(weights, biases, X: np.ndarray):
-    """Returns (activations, pre_activations, probabilities, shifted logits,
-    softmax denominators); the last two give the loss without a second pass.
+class _Pass:
+    """One forward and backward pass over fixed inputs, with every
+    intermediate allocated once and written with `out=`, so a pass can run
+    every epoch without allocating.
 
     Rank-polymorphic: one net's (out, in) weights with (n, d) inputs, or a
     stack of nets with a leading axis on every array, slice r computed by
-    the same operations as net r alone. Each bias broadcasts against its
-    layer's (..., n, out) output: (out,) for one net, (R, 1, out) for a
-    stack.
+    the same operations, on the same matmul shapes, as net r alone. The
+    weights and biases are read through views, so updating them in place
+    shows in the next pass; each bias broadcasts against its layer's
+    (..., n, out) output as (..., 1, out).
     """
-    acts = [X]
-    zs = []
-    a = X
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.swapaxes(-1, -2) + b
-        zs.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
-        acts.append(a)
-    logits = zs[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    sums = expz.sum(axis=-1, keepdims=True)
-    probs = expz / sums
-    return acts, zs, probs, shifted, sums
+
+    def __init__(self, weights, biases, X: np.ndarray, backward: bool = False):
+        rows = X.shape[:-1]
+        self.weights = weights
+        self.weights_t = [w.swapaxes(-1, -2) for w in weights]
+        self.bias_rows = [b[..., None, :] for b in biases]
+        self.zs = [np.empty((*rows, w.shape[-2])) for w in weights]   # pre-activations
+        self.acts = [X] + [np.empty_like(z) for z in self.zs[:-1]]    # each layer's input
+        self.shifted = np.empty_like(self.zs[-1])     # logits minus each row's max
+        self.probs = np.empty_like(self.zs[-1])
+        self.top = np.empty((*rows, 1))
+        self.sums = np.empty((*rows, 1))              # softmax denominators
+        if backward:
+            self.deltas = [np.empty_like(z) for z in self.zs]
+            self.active = [np.empty(z.shape, dtype=bool) for z in self.zs[:-1]]
+
+    def forward(self) -> np.ndarray:
+        """The probabilities; `shifted` and `sums` then give the loss
+        without a second pass."""
+        last = len(self.zs) - 1
+        for l, z in enumerate(self.zs):
+            np.matmul(self.acts[l], self.weights_t[l], out=z)
+            np.add(z, self.bias_rows[l], out=z)
+            if l < last:
+                np.maximum(z, 0.0, out=self.acts[l + 1])
+        logits = self.zs[-1]
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=self.top)
+        np.subtract(logits, self.top, out=self.shifted)
+        np.exp(self.shifted, out=self.probs)
+        np.add.reduce(self.probs, axis=-1, keepdims=True, out=self.sums)
+        return np.divide(self.probs, self.sums, out=self.probs)
+
+    def backward(self, onehot: np.ndarray, dws=None, dbs=None) -> np.ndarray:
+        """Mean cross-entropy gradients of the last forward pass, written
+        into `dws` and `dbs` when given; returns the gradient with respect
+        to the first layer's pre-activations."""
+        delta = self.deltas[-1]
+        np.subtract(self.probs, onehot, out=delta)
+        np.divide(delta, onehot.shape[-2], out=delta)
+        for l in range(len(self.zs) - 1, -1, -1):
+            if dws is not None:
+                np.matmul(delta.swapaxes(-1, -2), self.acts[l], out=dws[l])
+                np.add.reduce(delta, axis=-2, out=dbs[l])
+            if l > 0:
+                below = self.deltas[l - 1]
+                np.matmul(delta, self.weights[l], out=below)
+                np.greater(self.zs[l - 1], 0.0, out=self.active[l - 1])
+                delta = np.multiply(below, self.active[l - 1], out=below)
+        return delta
 
 
 def predict_batch(mlp: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mlp.spec.d:
         raise ValueError(f"expected (n, {mlp.spec.d}) inputs, got {X.shape}")
-    probs = _forward(mlp.weights, mlp.biases, X)[2]
+    probs = _Pass(mlp.weights, mlp.biases, X).forward()
     return np.argmax(probs, axis=1), probs
-
-
-def _mean_nll(shifted: np.ndarray, sums: np.ndarray, pick) -> np.ndarray:
-    """Mean cross-entropy from one forward pass's shifted logits and softmax
-    denominators, per net; `pick` indexes each row's true-class logit:
-    `(arange(n), y)` for one net, `(arange(R)[:, None], arange(n), y)` for
-    a stack."""
-    return -(shifted[pick] - np.log(sums)[..., 0]).mean(axis=-1)
 
 
 def _onehot(y: np.ndarray, L: int) -> np.ndarray:
@@ -146,26 +174,13 @@ def _onehot(y: np.ndarray, L: int) -> np.ndarray:
     return onehot
 
 
-def _backward(weights, acts, zs, probs, onehot: np.ndarray):
-    """Mean cross-entropy gradients for every parameter, and the gradient
-    with respect to the first layer's pre-activations; rank-polymorphic
-    like `_forward`."""
-    delta = (probs - onehot) / onehot.shape[-2]
-    dws, dbs = [None] * len(weights), [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        dws[l] = delta.swapaxes(-1, -2) @ acts[l]
-        dbs[l] = delta.sum(axis=-2)
-        if l > 0:
-            delta = (delta @ weights[l]) * (zs[l - 1] > 0)
-    return dws, dbs, delta
-
-
 def input_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row gradient of that row's own cross-entropy loss w.r.t. the input."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, X)
-    _, _, delta = _backward(mlp.weights, acts, zs, probs, _onehot(y, mlp.spec.L))
+    p = _Pass(mlp.weights, mlp.biases, X, backward=True)
+    p.forward()
+    delta = p.backward(_onehot(y, mlp.spec.L))
     return (delta @ mlp.weights[0]) * len(y)    # undo the batch-mean so each row stands alone
 
 
@@ -181,10 +196,25 @@ def _check_shapes(mlp: Mlp, train_ds: Dataset) -> None:
             f"match spec {mlp.spec.layer_sizes}")
 
 
-def _descend(weights, biases, X, onehot, pick, schedule: TrainSchedule):
+def _views(flat: np.ndarray, arrays) -> list:
+    """Consecutive views into `flat`, one with each array's shape."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
+def _descend(weights, biases, X, y, schedule: TrainSchedule):
     """The epoch loop of `train` and `train_stack`: updates `weights` and
-    `biases` in place, for one net or a stack of nets (see `_forward`;
-    biases here are (out,) or (R, out)).
+    `biases` in place, for one net or a stack of nets (see `_Pass`; `y` is
+    (n,) or (R, n), biases (out,) or (R, out)).
+
+    A buffered kernel: the parameters are views into one flat array with a
+    matching flat gradient array, so an epoch's update is two ufunc calls,
+    and every intermediate of the epoch, the loss included, is written into
+    a buffer allocated once per call. The arithmetic, and each slice's
+    matmul shapes, are those of one net trained alone.
 
     Returns the losses, shape (epochs,) or (epochs, R); the probabilities
     of the last forward pass; and per net the 1-based epoch at which its
@@ -193,24 +223,46 @@ def _descend(weights, biases, X, onehot, pick, schedule: TrainSchedule):
     the losses at the end of each phase, not every epoch, and the descent
     stops there once every net has diverged.
     """
-    bias_rows = [b[..., None, :] for b in biases]   # views: updates show through
-    losses = []
+    arrays = [*weights, *biases]
+    params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.empty_like(params)
+    views, grad_views = _views(params, arrays), _views(grads, arrays)
+    k = len(weights)
+    p = _Pass(views[:k], views[k:], X, backward=True)
+    onehot = _onehot(y, weights[-1].shape[-2])
+    n = y.shape[-1]
+    # flat index of each row's true-class logit in `p.shifted`
+    true_logit = np.arange(y.size).reshape(y.shape) * onehot.shape[-1] + y
+    flat_shifted = p.shifted.reshape(-1)
+    picked, log_sums = np.empty(y.shape), np.empty_like(p.sums)
+    losses = np.empty((sum(epochs for _, epochs in schedule.phases), *y.shape[:-1]))
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        acts, zs, probs, _, _ = _forward(weights, bias_rows, X)
+        p.forward()
         for lr, epochs in schedule.phases:
             for _ in range(epochs):
-                dws, dbs, _ = _backward(weights, acts, zs, probs, onehot)
-                for l in range(len(weights)):
-                    weights[l] -= lr * dws[l]
-                    biases[l] -= lr * dbs[l]
-                acts, zs, probs, shifted, sums = _forward(weights, bias_rows, X)
-                losses.append(_mean_nll(shifted, sums, pick))
-            if not np.isfinite(losses).all(axis=0).any():
+                p.backward(onehot, grad_views[:k], grad_views[k:])
+                np.multiply(grads, lr, out=grads)
+                np.subtract(params, grads, out=params)
+                p.forward()
+                # mean cross-entropy from the pass's shifted logits and denominators
+                # mode="clip" spares the copy numpy makes of `out` under "raise"
+                np.take(flat_shifted, true_logit, out=picked, mode="clip")
+                np.log(p.sums, out=log_sums)
+                np.subtract(picked, log_sums[..., 0], out=picked)
+                loss = losses[done, ...]
+                np.add.reduce(picked, axis=-1, out=loss)
+                np.divide(loss, n, out=loss)
+                np.negative(loss, out=loss)
+                done += 1
+            if not np.isfinite(losses[:done]).all(axis=0).any():
                 break
-    losses = np.array(losses)
+    losses = losses[:done]
+    for a, view in zip(arrays, views):
+        a[...] = view
     bad = ~np.isfinite(losses)
     diverged = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
-    return losses, probs, diverged
+    return losses, p.probs, diverged
 
 
 def _diverged(epoch) -> TrainingError:
@@ -238,8 +290,7 @@ def train(mlp: Mlp, train_ds: Dataset, schedule: TrainSchedule,
     _check_shapes(mlp, train_ds)
     model = Mlp(mlp.spec, [w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases])
     y = train_ds.labels
-    losses, probs, diverged = _descend(model.weights, model.biases, train_ds.features,
-                                       _onehot(y, mlp.spec.L), (np.arange(len(y)), y),
+    losses, probs, diverged = _descend(model.weights, model.biases, train_ds.features, y,
                                        schedule)
     if diverged:
         raise _diverged(int(diverged))
@@ -272,9 +323,7 @@ def train_stack(mlps, datasets, schedule: TrainSchedule,
     biases = [np.stack(bs) for bs in zip(*(m.biases for m in mlps))]
     X = np.stack([ds.features for ds in datasets])
     y = np.stack([ds.labels for ds in datasets])
-    pick = (np.arange(len(mlps))[:, None], np.arange(y.shape[1]), y)
-    losses, probs, diverged = _descend(weights, biases, X, _onehot(y, mlps[0].spec.L),
-                                       pick, schedule)
+    losses, probs, diverged = _descend(weights, biases, X, y, schedule)
     correct = np.argmax(probs, axis=-1) == y
     results = []
     for r, mlp in enumerate(mlps):

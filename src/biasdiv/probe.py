@@ -281,16 +281,18 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
 
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
-    """One row per counterexample. The noisy inputs go to `csv.writer` as
-    Python floats, which it writes as their `repr`."""
+    """One row per counterexample, in the bytes `csv.writer` would write:
+    the header goes through `csv` so feature names keep their quoting, and
+    each row is joined by hand, since integers, level texts and float
+    `repr`s never need quoting. Rows are converted to Python floats one at
+    a time, so no list of every value is held at once."""
     cex = report.counterexamples
     level_text = {level: format_level(level) for level in set(cex.level.tolist())}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["input_index", "true_class", "predicted_class", "level"]
-                        + list(feature_names))
-        writer.writerows(
-            [index, true, pred, level_text[level]] + noisy.tolist()
+        csv.writer(fh).writerow(["input_index", "true_class", "predicted_class", "level"]
+                                + list(feature_names))
+        fh.writelines(
+            f"{index},{true},{pred},{level_text[level]},{','.join(map(repr, noisy.tolist()))}\r\n"
             for index, true, pred, level, noisy in zip(
                 cex.input_index.tolist(), cex.true_class.tolist(),
                 cex.predicted_class.tolist(), cex.level.tolist(), cex.noisy_inputs))

@@ -167,6 +167,15 @@ def test_load_csv_default_features_are_the_other_columns(tmp_path):
     with pytest.raises(SchemaError, match="no feature columns"):
         load_csv(write(tmp_path, "y\nA\n", name="only.csv"), DatasetSchema(label_column="y"))
 
+
+def test_load_csv_rejects_repeated_header_name(tmp_path):
+    p = write(tmp_path, "a,a,label\n1,2,x\n3,4,y\n")
+    for schema in (DatasetSchema("label"), DatasetSchema("label", ["a"]),
+                   DatasetSchema(2, [0, 1])):
+        with pytest.raises(SchemaError, match=r"repeats column name\(s\) \['a'\]"):
+            load_csv(p, schema)
+
+
 def test_load_csv_empty_and_ragged(tmp_path):
     with pytest.raises(DataError):
         load_csv(write(tmp_path, "", name="e.csv"),

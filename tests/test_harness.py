@@ -274,7 +274,7 @@ def test_run_repeat_order_and_annotations(separated_cfg):
     from biasdiv.diversify import derive_seed
     train, test = load_dataset_pair(separated_cfg.dataset,
                                     derive_seed(separated_cfg.seed, "split"))
-    legs = run_repeat(separated_cfg, train, test, repeat=0)
+    legs = run_repeat(separated_cfg, train, test, [0])
     assert [leg.approach for leg in legs] == list(separated_cfg.approaches)
     by = {leg.approach: leg for leg in legs}
     assert not by["original"].infeasible
@@ -314,6 +314,45 @@ def test_parallel_matches_sequential(separated_cfg, separated_report):
     assert report_to_json(parallel) == report_to_json(separated_report)
 
 
+def _report_bytes(report, out):
+    paths = emit_report(report, out)
+    return {key: paths[key].read_bytes()
+            for key in ("report_csv", "runs_csv", "report_json", "boxplot_svg")}
+
+
+@pytest.mark.parametrize("case", ["default", "gate_fails"])
+def test_chunks_write_the_bytes_of_single_repeats(separated_cfg, monkeypatch, tmp_path, case):
+    """One chunk of three repeats (workers=1) and chunks [0] and [1, 2]
+    (workers=2) write the bytes of three one-repeat `run_repeat` calls."""
+    cfg = replace(separated_cfg, repeats=3)
+    if case == "gate_fails":   # every leg re-seeds, in a cross-repeat stack
+        monkeypatch.setattr(harness, "ACCURACY_GATE", 1.0)
+    assert harness._chunks(3, 2) == [range(0, 1), range(1, 3)]
+    real_sweep, probed = harness.noise_sweep, []
+
+    def sweep_spy(model, test_ds, noise, seed, scales):   # b_r is 0 here: compare the nets
+        probed.append((seed, b"".join(p.tobytes() for p in model.weights + model.biases)))
+        return real_sweep(model, test_ds, noise, seed, scales)
+
+    monkeypatch.setattr(harness, "noise_sweep", sweep_spy)
+    sequential = run_experiment(cfg)
+    chunk_nets = sorted(probed)
+    probed.clear()
+    train, test = harness.load_split(cfg)
+    legs = tuple(leg for r in range(3) for leg in run_repeat(cfg, train, test, [r]))
+    assert sorted(probed) == chunk_nets
+    parallel = run_experiment(replace(cfg, workers=2))
+    single = replace(sequential, legs=legs, canonical_b_r=legs[0].b_r,
+                     aggregates=aggregate_legs(legs, cfg.approaches, 3))
+    want = _report_bytes(single, tmp_path / "single")
+    assert _report_bytes(sequential, tmp_path / "sequential") == want
+    assert _report_bytes(parallel, tmp_path / "parallel") == want
+    for report in (sequential, parallel):
+        assert len(report.durations["per_repeat_seconds"]) == 3
+    trained = [leg for leg in legs if not leg.infeasible]
+    assert trained and all(leg.reseeded for leg in trained) == (case == "gate_fails")
+
+
 def test_reference_probe_matches_repeat_zero(separated_cfg, separated_report):
     from biasdiv.diversify import derive_seed
     train, test = load_dataset_pair(separated_cfg.dataset,
@@ -333,7 +372,7 @@ def test_probe_error_marks_only_its_leg_infeasible(separated_cfg, monkeypatch):
         return real_sweep(*args)
 
     monkeypatch.setattr(harness, "noise_sweep", sweep)
-    by = {leg.approach: leg for leg in run_repeat(separated_cfg, train, test, repeat=0)}
+    by = {leg.approach: leg for leg in run_repeat(separated_cfg, train, test, [0])}
     assert by["rus"].infeasible and by["rus"].b_r is None
     assert by["rus"].note == "no correctly classified inputs to probe"
     for approach in ("original", "ros", "diversified", "synth_only", "delete_only"):
@@ -463,11 +502,11 @@ def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
         return real_accuracy(model, ds)
 
     monkeypatch.setattr(harness, "accuracy", counting_accuracy)
-    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, ["original"], 0)
+    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, [(0, "original")])
     assert scored == []
     assert leg.train_accuracy == rep.train_accuracy == real_accuracy(model, train)
 
-    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, ["ros"], 0)
+    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, [(0, "ros")])
     assert scored == [train]
     assert leg.train_accuracy == real_accuracy(model, train)
 
@@ -478,7 +517,8 @@ def single_approach_legs(cfg, train, test, repeat):
     legs, reference = [], None
     for approach in cfg.approaches:
         if approach in ("original", *BASELINE_APPROACHES) or reference is not None:
-            run, = harness._run_legs(cfg, train, test, [approach], repeat, reference)
+            run, = harness._run_legs(cfg, train, test, [(repeat, approach)],
+                                     {repeat: reference})
             leg = harness._leg_of(run, approach, repeat)
         else:
             leg = harness._infeasible_leg(approach, repeat,
@@ -513,7 +553,7 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
     legs = []
     for repeat in range(2):
         probed.clear()
-        legs += run_repeat(cfg, train, test, repeat)
+        legs += run_repeat(cfg, train, test, [repeat])
         stacked, nets = len(stacks), probed[:]
         probed.clear()
         assert legs[-len(cfg.approaches):] == single_approach_legs(cfg, train, test, repeat)

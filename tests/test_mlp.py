@@ -18,8 +18,67 @@ from biasdiv.mlp import (
     train,
     train_stack,
 )
-from biasdiv.mlp import _backward, _forward, _mean_nll, _onehot
+from biasdiv.mlp import _onehot
 from biasdiv.numerics import substream
+
+
+# Reference arithmetic: forward and backward passes that allocate every
+# intermediate, for one net or a stack with a leading axis on every array.
+# The package's buffered kernel must match them bit for bit.
+
+def reference_forward(weights, biases, X):
+    """(activations, pre-activations, probabilities, shifted logits,
+    softmax denominators); biases broadcast as (out,) or (R, 1, out)."""
+    acts, zs, a = [X], [], X
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.swapaxes(-1, -2) + b
+        zs.append(z)
+        a = z if l == last else np.maximum(z, 0.0)
+        acts.append(a)
+    logits = zs[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    sums = expz.sum(axis=-1, keepdims=True)
+    return acts, zs, expz / sums, shifted, sums
+
+
+def reference_backward(weights, acts, zs, probs, onehot):
+    """Mean cross-entropy gradients of every weight and bias."""
+    delta = (probs - onehot) / onehot.shape[-2]
+    dws, dbs = [None] * len(weights), [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        dws[l] = delta.swapaxes(-1, -2) @ acts[l]
+        dbs[l] = delta.sum(axis=-2)
+        if l > 0:
+            delta = (delta @ weights[l]) * (zs[l - 1] > 0)
+    return dws, dbs
+
+
+def reference_mean_nll(shifted, sums, y):
+    """Mean cross-entropy per net from one forward pass."""
+    picked = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
+    return -(picked - np.log(sums)[..., 0]).mean(axis=-1)
+
+
+def reference_descend(weights, biases, X, y, schedule):
+    """Full-batch descent one allocating step at a time: the final weights
+    and biases, and the loss of every epoch, shape (epochs,) or (epochs, R)."""
+    weights, biases = [w.copy() for w in weights], [b.copy() for b in biases]
+    bias_rows = [b[..., None, :] for b in biases]
+    onehot = _onehot(y, weights[-1].shape[-2])
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts, zs, probs, _, _ = reference_forward(weights, bias_rows, X)
+        for lr, epochs in schedule.phases:
+            for _ in range(epochs):
+                dws, dbs = reference_backward(weights, acts, zs, probs, onehot)
+                for l in range(len(weights)):
+                    weights[l] -= lr * dws[l]
+                    biases[l] -= lr * dbs[l]
+                acts, zs, probs, shifted, sums = reference_forward(weights, bias_rows, X)
+                losses.append(reference_mean_nll(shifted, sums, y))
+    return weights, biases, np.array(losses)
 
 
 # Reference helpers: one input at a time, and the loss alone. The package
@@ -40,8 +99,9 @@ def input_gradient(mlp, x, true_class):
 
 def cross_entropy_loss(mlp, X, y):
     """Mean cross-entropy of a batch, from one forward pass."""
-    _, _, _, shifted, sums = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
-    return float(_mean_nll(shifted, sums, (np.arange(len(y)), y)))
+    _, _, _, shifted, sums = reference_forward(mlp.weights, mlp.biases,
+                                               np.asarray(X, dtype=float))
+    return float(reference_mean_nll(shifted, sums, np.asarray(y, dtype=int)))
 
 
 def zero_net(sizes):
@@ -174,10 +234,10 @@ def test_input_gradient_matches_finite_differences():
 
 def parameter_gradients(mlp, X, y):
     """Reference: mean cross-entropy gradients of every weight and bias."""
-    acts, zs, probs, _, _ = _forward(mlp.weights, mlp.biases, np.asarray(X, dtype=float))
-    dws, dbs, _ = _backward(mlp.weights, acts, zs, probs,
-                            _onehot(np.asarray(y, dtype=int), mlp.spec.L))
-    return dws, dbs
+    acts, zs, probs, _, _ = reference_forward(mlp.weights, mlp.biases,
+                                              np.asarray(X, dtype=float))
+    return reference_backward(mlp.weights, acts, zs, probs,
+                              _onehot(np.asarray(y, dtype=int), mlp.spec.L))
 
 
 def test_parameter_gradients_match_finite_differences():
@@ -353,6 +413,49 @@ def test_train_stack_equals_per_net_train(R, hidden):
     test_ds, _ = overlapping_three_class()
     stacked = train_stack(nets, sets, schedule, test_ds=test_ds)
     assert len(stacked) == R
+    for r in range(R):
+        assert_same_training(stacked[r], train(nets[r], sets[r], schedule, test_ds=test_ds))
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+def test_training_equals_reference_descent(R, hidden):
+    """The buffered kernel against the allocating reference loop, for one
+    net (through `train`) and a stack (through `train_stack`)."""
+    sets = stack_sets(R)
+    nets = [init_mlp(MlpSpec((2, *hidden, 3), init_seed=r)) for r in range(R)]
+    schedule = TrainSchedule(((0.4, 30), (0.1, 20)))
+    if R == 1:
+        got = [train(nets[0], sets[0], schedule)]
+        weights, biases, losses = reference_descend(nets[0].weights, nets[0].biases,
+                                                    sets[0].features, sets[0].labels,
+                                                    schedule)
+        weights, biases, losses = [weights], [biases], losses[:, None]
+    else:
+        got = train_stack(nets, sets, schedule)
+        stacked, biases_, losses = reference_descend(
+            [np.stack(ws) for ws in zip(*(m.weights for m in nets))],
+            [np.stack(bs) for bs in zip(*(m.biases for m in nets))],
+            np.stack([ds.features for ds in sets]), np.stack([ds.labels for ds in sets]),
+            schedule)
+        weights = [[w[r] for w in stacked] for r in range(R)]
+        biases = [[b[r] for b in biases_] for r in range(R)]
+    for r, (model, report) in enumerate(got):
+        for a, b in zip(model.weights + model.biases, weights[r] + biases[r], strict=True):
+            assert np.array_equal(a, b)
+        assert report.losses == losses[:, r].tolist()
+
+
+@pytest.mark.parametrize("R, per_class", [(40, 40), (10, 20)])
+def test_large_train_stack_equals_per_net_train(R, per_class):
+    """Stacks as large as a 10-repeat iris chunk stacks (40 nets of 120
+    rows, 10 of 60), in iris's 4-15-15-3 shape."""
+    centers = [[5.0, 3.4, 1.5, 0.2], [5.9, 2.8, 4.3, 1.3], [6.6, 3.0, 5.6, 2.0]]
+    sets = [make_toy_blobs(per_class, centers, 0.8, seed=60 + r) for r in range(R)]
+    nets = [init_mlp(MlpSpec((4, 15, 15, 3), init_seed=r)) for r in range(R)]
+    schedule = TrainSchedule(((0.1, 40), (0.05, 30)))
+    test_ds = make_toy_blobs(10, centers, 0.8, seed=59)
+    stacked = train_stack(nets, sets, schedule, test_ds=test_ds)
     for r in range(R):
         assert_same_training(stacked[r], train(nets[r], sets[r], schedule, test_ds=test_ds))
 

@@ -537,9 +537,11 @@ def test_counterexample_csv_bytes_match_per_row_repr(tmp_path):
               float(np.nextafter(1.0, 2.0)), 1e-300, 7.0]
     noisy = np.array(values).reshape(4, 3)
     cex = Counterexamples([0, 1, 2, 3], [0] * 4, [1] * 4, [0.01, 0.1, 0.35, 0.4], noisy)
-    names = ("a", "b", "c")
+    names = ("a", 'b, "quoted"', "c")   # the header keeps csv quoting
     report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
                          np.zeros(2, dtype=int), np.zeros(2, dtype=int))
     path = tmp_path / "cex.csv"
     write_counterexamples_csv(report, path, names)
     assert path.read_bytes() == _reference_csv(cex, names)
+    assert path.read_bytes().startswith(b'input_index,true_class,predicted_class,level,a,'
+                                        b'"b, ""quoted""",c\r\n')
