@@ -119,9 +119,11 @@ class _Pass:
         self.shifted = np.empty_like(self.zs[-1])     # logits minus each row's max
         self.probs = np.empty_like(self.zs[-1])
         self.top = np.empty((*rows, 1))
+        self.top_flat = self.top[..., 0]
         self.sums = np.empty((*rows, 1))              # softmax denominators
         if backward:
             self.deltas = [np.empty_like(z) for z in self.zs]
+            self.deltas_t = [d.swapaxes(-1, -2) for d in self.deltas]
             self.active = [np.empty(z.shape, dtype=bool) for z in self.zs[:-1]]
 
     def forward(self) -> np.ndarray:
@@ -134,9 +136,15 @@ class _Pass:
             if l < last:
                 np.maximum(z, 0.0, out=self.acts[l + 1])
         logits = self.zs[-1]
-        np.maximum.reduce(logits, axis=-1, keepdims=True, out=self.top)
+        # each row's max, one class column at a time: exact in any order,
+        # and far cheaper than a reduction along the short class axis
+        np.copyto(self.top_flat, logits[..., 0])
+        for j in range(1, logits.shape[-1]):
+            np.maximum(self.top_flat, logits[..., j], out=self.top_flat)
         np.subtract(logits, self.top, out=self.shifted)
         np.exp(self.shifted, out=self.probs)
+        # a reduction, not column by column: from 8 classes on, numpy sums
+        # pairwise, so a column-wise sum would change the bits
         np.add.reduce(self.probs, axis=-1, keepdims=True, out=self.sums)
         return np.divide(self.probs, self.sums, out=self.probs)
 
@@ -149,7 +157,7 @@ class _Pass:
         np.divide(delta, onehot.shape[-2], out=delta)
         for l in range(len(self.zs) - 1, -1, -1):
             if dws is not None:
-                np.matmul(delta.swapaxes(-1, -2), self.acts[l], out=dws[l])
+                np.matmul(self.deltas_t[l], self.acts[l], out=dws[l])
                 np.add.reduce(delta, axis=-2, out=dbs[l])
             if l > 0:
                 below = self.deltas[l - 1]
@@ -247,7 +255,7 @@ def _descend(weights, biases, X, y, schedule: TrainSchedule):
                 p.forward()
                 # mean cross-entropy from the pass's shifted logits and denominators
                 # mode="clip" spares the copy numpy makes of `out` under "raise"
-                np.take(flat_shifted, true_logit, out=picked, mode="clip")
+                flat_shifted.take(true_logit, out=picked, mode="clip")
                 np.log(p.sums, out=log_sums)
                 np.subtract(picked, log_sums[..., 0], out=picked)
                 loss = losses[done, ...]

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
 from .errors import BiasMetricError, ProbeError
-from .mlp import Mlp, input_gradients, predict_batch
+from .mlp import Mlp, _Pass, input_gradients, predict_batch
 from .numerics import substream
 
 DEFAULT_LEVELS = tuple(round(i / 100, 2) for i in range(1, 41))
@@ -200,6 +204,7 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     n_random = n * S if spec.random_enabled else 0
     batch = np.empty((len(v_rows), d))
     random_block = batch[:n_random].reshape(-1, S, d)   # a view: (input, sample, d)
+    batch_pass = _Pass(mlp.weights, mlp.biases, batch)  # reads `batch` as refilled
 
     if spec.random_enabled:
         rng = substream(seed, "probe")
@@ -219,7 +224,7 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
         if spec.gradient_enabled:
             np.add(X, level * per_input_scales * signs, out=batch[n_random:])
 
-        pred, _ = predict_batch(mlp, batch)
+        pred = np.argmax(batch_pass.forward(), axis=1)
         wrong = pred != v_labels
 
         level_counts = np.bincount(v_labels[wrong], minlength=L)
@@ -280,19 +285,90 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
         fh.write("\n")
 
 
-def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
-    """One row per counterexample, in the bytes `csv.writer` would write:
-    the header goes through `csv` so feature names keep their quoting, and
-    each row is joined by hand, since integers, level texts and float
-    `repr`s never need quoting. Rows are converted to Python floats one at
-    a time, so no list of every value is held at once."""
+def _write_rows(fh, cex: Counterexamples, level_text: dict, start: int, stop: int) -> None:
+    """Counterexamples `start:stop` as CSV rows, joined by hand, since
+    integers, level texts and float `repr`s never need quoting. Rows are
+    converted to Python floats one at a time, so no list of every value is
+    held at once."""
+    rows = slice(start, stop)
+    fh.writelines(
+        f"{index},{true},{pred},{level_text[level]},{','.join(map(repr, noisy.tolist()))}\r\n"
+        for index, true, pred, level, noisy in zip(
+            cex.input_index[rows].tolist(), cex.true_class[rows].tolist(),
+            cex.predicted_class[rows].tolist(), cex.level[rows].tolist(),
+            cex.noisy_inputs[rows]))
+
+
+def _write_part(cex: Counterexamples, level_text: dict, start: int, stop: int, path) -> None:
+    """A helper process's block of rows, into its own part file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_rows(fh, cex, level_text, start, stop)
+
+
+def write_counterexamples_csv(report: ProbeReport, path, feature_names,
+                              processes: int = 1) -> None:
+    """One row per counterexample, in the bytes `csv.writer` would write;
+    the header goes through `csv` so feature names keep their quoting.
+
+    The rows are cut into `min(processes, rows)` contiguous blocks. This
+    process writes the header and the first block to `path`, while a forked
+    helper writes each further block to a temporary part file beside
+    `path`; the parts are then appended in order, so the bytes are the same
+    at any `processes`. Forked helpers inherit the rows rather than have
+    them pickled, and only format and write them; where "fork" is not
+    available, this process writes every row. Every helper is joined and
+    every part file removed before this returns, and a helper that exits
+    non-zero raises `OSError`.
+    """
+    if processes < 1:
+        raise ValueError("processes must be >= 1")
     cex = report.counterexamples
     level_text = {level: format_level(level) for level in set(cex.level.tolist())}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["input_index", "true_class", "predicted_class", "level"]
-                                + list(feature_names))
-        fh.writelines(
-            f"{index},{true},{pred},{level_text[level]},{','.join(map(repr, noisy.tolist()))}\r\n"
-            for index, true, pred, level, noisy in zip(
-                cex.input_index.tolist(), cex.true_class.tolist(),
-                cex.predicted_class.tolist(), cex.level.tolist(), cex.noisy_inputs))
+    blocks = max(1, min(processes, len(cex)))
+    context = _fork_context() if blocks > 1 else None
+    if context is None:
+        blocks = 1
+    edges = [len(cex) * b // blocks for b in range(blocks + 1)]
+    target = Path(path)
+    parts, helpers = [], []
+    try:
+        try:
+            for start, stop in zip(edges[1:-1], edges[2:]):
+                fd, part = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
+                                            suffix=".part")
+                os.close(fd)
+                parts.append(part)
+                helper = context.Process(target=_write_part,
+                                         args=(cex, level_text, start, stop, part))
+                helper.start()
+                helpers.append(helper)
+            with open(target, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(["input_index", "true_class", "predicted_class",
+                                         "level"] + list(feature_names))
+                _write_rows(fh, cex, level_text, edges[0], edges[1])
+        finally:
+            for helper in helpers:
+                helper.join()
+        failed = [f"rows {start}:{stop} (exit {helper.exitcode})"
+                  for helper, start, stop in zip(helpers, edges[1:-1], edges[2:])
+                  if helper.exitcode != 0]
+        if failed:
+            raise OSError(f"could not write {target}: the helper process for "
+                          f"{', '.join(failed)} failed")
+        with open(target, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+    finally:
+        for part in parts:
+            Path(part).unlink(missing_ok=True)
+
+
+def _fork_context():
+    """multiprocessing's "fork" context, or None where it is not available.
+    Imported here, so that importing biasdiv does not load multiprocessing."""
+    import multiprocessing
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None

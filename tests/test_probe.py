@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -408,14 +409,18 @@ def test_row_noise_does_not_depend_on_which_rows_are_probed(monkeypatch):
         """Test row -> its (level, sample, d) variants, as the sweep predicted them."""
         batches = []
 
-        def recording(mlp, x):
-            batches.append(x.copy())
-            return predict_batch(mlp, x)
+        class Recording(probe_module._Pass):
+            """The sweep's pass, keeping a copy of its inputs at each level."""
 
-        monkeypatch.setattr(probe_module, "predict_batch", recording)
+            def forward(self):
+                batches.append(self.acts[0].copy())
+                return super().forward()
+
+        monkeypatch.setattr(probe_module, "_Pass", Recording)
         noise_sweep(model, test, spec, seed=7, scales=scales)
         probed = np.flatnonzero(predict_batch(model, test.features)[0] == test.labels)
-        per_level = np.stack([b.reshape(len(probed), 4, 2) for b in batches[1:]], axis=1)
+        assert len(batches) == len(spec.levels)
+        per_level = np.stack([b.reshape(len(probed), 4, 2) for b in batches], axis=1)
         return dict(zip(probed.tolist(), per_level))
 
     as_is = variants(ds)
@@ -545,3 +550,46 @@ def test_counterexample_csv_bytes_match_per_row_repr(tmp_path):
     assert path.read_bytes() == _reference_csv(cex, names)
     assert path.read_bytes().startswith(b'input_index,true_class,predicted_class,level,a,'
                                         b'"b, ""quoted""",c\r\n')
+
+
+def _random_report(rows: int) -> ProbeReport:
+    """A report whose only content is `rows` counterexamples of 3 features."""
+    source = substream(5, "csv", rows)
+    noisy = source.normal(size=(rows, 3)) * 10.0 ** source.integers(-8, 9, size=(rows, 3))
+    cex = Counterexamples(np.arange(rows), np.zeros(rows, dtype=int), np.ones(rows, dtype=int),
+                          source.choice([0.01, 0.1, 0.35], rows), noisy)
+    return ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
+                       np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, rows):
+    """Each block of rows written by its own process, or every row by one
+    process where "fork" is unavailable: the same bytes as one process, and
+    no part file left behind."""
+    report = _random_report(rows)
+    names = ("a", 'b, "quoted"', "c")
+    expected = _reference_csv(report.counterexamples, names)
+    write_counterexamples_csv(report, tmp_path / "one.csv", names)
+    assert (tmp_path / "one.csv").read_bytes() == expected
+    for processes in (2, 3, rows + 1):
+        path = tmp_path / f"split{processes}.csv"
+        write_counterexamples_csv(report, path, names, processes=processes)
+        assert path.read_bytes() == expected, processes
+    monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
+    write_counterexamples_csv(report, tmp_path / "nofork.csv", names, processes=3)
+    assert (tmp_path / "nofork.csv").read_bytes() == expected
+    assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".part"]
+    assert multiprocessing.active_children() == []
+
+
+def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("a helper fails")
+
+    monkeypatch.setattr(probe_module, "_write_part", failing)
+    with pytest.raises(OSError, match=r"rows 3:6 \(exit 1\), rows 6:9 \(exit 1\)"):
+        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"),
+                                  processes=3)
+    assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
+    assert multiprocessing.active_children() == []
