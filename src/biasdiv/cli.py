@@ -10,7 +10,6 @@ and delete-only variants against the reference). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -84,23 +83,13 @@ def _load_config(args):
     return cfg, out_dir
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _cmd_probe(args) -> int:
     cfg, out = _load_config(args)
     train_ds, test_ds = load_split(cfg)
     _, rep, probe, flagged, _ = reference_probe(cfg, train_ds, test_ds)
     out.mkdir(parents=True, exist_ok=True)
     save_probe_report(probe, out / "probe_report.json", class_names=test_ds.class_names)
-    write_counterexamples_csv(probe, out / "counterexamples.csv", test_ds.feature_names,
-                              processes=_usable_cpus())
+    write_counterexamples_csv(probe, out / "counterexamples.csv", test_ds.feature_names)
     gate = " (below the accuracy gate)" if flagged else ""
     print(f"b_r={probe.b_r:.4f} delta_x_max={format_level(probe.delta_x_max)} "
           f"train_acc={rep.train_accuracy:.3f} test_acc={rep.test_accuracy:.3f}{gate}")

@@ -562,6 +562,13 @@ def _random_report(rows: int) -> ProbeReport:
                        np.zeros(2, dtype=int), np.zeros(2, dtype=int))
 
 
+def _split_into(monkeypatch, processes: int) -> None:
+    """Have the CSV writer use `processes` processes, however small the CSV."""
+    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(probe_module, "_MAX_PROCESSES", processes)
+    monkeypatch.setattr(probe_module, "_MIN_BLOCK_VALUES", 1)
+
+
 @pytest.mark.parametrize("rows", [0, 1, 37])
 def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, rows):
     """Each block of rows written by its own process, or every row by one
@@ -570,17 +577,32 @@ def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypat
     report = _random_report(rows)
     names = ("a", 'b, "quoted"', "c")
     expected = _reference_csv(report.counterexamples, names)
+    _split_into(monkeypatch, 1)
     write_counterexamples_csv(report, tmp_path / "one.csv", names)
     assert (tmp_path / "one.csv").read_bytes() == expected
     for processes in (2, 3, rows + 1):
+        _split_into(monkeypatch, processes)
         path = tmp_path / f"split{processes}.csv"
-        write_counterexamples_csv(report, path, names, processes=processes)
+        write_counterexamples_csv(report, path, names)
         assert path.read_bytes() == expected, processes
+    _split_into(monkeypatch, 3)
     monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
-    write_counterexamples_csv(report, tmp_path / "nofork.csv", names, processes=3)
+    write_counterexamples_csv(report, tmp_path / "nofork.csv", names)
     assert (tmp_path / "nofork.csv").read_bytes() == expected
     assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".part"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus,rows,values,blocks", [
+    (1, 51_500, 412_000, 1),   # one usable CPU
+    (8, 51_500, 412_000, 2),   # at most two processes
+    (2, 5_627, 22_508, 2),     # iris's probe: two blocks of over 10k floats
+    (2, 2_000, 8_000, 1),      # too small to pay for a fork
+    (2, 0, 0, 1),
+])
+def test_counterexample_csv_block_count(monkeypatch, cpus, rows, values, blocks):
+    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: cpus)
+    assert probe_module._block_count(rows, values) == blocks
 
 
 def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkeypatch):
@@ -588,8 +610,8 @@ def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkey
         raise RuntimeError("a helper fails")
 
     monkeypatch.setattr(probe_module, "_write_part", failing)
+    _split_into(monkeypatch, 3)
     with pytest.raises(OSError, match=r"rows 3:6 \(exit 1\), rows 6:9 \(exit 1\)"):
-        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"),
-                                  processes=3)
+        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
     assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
     assert multiprocessing.active_children() == []
