@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InfeasibleError, NeighborError
-from .numerics import round_half_up, substream
+from .numerics import pairwise_blocks, round_half_up, substream
 
 RUS_EQUALIZE = "rus_equalize"
 RUS_FRACTION = "rus_fraction"
@@ -102,14 +102,23 @@ def ros(ds: Dataset, seed: int) -> Dataset:
     return _append_synthetic(ds, extra)
 
 
+def _nearest(queries: np.ndarray, pool: np.ndarray, own: np.ndarray,
+             k: int) -> np.ndarray:
+    """Indices into `pool` of the k nearest rows to each query, excluding
+    the query's own row `own[i]`; distance ties go to the lower pool index.
+    The distances are computed a block of query rows at a time."""
+    nearest = np.empty((len(queries), k), dtype=np.intp)
+    for rows, diff in pairwise_blocks(queries, pool):
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        d2[np.arange(len(d2)), own[rows]] = np.inf
+        nearest[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def _same_class_neighbors(features: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbour indices per row within one class, self excluded,
     distance ties broken by row index."""
-    diff = features[:, None, :] - features[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    return _nearest(features, features, np.arange(len(features)), k)
 
 
 def _interpolate(base: np.ndarray, neighbor: np.ndarray, lam: float) -> np.ndarray:
@@ -172,10 +181,7 @@ def adasyn(ds: Dataset, k: int = 5, seed: int = 0, balance: float = 1.0) -> Data
         feats = ds.features[rows]
         # difficulty: fraction of other-class points among the k nearest
         # neighbours in the full dataset
-        diff = feats[:, None, :] - ds.features[None, :, :]
-        d2 = (diff ** 2).sum(axis=2)
-        d2[np.arange(len(rows)), rows] = np.inf   # exclude self
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        order = _nearest(feats, ds.features, rows, k)
         r = (ds.labels[order] != c).mean(axis=1)
         if r.sum() == 0.0:
             raise InfeasibleError(

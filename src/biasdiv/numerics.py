@@ -66,12 +66,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= value <= self.hi + tol
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def relax_interval(b: Interval, delta: float) -> Interval:
     """Widen an interval by a non-negative noise tolerance to
@@ -96,14 +90,6 @@ class IntervalSet:
             if b.lo < a.hi:
                 raise ValueError(f"interval interiors overlap: {a} and {b}")
 
-    @classmethod
-    def single(cls, lo: float, hi: float) -> "IntervalSet":
-        return cls((Interval(lo, hi),))
-
-    @property
-    def total_length(self) -> float:
-        return sum(iv.length for iv in self.intervals)
-
     @property
     def lo(self) -> float:
         return self.intervals[0].lo
@@ -111,15 +97,6 @@ class IntervalSet:
     @property
     def hi(self) -> float:
         return self.intervals[-1].hi
-
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return any(iv.contains(value, tol) for iv in self.intervals)
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return all(
-            any(big.contains_interval(small) for big in other.intervals)
-            for small in self.intervals
-        )
 
     def intersect(self, window: Interval) -> "IntervalSet | None":
         """Clip to a window; None when nothing remains."""
@@ -155,15 +132,6 @@ class IntervalSet:
 
     def to_json(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
-
-
-def interiors_disjoint(a: IntervalSet, b: IntervalSet) -> bool:
-    """True when no open interval of `a` intersects an open interval of `b`."""
-    for x in a.intervals:
-        for y in b.intervals:
-            if max(x.lo, y.lo) < min(x.hi, y.hi):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +230,35 @@ def kmeans_1d(columns: np.ndarray, clusters: int) -> Kmeans1dResult:
 
 
 # ---------------------------------------------------------------------------
+# Pairwise differences in row blocks
+# ---------------------------------------------------------------------------
+
+_BLOCK_FLOATS = 1 << 16   # floats in one block's differences: 512 KB of float64
+
+
+def pairwise_blocks(queries: np.ndarray, pool: np.ndarray):
+    """Yield `(rows, diff)` for consecutive slices `rows` of the query rows,
+    where `diff` is `queries[rows, None, :] - pool[None, :, :]`.
+
+    Each block has at least one row and, where one row allows it, at most
+    `_BLOCK_FLOATS` floats, so a pairwise step run block by block holds one
+    block's differences instead of all of them. The blocks share one
+    buffer: a block's `diff` is valid until the next block is yielded, and
+    the caller may overwrite it. Every value is computed as in one full
+    pass, so a caller that reduces within rows gets the same bits whatever
+    the block size.
+    """
+    m, (n, d) = len(queries), pool.shape
+    step = max(1, _BLOCK_FLOATS // max(1, n * d))
+    buffer = np.empty((min(step, m), n, d))
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        diff = buffer[:rows.stop - start]
+        np.subtract(queries[rows, None, :], pool[None, :, :], out=diff)
+        yield rows, diff
+
+
+# ---------------------------------------------------------------------------
 # K-means (Lloyd's algorithm)
 # ---------------------------------------------------------------------------
 
@@ -273,8 +270,10 @@ class KmeansResult:
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    dists = np.empty((len(points), len(centroids)))
+    for rows, diff in pairwise_blocks(points, centroids):
+        np.einsum("nkd,nkd->nk", diff, diff, out=dists[rows])
+    return dists
 
 
 def _lloyd_run(points, k, rng, max_iter, tol):

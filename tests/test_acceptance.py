@@ -30,11 +30,11 @@ from biasdiv.harness import (ABLATION_APPROACHES, emit_report,
                              load_experiment_config, parse_experiment_config,
                              run_experiment)
 from biasdiv.mlp import MlpSpec, init_mlp
-from biasdiv.numerics import (Interval, IntervalSet, interiors_disjoint,
-                              kmeans, relax_interval, round_half_up,
-                              substream)
+from biasdiv.numerics import (Interval, IntervalSet, kmeans, relax_interval,
+                              round_half_up, substream)
 from biasdiv.probe import Counterexamples, ProbeReport, compute_bias
 from test_mlp import cross_entropy_loss, input_gradient
+from test_numerics import contains, interiors_disjoint, is_subset_of, single
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -147,7 +147,7 @@ def test_bias_score_oracle_worked_and_randomized():
 
 def _single_bounds(per_class):
     return ClassBounds(tuple(
-        tuple(IntervalSet.single(lo, hi) for lo, hi in cls)
+        tuple(single(lo, hi) for lo, hi in cls)
         for cls in per_class))
 
 
@@ -170,12 +170,12 @@ def test_interval_relaxation_and_overlap_tightening_laws():
 
     # worked tightening cases: partial overlap and complete containment
     out = tighten_overlaps(_single_bounds([[(2.0, 8.0)], [(7.0, 10.0)]]))
-    assert out.get(0, 0) == IntervalSet.single(2.0, 7.0)
-    assert out.get(1, 0) == IntervalSet.single(8.0, 10.0)
+    assert out.get(0, 0) == single(2.0, 7.0)
+    assert out.get(1, 0) == single(8.0, 10.0)
     out = tighten_overlaps(_single_bounds([[(0.0, 10.0)], [(4.0, 6.0)]]))
     assert out.get(0, 0) == IntervalSet((Interval(0.0, 4.0),
                                          Interval(6.0, 10.0)))
-    assert out.get(1, 0) == IntervalSet.single(4.0, 6.0)
+    assert out.get(1, 0) == single(4.0, 6.0)
 
     for trial in range(10_000):
         rng = substream(59, "tighten", trial)
@@ -187,8 +187,8 @@ def test_interval_relaxation_and_overlap_tightening_laws():
         ])
         out = tighten_overlaps(bounds)
         sa, sb = out.get(0, 0), out.get(1, 0)
-        assert sa.is_subset_of(bounds.get(0, 0))         # only ever shrinks
-        assert sb.is_subset_of(bounds.get(1, 0))
+        assert is_subset_of(sa, bounds.get(0, 0))         # only ever shrinks
+        assert is_subset_of(sb, bounds.get(1, 0))
         if any(n.startswith("tightened") for n in out.notes):
             assert interiors_disjoint(sa, sb)
 
@@ -288,8 +288,8 @@ def test_synthetic_rows_stay_inside_final_bounds():
     assert ds.synthetic.any()
     for row, label in zip(ds.features[ds.synthetic], ds.labels[ds.synthetic]):
         for f in range(ds.d):
-            assert out.bounds.get(int(label), f).contains(float(row[f]),
-                                                          tol=1e-9)
+            assert contains(out.bounds.get(int(label), f), float(row[f]),
+                            tol=1e-9)
 
 
 def test_redundancy_removal_keeps_exact_row_count():

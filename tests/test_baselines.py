@@ -1,10 +1,15 @@
 """Resampler tests: RUS, ROS, SMOTE, ADASYN."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from biasdiv import numerics
 from biasdiv.baselines import (
     ResamplePlan,
+    _nearest,
     adasyn,
     resample,
     ros,
@@ -235,6 +240,57 @@ def test_adasyn_partial_balance():
     out = adasyn(ds, k=5, seed=4, balance=0.5)
     # half the deficit: 10 + round(15 * 0.5) = 18
     assert out.class_counts().tolist() == [25, 18]
+
+
+# -- distances in row blocks ----------------------------------------------------
+
+def tied_set():
+    """Two overlapping classes whose rows come in exact duplicates, so many
+    neighbour distances tie and the index tie-break decides the order."""
+    rng = substream(5, "tied")
+    f0 = np.repeat(rng.normal(size=(15, 3)), 3, axis=0)
+    f1 = np.repeat(rng.normal(0.5, 1.0, size=(6, 3)), 3, axis=0)
+    f1[:3] = f0[:3]                       # rows shared across the classes
+    return Dataset(np.vstack([f0, f1]), np.array([0] * 45 + [1] * 18),
+                   ("big", "small"), ("f0", "f1", "f2"))
+
+
+def test_neighbours_and_resamplers_do_not_depend_on_the_block_size(monkeypatch):
+    ds = tied_set()
+    minority = np.flatnonzero(ds.labels == 1)
+    outputs = []
+    for cap in (1, sys.maxsize):      # one query row per block, then all rows
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", cap)
+        outputs.append((_nearest(ds.features[minority], ds.features, minority, 7),
+                        smote(ds, k=5, seed=3).features,
+                        adasyn(ds, k=5, seed=3).features))
+    for one_row, all_rows in zip(*outputs):
+        assert one_row.tobytes() == all_rows.tobytes()
+    # each minority row's nearest neighbours start with its exact copies,
+    # lowest pool index first
+    nn = outputs[0][0]
+    for i, row in enumerate(minority):
+        copies = [r for r in range(ds.n) if r != row
+                  and np.array_equal(ds.features[r], ds.features[row])]
+        assert nn[i, :len(copies)].tolist() == copies
+
+
+def test_neighbour_distance_memory_is_bounded():
+    # 1000 rows of 32 features: ADASYN's difficulty search over the full
+    # set would build a 200 x 1000 x 32 difference array, 51 MB
+    rng = substream(53, "memory")
+    ds = Dataset(np.vstack([rng.normal(size=(800, 32)),
+                            rng.normal(0.3, 1.0, size=(200, 32))]),
+                 np.array([0] * 800 + [1] * 200), ("big", "small"),
+                 tuple(f"f{i}" for i in range(32)))
+    tracemalloc.start()
+    try:
+        adasyn(ds, k=5, seed=0)
+        smote(ds, k=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # -- dispatcher --------------------------------------------------------------------

@@ -24,8 +24,9 @@ from biasdiv.diversify import (
     top_k_features,
     validate_synthetic,
 )
-from biasdiv.numerics import Interval, IntervalSet, interiors_disjoint, pearson_corr, substream
+from biasdiv.numerics import Interval, IntervalSet, pearson_corr, substream
 from biasdiv.probe import Counterexamples, ProbeReport
+from test_numerics import contains, interiors_disjoint, is_subset_of, single
 
 
 def fake_probe(mu, delta_x_max=0.0):
@@ -46,7 +47,7 @@ def fake_probe(mu, delta_x_max=0.0):
 def single_interval_bounds(per_class):
     """Build ClassBounds from [[(lo, hi) per feature] per class]."""
     return ClassBounds(tuple(
-        tuple(IntervalSet.single(lo, hi) for lo, hi in sets)
+        tuple(single(lo, hi) for lo, hi in sets)
         for sets in per_class
     ))
 
@@ -58,7 +59,7 @@ def test_global_extremum_relaxes_extrema():
                  ("a",), ("f0",))
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 1.0, scales=np.array([1.0]))
-    assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)
+    assert bounds.get(0, 0) == single(1.0, 9.0)
 
 
 def test_global_extremum_zero_delta_exact():
@@ -69,21 +70,21 @@ def test_global_extremum_zero_delta_exact():
     for c in range(2):
         for f in range(2):
             col = parts[c].features[:, f]
-            assert bounds.get(c, f) == IntervalSet.single(col.min(), col.max())
+            assert bounds.get(c, f) == single(col.min(), col.max())
 
 
 def test_global_extremum_single_row_point_interval():
     ds = Dataset(np.array([[3.5, -1.0]]), np.array([0]), ("a",), ("f0", "f1"))
     bounds = global_extremum(segment_by_class(ds), 0.0, scales=np.ones(2))
-    assert bounds.get(0, 0) == IntervalSet.single(3.5, 3.5)
+    assert bounds.get(0, 0) == single(3.5, 3.5)
 
 
 def test_global_extremum_scales_per_feature():
     ds = Dataset(np.array([[2.0, 2.0], [8.0, 8.0]]), np.array([0, 0]),
                  ("a",), ("f0", "f1"))
     bounds = global_extremum(segment_by_class(ds), 0.1, scales=np.array([10.0, 50.0]))
-    assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)     # delta 1
-    assert bounds.get(0, 1) == IntervalSet.single(-3.0, 13.0)   # delta 5
+    assert bounds.get(0, 0) == single(1.0, 9.0)     # delta 1
+    assert bounds.get(0, 1) == single(-3.0, 13.0)   # delta 5
 
 
 def test_global_extremum_monotone_in_delta():
@@ -92,7 +93,7 @@ def test_global_extremum_monotone_in_delta():
     small = global_extremum(parts, 0.05, scales=np.array([2.0]))
     large = global_extremum(parts, 0.2, scales=np.array([2.0]))
     for c in range(3):
-        assert small.get(c, 0).is_subset_of(large.get(c, 0))
+        assert is_subset_of(small.get(c, 0), large.get(c, 0))
 
 
 # -- tighten_overlaps ------------------------------------------------------------
@@ -100,15 +101,15 @@ def test_global_extremum_monotone_in_delta():
 def test_tighten_partial_overlap():
     bounds = single_interval_bounds([[(2.0, 8.0)], [(7.0, 10.0)]])
     out = tighten_overlaps(bounds)
-    assert out.get(0, 0) == IntervalSet.single(2.0, 7.0)
-    assert out.get(1, 0) == IntervalSet.single(8.0, 10.0)
+    assert out.get(0, 0) == single(2.0, 7.0)
+    assert out.get(1, 0) == single(8.0, 10.0)
 
 
 def test_tighten_complete_overlap_splits_outer():
     bounds = single_interval_bounds([[(0.0, 10.0)], [(4.0, 6.0)]])
     out = tighten_overlaps(bounds)
     assert out.get(0, 0) == IntervalSet((Interval(0.0, 4.0), Interval(6.0, 10.0)))
-    assert out.get(1, 0) == IntervalSet.single(4.0, 6.0)
+    assert out.get(1, 0) == single(4.0, 6.0)
 
 
 def test_tighten_disjoint_unchanged():
@@ -122,8 +123,8 @@ def test_tighten_mirrored_roles():
     # the lower-starting interval plays the "i" role regardless of class order
     bounds = single_interval_bounds([[(7.0, 10.0)], [(2.0, 8.0)]])
     out = tighten_overlaps(bounds)
-    assert out.get(1, 0) == IntervalSet.single(2.0, 7.0)
-    assert out.get(0, 0) == IntervalSet.single(8.0, 10.0)
+    assert out.get(1, 0) == single(2.0, 7.0)
+    assert out.get(0, 0) == single(8.0, 10.0)
 
 
 def test_tighten_shared_endpoints_fire_nothing():
@@ -152,7 +153,7 @@ def test_tighten_soundness_and_disjointness_random():
         bounds = single_interval_bounds(raw)
         out = tighten_overlaps(bounds)
         for c in range(L):
-            assert out.get(c, 0).is_subset_of(bounds.get(c, 0))
+            assert is_subset_of(out.get(c, 0), bounds.get(c, 0))
         for note in out.notes:
             if note.startswith("tightened classes"):
                 pair = note.split("tightened classes ")[1].split(" on ")[0]
@@ -176,7 +177,7 @@ def test_tighten_three_class_chain():
     bounds = single_interval_bounds([[(0.0, 6.0)], [(4.0, 10.0)], [(5.0, 5.5)]])
     out = tighten_overlaps(bounds)
     for a in range(3):
-        assert out.get(a, 0).is_subset_of(bounds.get(a, 0))
+        assert is_subset_of(out.get(a, 0), bounds.get(a, 0))
         for b in range(a + 1, 3):
             assert interiors_disjoint(out.get(a, 0), out.get(b, 0))
 
@@ -253,9 +254,9 @@ def test_final_bounds_dominant_cluster_window():
                  np.zeros(4, dtype=int), ("a",), ("f0",))
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 0.0, scales=np.ones(1))
-    assert bounds.get(0, 0) == IntervalSet.single(1.0, 9.0)
+    assert bounds.get(0, 0) == single(1.0, 9.0)
     out = final_bounds(bounds, [0], dominant_clusters(parts, 2))
-    assert out.get(0, 0) == IntervalSet.single(1.0, 1.2)
+    assert out.get(0, 0) == single(1.0, 1.2)
 
 
 def test_final_bounds_untouched_off_top():
@@ -273,7 +274,7 @@ def test_final_bounds_single_cluster_keeps_extrema():
     parts = segment_by_class(ds)
     bounds = global_extremum(parts, 0.0, scales=np.ones(1))
     out = final_bounds(bounds, [0], dominant_clusters(parts, 1))
-    assert out.get(0, 0) == IntervalSet.single(1.0, 2.0)
+    assert out.get(0, 0) == single(1.0, 2.0)
 
 
 def test_final_bounds_empty_intersection_reverts_with_note():
@@ -310,7 +311,7 @@ def test_synth_counts_validation():
 # -- sample_synthetic -------------------------------------------------------------
 
 def test_sample_synthetic_point_intervals():
-    sets = [IntervalSet.single(2.0, 2.0), IntervalSet.single(-1.0, -1.0)]
+    sets = [single(2.0, 2.0), single(-1.0, -1.0)]
     rows = sample_synthetic(sets, 5, substream(0, "s"))
     assert np.array_equal(rows, np.tile([2.0, -1.0], (5, 1)))
 
@@ -324,10 +325,10 @@ def test_sample_synthetic_length_weighted_union():
 
 def test_sample_synthetic_containment():
     sets = [IntervalSet((Interval(0.0, 1.0), Interval(4.0, 6.0))),
-            IntervalSet.single(-2.0, -1.0)]
+            single(-2.0, -1.0)]
     rows = sample_synthetic(sets, 500, substream(2, "c"))
-    assert all(sets[0].contains(v) for v in rows[:, 0])
-    assert all(sets[1].contains(v) for v in rows[:, 1])
+    assert all(contains(sets[0], v) for v in rows[:, 0])
+    assert all(contains(sets[1], v) for v in rows[:, 1])
 
 
 def per_feature_sample(bounds_i, count, rng):
@@ -544,7 +545,7 @@ def test_diversify_synthetics_inside_final_bounds():
     for row, label in zip(out.dataset.features[synth_mask],
                           out.dataset.labels[synth_mask]):
         for f, v in enumerate(row):
-            assert out.bounds.get(int(label), f).contains(v, tol=1e-12)
+            assert contains(out.bounds.get(int(label), f), v, tol=1e-12)
 
 
 def test_diversify_no_misclassification_no_synthesis():

@@ -12,6 +12,10 @@ CHANGES.md. One command, from the repository root, rewrites every golden
 file (the three iris report files and `cli_sha256.json`):
 
     PYTHONPATH=src python tests/test_golden.py
+
+The bytes depend on numpy's matmul and reduction order, so a mismatch names
+the numpy build it came from; the golden files match under numpy 2.4.6 with
+scipy-openblas 0.3.31.188.0.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biasdiv.cli import main
@@ -32,6 +37,16 @@ IRIS_CONFIG = REPO / "configs" / "iris.json"
 REPORT_FILES = ("report.json", "runs.csv", "report.csv")
 CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
                 "diversify --mode delete-only", "baseline")
+
+
+def numeric_env() -> str:
+    """The numpy version and BLAS that this run's bytes came from."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:   # numpy < 1.26 prints its configuration only
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
 
 
 def cli_outputs(command: str, out: Path) -> dict:
@@ -51,13 +66,15 @@ def test_iris_report_matches_golden(iris_run, tmp_path):
     report, _ = iris_run
     emit_report(report, tmp_path, svg=False)
     for name in REPORT_FILES:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / "iris" / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "iris" / name).read_bytes(), \
+            f"{name} differs from the golden file under {numeric_env()}"
 
 
 @pytest.mark.parametrize("command", CLI_COMMANDS)
 def test_cli_outputs_match_golden(command, tmp_path):
     golden = json.loads((GOLDEN / "cli_sha256.json").read_text(encoding="utf-8"))
-    assert cli_outputs(command, tmp_path / "out") == golden[command]
+    assert cli_outputs(command, tmp_path / "out") == golden[command], \
+        f"'{command}' outputs differ from the golden digests under {numeric_env()}"
 
 
 if __name__ == "__main__":

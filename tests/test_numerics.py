@@ -1,17 +1,20 @@
 """Numeric kernel tests: RNG streams, intervals, k-means, correlation."""
 
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from biasdiv import numerics
 from biasdiv.numerics import (
     Interval,
     IntervalSet,
     _lloyd_run,
-    interiors_disjoint,
     kmeans,
     kmeans_1d,
+    pairwise_blocks,
     pearson_corr,
     relax_interval,
     round_half_up,
@@ -54,6 +57,41 @@ def test_round_half_up(x, expected):
 
 # -- intervals ---------------------------------------------------------------
 
+# Reference helpers: only tests ask these questions of intervals, so they
+# live here rather than in `biasdiv.numerics`; other test modules import them.
+
+def single(lo, hi):
+    """The interval set made of the one interval [lo, hi]."""
+    return IntervalSet((Interval(lo, hi),))
+
+
+def total_length(s):
+    return sum(iv.length for iv in s.intervals)
+
+
+def contains(s, value, tol=0.0):
+    """Whether some interval of the set `s` holds `value`, within `tol`."""
+    return any(iv.lo - tol <= value <= iv.hi + tol for iv in s.intervals)
+
+
+def contains_interval(big, small):
+    """Whether the interval `big` holds the whole interval `small`."""
+    return big.lo <= small.lo and small.hi <= big.hi
+
+
+def is_subset_of(small, big):
+    """Whether every interval of the set `small` lies inside one interval
+    of the set `big`."""
+    return all(any(contains_interval(b, s) for b in big.intervals)
+               for s in small.intervals)
+
+
+def interiors_disjoint(a, b):
+    """True when no open interval of `a` intersects an open interval of `b`."""
+    return all(max(x.lo, y.lo) >= min(x.hi, y.hi)
+               for x in a.intervals for y in b.intervals)
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(3.0, 2.0)
@@ -75,7 +113,7 @@ def test_relax_interval_contains_input():
         hi = lo + rng.uniform(0, 5)
         delta = rng.uniform(0, 3)
         out = relax_interval(Interval(lo, hi), delta)
-        assert out.contains_interval(Interval(lo, hi))
+        assert contains_interval(out, Interval(lo, hi))
         assert out.length == pytest.approx((hi - lo) + 2 * delta)
 
 
@@ -89,21 +127,21 @@ def test_interval_set_ordering_enforced():
         IntervalSet((Interval(0.0, 2.0), Interval(1.0, 3.0)))
     # touching endpoints are fine, interiors stay disjoint
     s = IntervalSet((Interval(0.0, 1.0), Interval(1.0, 2.0)))
-    assert s.total_length == pytest.approx(2.0)
+    assert total_length(s) == pytest.approx(2.0)
 
 
 def test_interval_set_contains_and_bounds():
     s = IntervalSet((Interval(0.0, 1.0), Interval(4.0, 6.0)))
     assert s.lo == 0.0 and s.hi == 6.0
-    assert s.contains(0.5) and s.contains(5.0)
-    assert not s.contains(2.0)
+    assert contains(s, 0.5) and contains(s, 5.0)
+    assert not contains(s, 2.0)
 
 
 def test_interval_set_subset():
     big = IntervalSet((Interval(0.0, 3.0), Interval(5.0, 9.0)))
     small = IntervalSet((Interval(1.0, 2.0), Interval(6.0, 7.0)))
-    assert small.is_subset_of(big)
-    assert not big.is_subset_of(small)
+    assert is_subset_of(small, big)
+    assert not is_subset_of(big, small)
 
 
 def test_interval_set_intersect():
@@ -116,7 +154,7 @@ def test_interval_set_intersect():
 def test_interval_set_sample_respects_support():
     s = IntervalSet((Interval(0.0, 1.0), Interval(4.0, 6.0)))
     draws = s.place(*substream(3, "draw").random((2, 4000)))
-    assert all(s.contains(v, tol=1e-12) for v in draws)
+    assert all(contains(s, v, tol=1e-12) for v in draws)
     # length weighting: second interval is twice as long
     frac_hi = float(np.mean(draws >= 4.0))
     assert 0.60 < frac_hi < 0.74
@@ -136,9 +174,9 @@ def test_interval_set_json_round_trip():
 
 
 def test_interiors_disjoint():
-    a = IntervalSet.single(0.0, 2.0)
-    b = IntervalSet.single(2.0, 4.0)
-    c = IntervalSet.single(1.0, 3.0)
+    a = single(0.0, 2.0)
+    b = single(2.0, 4.0)
+    c = single(1.0, 3.0)
     assert interiors_disjoint(a, b)
     assert not interiors_disjoint(a, c)
 
@@ -211,6 +249,47 @@ def test_kmeans_converged_centroids_are_member_means():
         for c in range(6):
             members = pts[result.assignments == c]
             assert np.abs(result.centroids[c] - members.mean(axis=0)).max() <= 1e-12
+
+
+def test_pairwise_blocks_cover_rows_within_the_cap(monkeypatch):
+    monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 100)
+    rng = substream(45, "pairwise")
+    for m, n, d, step in ((7, 5, 1, 7), (45, 10, 3, 3), (5, 101, 1, 1), (1, 3, 2, 1)):
+        queries, pool = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        full = queries[:, None, :] - pool[None, :, :]
+        starts = []
+        for rows, diff in pairwise_blocks(queries, pool):
+            starts.append(rows.start)
+            assert rows.stop == min(rows.start + step, m)
+            assert np.array_equal(diff, full[rows])
+        assert starts == list(range(0, m, step))
+
+
+@pytest.mark.parametrize("n,k,d,copies", [(240, 120, 4, 1), (77, 40, 71, 1), (12, 10, 5, 5)])
+def test_kmeans_bits_do_not_depend_on_the_block_size(monkeypatch, n, k, d, copies):
+    # copies > 1: a class of duplicate rows, so many distances tie exactly
+    points = np.repeat(substream(43, "blocks", n).normal(size=(n, d)) * 7.3, copies, axis=0)
+    results = []
+    for cap in (1, sys.maxsize):      # one row per block, then all rows
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", cap)
+        results.append(kmeans(points, k, seed=5))
+    one_row, all_rows = results
+    assert one_row.centroids.tobytes() == all_rows.centroids.tobytes()
+    assert one_row.assignments.tobytes() == all_rows.assignments.tobytes()
+    assert one_row.inertia == all_rows.inertia
+
+
+def test_kmeans_distance_memory_is_bounded():
+    # (400, 32) rows against 200 centroids: a full difference array would
+    # be 400 * 200 * 32 floats, 20 MB, on every distance call
+    points = substream(47, "memory").normal(size=(400, 32))
+    tracemalloc.start()
+    try:
+        kmeans(points, 200, seed=0, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_kmeans_1d_frozen_cases():

@@ -14,6 +14,7 @@ from biasdiv.data import Dataset
 from biasdiv.diversify import ClassBounds, dominant_clusters, tighten_overlaps
 from biasdiv.numerics import Interval, IntervalSet, kmeans_1d
 from biasdiv.probe import compute_bias
+from test_numerics import is_subset_of, single
 
 
 @st.composite
@@ -61,7 +62,7 @@ def test_tighten_never_fails_and_only_shrinks_on_integer_grids(bounds):
     out = tighten_overlaps(bounds)
     for before, after in zip(bounds.per_class, out.per_class):
         for b, a in zip(before, after):
-            assert a.is_subset_of(b)
+            assert is_subset_of(a, b)
 
 
 @given(grid_bounds(max_classes=2))
@@ -71,7 +72,7 @@ def test_tighten_two_classes_is_swap_equivariant(bounds):
 
 
 def _single(per_class):
-    return ClassBounds(tuple((IntervalSet.single(lo, hi),) for lo, hi in per_class))
+    return ClassBounds(tuple((single(lo, hi),) for lo, hi in per_class))
 
 
 @pytest.mark.xfail(strict=True, reason="pairs are tightened in class-index order, so "
