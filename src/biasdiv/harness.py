@@ -554,8 +554,8 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
                         delta_x_max=probe.delta_x_max, train_accuracy=acc,
                         test_accuracy=rep.test_accuracy, n_train=fits[key].n,
                         accuracy_flag=flagged, reseeded=reseeded, note=notes[key])
-        # only a reference probe is read after this round; dropping the others
-        # keeps a chunk from holding every leg's counterexamples at once
+        # only a reference probe is read after this round (diversify starts
+        # from it); every other leg keeps its b_r and tolerance in `leg`
         runs[key] = (leg, model, rep, probe if approach == "original" else None)
     return [runs[key] for key in legs]
 
@@ -828,11 +828,25 @@ def render_boxplot(report: ExperimentReport) -> str:
     return "\n".join(parts) + "\n"
 
 
+def numeric_build() -> dict:
+    """The numpy version, and the name and version of the BLAS it was built
+    with, which the report bytes depend on (matmul and reduction order).
+    numpy before 1.26 cannot list its build as a dict, so there only the
+    version is given."""
+    build = {"version": np.__version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return build
+    build["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    return build
+
+
 def emit_report(report: ExperimentReport, out_dir, svg: bool = True) -> dict:
     """Write report.csv, runs.csv, report.json and (optionally) boxplot.svg.
 
-    Timing lives in meta.json so the four report files depend only on the
-    master seed and config.
+    Timing and the numpy build live in meta.json so the four report files
+    depend only on the master seed and config.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -849,7 +863,7 @@ def emit_report(report: ExperimentReport, out_dir, svg: bool = True) -> dict:
         with open(paths["boxplot_svg"], "w", encoding="utf-8") as fh:
             fh.write(render_boxplot(report))
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"durations": report.durations}, fh, indent=2)
+        json.dump({"durations": report.durations, "numpy": numeric_build()}, fh, indent=2)
         fh.write("\n")
     paths["meta_json"] = out / "meta.json"
     return paths

@@ -115,20 +115,26 @@ class _Pass:
         self.weights_t = [w.swapaxes(-1, -2) for w in weights]
         self.bias_rows = [b[..., None, :] for b in biases]
         self.zs = [np.empty((*rows, w.shape[-2])) for w in weights]   # pre-activations
-        self.acts = [X] + [np.empty_like(z) for z in self.zs[:-1]]    # each layer's input
-        self.shifted = np.empty_like(self.zs[-1])     # logits minus each row's max
-        self.probs = np.empty_like(self.zs[-1])
         self.top = np.empty((*rows, 1))
         self.top_flat = self.top[..., 0]
         self.sums = np.empty((*rows, 1))              # softmax denominators
-        if backward:
-            self.deltas = [np.empty_like(z) for z in self.zs]
-            self.deltas_t = [d.swapaxes(-1, -2) for d in self.deltas]
-            self.active = [np.empty(z.shape, dtype=bool) for z in self.zs[:-1]]
+        if not backward:
+            # forward only: ReLU and the softmax overwrite their inputs, so
+            # the pass holds one buffer per layer
+            self.acts = [X] + self.zs[:-1]
+            self.shifted = self.probs = self.zs[-1]
+            return
+        # backward reads the pre-activations, so they keep their own buffers
+        self.acts = [X] + [np.empty_like(z) for z in self.zs[:-1]]    # each layer's input
+        self.shifted = np.empty_like(self.zs[-1])     # logits minus each row's max
+        self.probs = np.empty_like(self.zs[-1])
+        self.deltas = [np.empty_like(z) for z in self.zs]
+        self.deltas_t = [d.swapaxes(-1, -2) for d in self.deltas]
+        self.active = [np.empty(z.shape, dtype=bool) for z in self.zs[:-1]]
 
     def forward(self) -> np.ndarray:
-        """The probabilities; `shifted` and `sums` then give the loss
-        without a second pass."""
+        """The probabilities; in a pass built for backward, `shifted` and
+        `sums` then give the loss without a second pass."""
         last = len(self.zs) - 1
         for l, z in enumerate(self.zs):
             np.matmul(self.acts[l], self.weights_t[l], out=z)

@@ -288,16 +288,22 @@ def _lloyd_run(points, k, rng, max_iter, tol):
         new_centroids = centroids.copy()   # an empty cluster keeps its centroid
         new_centroids[filled] = (onehot.T @ points)[filled] / counts[filled, None]
         # empty-cluster repair: move the centroid onto the point currently
-        # farthest from its own centroid, keeping k constant
+        # farthest from its own centroid, keeping k constant. Once that point
+        # lies within `tol` of its centroid, every point does, and moving
+        # centroids onto them would only reshuffle ownership, never settle
+        # (k above the number of distinct rows)
         dists = _sq_distances(points, new_centroids)
         owner = np.argmin(dists, axis=1)
         best = dists[np.arange(n), owner]
-        empty = np.flatnonzero(np.bincount(owner, minlength=k) == 0)
-        for c in empty:
+        moved = False
+        for c in np.flatnonzero(np.bincount(owner, minlength=k) == 0):
             far = int(np.argmax(best))
+            if best[far] <= tol ** 2:
+                break
             new_centroids[c] = points[far]
             best[far] = 0.0
-        if len(empty):
+            moved = True
+        if moved:
             dists = _sq_distances(points, new_centroids)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

@@ -8,6 +8,7 @@ the training data so zero-valued entries still receive noise.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -70,31 +71,118 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Counterexamples:
-    """The misclassified variants of a sweep, kept as arrays: variant i is
-    input `input_index[i]` of class `true_class[i]`, perturbed at noise
-    `level[i]` into row i of `noisy_inputs` and predicted as
-    `predicted_class[i]`."""
+class _Variants:
+    """What every level of a sweep perturbs, in the order of a level's
+    batch: `samples` random variants of each probed input, then one
+    gradient-sign variant per probed input (either part may be absent)."""
 
-    input_index: np.ndarray      # (k,) int
-    true_class: np.ndarray       # (k,) int
-    predicted_class: np.ndarray  # (k,) int
-    level: np.ndarray            # (k,) float
-    noisy_inputs: np.ndarray     # (k, d) float
+    inputs: np.ndarray        # (n, d) the probed inputs
+    rows: np.ndarray          # (n,) their rows in the test set
+    labels: np.ndarray        # (n,) their classes
+    scales: np.ndarray        # (n, d) their noise scales
+    signs: np.ndarray | None  # (n, d) their loss gradients' signs, None without that route
+    samples: int              # random variants per input, 0 without that route
+    test_rows: int            # every test row draws its noise, probed or not
+    generator: np.random.Generator | None   # the sweep's, before its first draw
+
+    @property
+    def n_random(self) -> int:
+        return len(self.inputs) * self.samples
+
+    def input_of(self, positions: np.ndarray) -> np.ndarray:
+        """The probed input behind each of a level's variant positions."""
+        n_random = self.n_random
+        return np.where(positions < n_random, positions // max(self.samples, 1),
+                        positions - n_random)
+
+    def fill(self, level: float, random: np.ndarray, random_at, gradient: np.ndarray,
+             gradient_at) -> None:
+        """Variants at `level` of the inputs that `random_at` and
+        `gradient_at` select: `random` holds the generator's doubles for
+        the random ones and is overwritten with them, and the gradient-sign
+        ones are written into `gradient`. `np.s_[:, None]` selects every
+        input, broadcast over its samples. Each value takes the same
+        elementwise steps however the inputs are selected, so it keeps its
+        bits."""
+        if random.size:
+            _add_uniform(self.inputs[random_at], level * self.scales[random_at], random)
+        if gradient.size:
+            np.add(self.inputs[gradient_at],
+                   level * self.scales[gradient_at] * self.signs[gradient_at], out=gradient)
+
+    def rebuild(self, level: float, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """A level's variants at `positions` (ascending) as rows, from
+        `draws`, the (test rows, samples, d) doubles that level drew."""
+        d = self.inputs.shape[1]
+        split = int(np.searchsorted(positions, self.n_random))
+        inputs = self.input_of(positions)
+        noisy = np.empty((len(positions), d))
+        if split:
+            random = positions[:split]
+            np.take(draws.reshape(-1, d),
+                    self.rows[inputs[:split]] * self.samples + random % self.samples,
+                    axis=0, out=noisy[:split])
+        self.fill(level, noisy[:split], inputs[:split], noisy[split:], inputs[split:])
+        return noisy
+
+
+@dataclass(frozen=True, eq=False)
+class Counterexamples:
+    """The misclassified variants of a sweep, kept as where they sit in
+    each level's batch (see `_Variants`) rather than as rows: at
+    `levels[i]`, the variants at positions `wrong[i]` (ascending) were
+    predicted as `predicted[i]`. Their order is level by level, then by
+    position; `blocks` rebuilds their rows."""
+
+    levels: tuple[float, ...]
+    wrong: tuple[np.ndarray, ...]       # per level: (k_i,) int positions
+    predicted: tuple[np.ndarray, ...]   # per level: (k_i,) int classes
+    variants: _Variants
 
     def __post_init__(self):
-        for name, dtype in (("input_index", np.intp), ("true_class", np.intp),
-                            ("predicted_class", np.intp), ("level", float),
-                            ("noisy_inputs", float)):
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            if len(column) != len(self.input_index):
-                raise ValueError("counterexample arrays differ in length")
-            object.__setattr__(self, name, column)
-        if (self.predicted_class == self.true_class).any():
-            raise ValueError("a counterexample must be misclassified")
+        levels = tuple(float(level) for level in self.levels)
+        wrong = tuple(np.asarray(w, dtype=np.intp) for w in self.wrong)
+        predicted = tuple(np.asarray(p, dtype=np.intp) for p in self.predicted)
+        if not len(levels) == len(wrong) == len(predicted):
+            raise ValueError("counterexample levels, positions and predictions differ in count")
+        for w, p in zip(wrong, predicted):
+            if len(w) != len(p):
+                raise ValueError("counterexample positions and predictions differ in length")
+            if (self.variants.labels[self.variants.input_of(w)] == p).any():
+                raise ValueError("a counterexample must be misclassified")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "wrong", wrong)
+        object.__setattr__(self, "predicted", predicted)
 
     def __len__(self) -> int:
-        return len(self.input_index)
+        return sum(len(w) for w in self.wrong)
+
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Counterexamples `start:stop`, one level at a time: for each
+        level holding some of them, their input indices, true classes,
+        predicted classes, levels and (k, d) noisy rows.
+
+        A level's random variants are rebuilt from the doubles that level
+        drew, so a copy of the sweep's generator replays the draws of every
+        level from the first; the rows hold the bits the sweep probed."""
+        v = self.variants
+        stop = len(self) if stop is None else min(stop, len(self))
+        rng = copy.deepcopy(v.generator) if v.samples and start < stop else None
+        draws = None if rng is None else np.empty((v.test_rows, v.samples, v.inputs.shape[1]))
+        begin = 0
+        for level, wrong, predicted in zip(self.levels, self.wrong, self.predicted):
+            if begin >= stop:
+                break
+            if rng is not None:
+                rng.random(out=draws)
+            lo, hi = max(start - begin, 0), min(stop - begin, len(wrong))
+            begin += len(wrong)
+            if lo >= hi:
+                continue
+            positions = wrong[lo:hi]
+            inputs = v.input_of(positions)
+            yield (v.rows[inputs], v.labels[inputs], predicted[lo:hi],
+                   np.full(hi - lo, level), v.rebuild(level, positions, draws))
 
 
 @dataclass
@@ -158,7 +246,9 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     `substream(seed, "probe")`, drawn level by level for every test row,
     probed or not. So a row's noise depends only on the seed, the shape
     of the sweep and the row's index and level, and is the same in every
-    leg probed on one test set with that seed.
+    leg probed on one test set with that seed. The counterexamples keep
+    only which variants each level got wrong and as what, and a copy of
+    the generator from which `Counterexamples.blocks` rebuilds their rows.
     `scales` should come from the training features; they default to the
     probed set's own scales when omitted.
     """
@@ -192,51 +282,44 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
     # per input, then one gradient-sign variant per input. Their rows,
     # labels and counts are fixed; only the noisy inputs change per level.
     n, d = X.shape
-    S = spec.samples_per_input
-    parts = []
-    if spec.random_enabled:
-        parts.append(np.repeat(np.arange(n), S))
+    S = spec.samples_per_input if spec.random_enabled else 0
+    rng = substream(seed, "probe") if spec.random_enabled else None
+    variants = _Variants(X, probed_idx, y, per_input_scales, signs, S, test.n,
+                         copy.deepcopy(rng))
+    parts = [np.repeat(np.arange(n), S)]
     if spec.gradient_enabled:
         parts.append(np.arange(n))
-    v_rows = np.concatenate(parts)
-    v_labels = y[v_rows]
+    v_labels = y[np.concatenate(parts)]
     level_variants = np.bincount(v_labels, minlength=L)
-    n_random = n * S if spec.random_enabled else 0
-    batch = np.empty((len(v_rows), d))
-    random_block = batch[:n_random].reshape(-1, S, d)   # a view: (input, sample, d)
+    n_random = variants.n_random
+    batch = np.empty((len(v_labels), d))
+    random_block = batch[:n_random].reshape(n, S, d)    # a view: (input, sample, d)
     batch_pass = _Pass(mlp.weights, mlp.biases, batch)  # reads `batch` as refilled
+    draws = np.empty((test.n, S, d))
 
-    if spec.random_enabled:
-        rng = substream(seed, "probe")
-        draws = np.empty((test.n, S, d))
-
-    found = []   # per level with a miss: input index, true, predicted, level, noisy rows
+    wrong_at, predicted_at = [], []   # per level: the misclassified positions, their classes
     per_level: dict[float, np.ndarray] = {}
     misclassified = np.zeros(L, dtype=int)
     variants_total = np.zeros(L, dtype=int)
     first_bad_level = None
 
     for li, level in enumerate(spec.levels):
-        if spec.random_enabled:
+        if rng is not None:
             rng.random(out=draws)
             np.take(draws, probed_idx, axis=0, out=random_block)
-            _add_uniform(X[:, None, :], (level * per_input_scales)[:, None, :], random_block)
-        if spec.gradient_enabled:
-            np.add(X, level * per_input_scales * signs, out=batch[n_random:])
+        variants.fill(level, random_block, np.s_[:, None], batch[n_random:], np.s_[:])
 
         pred = np.argmax(batch_pass.forward(), axis=1)
-        wrong = pred != v_labels
+        wrong = np.flatnonzero(pred != v_labels)
+        wrong_at.append(wrong)
+        predicted_at.append(pred[wrong])
 
         level_counts = np.bincount(v_labels[wrong], minlength=L)
         per_level[level] = level_counts
         misclassified += level_counts
         variants_total += level_variants
-        if wrong.any():
-            pos = np.flatnonzero(wrong)
-            found.append((probed_idx[v_rows[pos]], v_labels[pos], pred[pos],
-                          np.full(len(pos), level), batch[pos]))
-            if first_bad_level is None:
-                first_bad_level = li
+        if len(wrong) and first_bad_level is None:
+            first_bad_level = li
 
     if first_bad_level is None:
         delta_x_max = spec.levels[-1]
@@ -252,8 +335,7 @@ def noise_sweep(mlp: Mlp, test: Dataset, spec: NoiseSpec, seed: int,
         R=R,
         mu=mu,
         b_r=b_r,
-        counterexamples=(Counterexamples(*map(np.concatenate, zip(*found))) if found
-                         else Counterexamples([], [], [], [], np.empty((0, d)))),
+        counterexamples=Counterexamples(spec.levels, wrong_at, predicted_at, variants),
         per_level_misclassification=per_level,
         probed_per_class=probed_per_class,
         variants_per_class=variants_total,
@@ -285,24 +367,22 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
         fh.write("\n")
 
 
-def _write_rows(fh, cex: Counterexamples, level_text: dict, start: int, stop: int) -> None:
+def _write_rows(fh, cex: Counterexamples, start: int, stop: int) -> None:
     """Counterexamples `start:stop` as CSV rows, joined by hand, since
     integers, level texts and float `repr`s never need quoting. Rows are
-    converted to Python floats one at a time, so no list of every value is
-    held at once."""
-    rows = slice(start, stop)
-    fh.writelines(
-        f"{index},{true},{pred},{level_text[level]},{','.join(map(repr, noisy.tolist()))}\r\n"
-        for index, true, pred, level, noisy in zip(
-            cex.input_index[rows].tolist(), cex.true_class[rows].tolist(),
-            cex.predicted_class[rows].tolist(), cex.level[rows].tolist(),
-            cex.noisy_inputs[rows]))
+    rebuilt one level at a time and converted to Python floats one at a
+    time, so no list of every value is held at once."""
+    for index, true, pred, level, noisy in cex.blocks(start, stop):
+        text = format_level(float(level[0]))
+        fh.writelines(
+            f"{i},{t},{p},{text},{','.join(map(repr, row.tolist()))}\r\n"
+            for i, t, p, row in zip(index.tolist(), true.tolist(), pred.tolist(), noisy))
 
 
-def _write_part(cex: Counterexamples, level_text: dict, start: int, stop: int, path) -> None:
+def _write_part(cex: Counterexamples, start: int, stop: int, path) -> None:
     """A helper process's block of rows, into its own part file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, cex, level_text, start, stop)
+        _write_rows(fh, cex, start, stop)
 
 
 # Timed on a 2-vCPU VM: forking a helper costs about as much as writing 8k
@@ -336,15 +416,14 @@ def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
     writes the header and the first block to `path`, while a forked helper
     writes each further block to a temporary part file beside `path`; the
     parts are then appended in order, so the bytes are the same at any
-    count. Forked helpers inherit the rows rather than have them pickled,
-    and only format and write them; where "fork" is not available, this
-    process writes every row. Every helper is joined and every part file
-    removed before this returns, and a helper that exits non-zero raises
-    `OSError`.
+    count. Forked helpers inherit the counterexamples rather than have them
+    pickled, and each rebuilds, formats and writes only its own rows; where
+    "fork" is not available, this process writes every row. Every helper is
+    joined and every part file removed before this returns, and a helper
+    that exits non-zero raises `OSError`.
     """
     cex = report.counterexamples
-    level_text = {level: format_level(level) for level in set(cex.level.tolist())}
-    blocks = _block_count(len(cex), cex.noisy_inputs.size)
+    blocks = _block_count(len(cex), len(cex) * cex.variants.inputs.shape[1])
     context = _fork_context() if blocks > 1 else None
     if context is None:
         blocks = 1
@@ -359,13 +438,13 @@ def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
                 os.close(fd)
                 parts.append(part)
                 helper = context.Process(target=_write_part,
-                                         args=(cex, level_text, start, stop, part))
+                                         args=(cex, start, stop, part))
                 helper.start()
                 helpers.append(helper)
             with open(target, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(["input_index", "true_class", "predicted_class",
                                          "level"] + list(feature_names))
-                _write_rows(fh, cex, level_text, edges[0], edges[1])
+                _write_rows(fh, cex, edges[0], edges[1])
         finally:
             for helper in helpers:
                 helper.join()

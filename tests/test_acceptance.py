@@ -277,7 +277,7 @@ def test_synthetic_rows_stay_inside_final_bounds():
         R=np.array([0.4, 0.1]),
         mu=np.array([30.0, 10.0]),
         b_r=0.3,
-        counterexamples=Counterexamples([], [], [], [], np.empty((0, train.d))),
+        counterexamples=Counterexamples((), (), (), None),   # none, and nothing reads them
         per_level_misclassification={},
         probed_per_class=np.array([12, 12]),
         variants_per_class=np.array([120, 120]),

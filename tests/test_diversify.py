@@ -37,7 +37,7 @@ def fake_probe(mu, delta_x_max=0.0):
         R=mu / 100.0,
         mu=mu,
         b_r=0.0,
-        counterexamples=Counterexamples([], [], [], [], np.empty((0, 1))),
+        counterexamples=Counterexamples((), (), (), None),   # none, and nothing reads them
         per_level_misclassification={},
         probed_per_class=np.full(L, 10),
         variants_per_class=np.full(L, 100),

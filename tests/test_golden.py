@@ -25,11 +25,11 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from biasdiv.cli import main
-from biasdiv.harness import emit_report, load_experiment_config, run_experiment
+from biasdiv.harness import (emit_report, load_experiment_config, numeric_build,
+                             run_experiment)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -41,12 +41,10 @@ CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
 
 def numeric_env() -> str:
     """The numpy version and BLAS that this run's bytes came from."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except TypeError:   # numpy < 1.26 prints its configuration only
-        blas = "unknown"
-    return f"numpy {np.__version__}, BLAS {blas}"
+    build = numeric_build()
+    blas = build.get("blas")
+    blas = f"{blas['name']} {blas['version']}" if blas else "unknown"
+    return f"numpy {build['version']}, BLAS {blas}"
 
 
 def cli_outputs(command: str, out: Path) -> dict:

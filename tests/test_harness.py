@@ -456,6 +456,27 @@ def test_emit_report_files_and_recompute(separated_cfg, separated_report, tmp_pa
     assert len(meta["durations"]["per_repeat_seconds"]) == separated_cfg.repeats
 
 
+def test_meta_records_the_numpy_build(separated_report, tmp_path, monkeypatch):
+    """meta.json names the numpy version and its BLAS beside the
+    durations; a numpy that cannot list its build as a dict (before 1.26)
+    gives the version alone. The report files stay as they are."""
+    paths = emit_report(separated_report, tmp_path / "out", svg=False)
+    meta = json.loads(paths["meta_json"].read_text())
+    assert set(meta) == {"durations", "numpy"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["numpy"] == {"version": np.__version__,
+                             "blas": {"name": blas["name"], "version": blas["version"]}}
+
+    def old_show_config():   # numpy 1.24's signature: no `mode`
+        print("blas_opt_info: ...")
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    again = emit_report(separated_report, tmp_path / "old", svg=False)
+    assert json.loads(again["meta_json"].read_text())["numpy"] == {"version": np.__version__}
+    for key in ("report_csv", "runs_csv", "report_json"):
+        assert again[key].read_bytes() == paths[key].read_bytes()
+
+
 def test_emit_report_bit_identical_across_runs(separated_cfg, separated_report, tmp_path):
     first = emit_report(separated_report, tmp_path / "a")
     second = emit_report(run_experiment(separated_cfg), tmp_path / "b")

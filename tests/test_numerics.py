@@ -203,6 +203,26 @@ def test_kmeans_empty_cluster_repair_frozen():
     assert trace == [2.0, 0.6224489795918366, 0.5, 0.5, 0.5]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_with_more_clusters_than_distinct_rows_converges(monkeypatch, seed):
+    """12 distinct rows, each 5 times, in 30 clusters: 18 clusters stay
+    empty, and once every row sits on a centroid the repair stops moving
+    them, so a restart converges instead of running all 100 iterations
+    (2,010 distance calls over 10 restarts before the repair stopped)."""
+    calls = []
+    sq_distances = numerics._sq_distances
+
+    def counting(*args):
+        calls.append(None)
+        return sq_distances(*args)
+
+    monkeypatch.setattr(numerics, "_sq_distances", counting)
+    points = np.repeat(substream(49, "duplicates").normal(size=(12, 5)), 5, axis=0)
+    result = kmeans(points, 30, seed=seed)
+    assert len(calls) <= 40
+    assert result.inertia <= 1e-30
+
+
 def test_kmeans_k_equals_n_is_exact():
     pts = np.array([[0.0, 0.0], [3.0, 1.0], [7.0, 2.0]])
     result = kmeans(pts, k=3, seed=1)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from biasdiv.mlp import (Mlp, MlpSpec, TrainSchedule, init_mlp, input_gradients,
 from biasdiv.probe import (
     DEFAULT_LEVELS,
     _add_uniform,
+    _Variants,
     Counterexamples,
     NoiseSpec,
     ProbeReport,
@@ -66,12 +68,37 @@ def threshold_ds(x0=0.5):
                    ("low", "high"), ("f0",))
 
 
+def cex_columns(cex, start=0, stop=None):
+    """Counterexamples `start:stop` as five arrays: input index, true
+    class, predicted class, level and noisy rows."""
+    d = cex.variants.inputs.shape[1]
+    blocks = list(cex.blocks(start, stop))
+    if not blocks:
+        return [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0), np.empty((0, d))]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def cex_rows(cex):
     """Counterexamples as (input index, true class, predicted class, level,
     noisy row) tuples of Python values."""
-    return list(zip(cex.input_index.tolist(), cex.true_class.tolist(),
-                    cex.predicted_class.tolist(), cex.level.tolist(),
-                    cex.noisy_inputs.tolist()))
+    return list(zip(*(column.tolist() for column in cex_columns(cex))))
+
+
+def exact_counterexamples(input_index, true_class, predicted_class, level, noisy):
+    """Counterexamples whose rows are exactly `noisy`: each row is its own
+    probed input, probed by the gradient-sign route alone with zero scales
+    and negative signs, so its variant is `x + -0.0`, which is `x` for every
+    float, -0.0 included. The rows come out sorted by level, stably."""
+    level = np.asarray(level, dtype=float)
+    order = np.argsort(level, kind="stable")
+    noisy = np.asarray(noisy, dtype=float)[order]
+    true_class = np.asarray(true_class)[order]
+    predicted_class = np.asarray(predicted_class)[order]
+    variants = _Variants(noisy, np.asarray(input_index)[order], true_class,
+                         np.zeros_like(noisy), -np.ones_like(noisy), 0, len(noisy), None)
+    levels = np.unique(level)
+    at = [np.flatnonzero(level[order] == v) for v in levels]
+    return Counterexamples(levels, at, [predicted_class[i] for i in at], variants)
 
 
 # -- spec --------------------------------------------------------------------
@@ -98,23 +125,29 @@ def test_noise_spec_validation():
 
 
 def test_counterexample_arrays_must_be_wrong():
+    variants = _Variants(np.zeros((2, 3)), np.arange(2), np.array([0, 1]), np.ones((2, 3)),
+                         np.ones((2, 3)), 0, 2, None)
     with pytest.raises(ValueError, match="misclassified"):
-        Counterexamples([0, 1], [0, 1], [1, 1], [0.1, 0.1], np.zeros((2, 3)))
+        Counterexamples([0.1], [[0, 1]], [[1, 1]], variants)
     with pytest.raises(ValueError, match="length"):
-        Counterexamples([0, 1], [0, 1], [1, 0], [0.1], np.zeros((2, 3)))
+        Counterexamples([0.1], [[0, 1]], [[1]], variants)
+    with pytest.raises(ValueError, match="count"):
+        Counterexamples([0.1, 0.2], [[0, 1]], [[1, 0]], variants)
 
 
 def test_counterexample_arrays_hold_typed_columns():
     noisy = np.arange(6.0).reshape(3, 2)
-    cex = Counterexamples([4, 0, 9], [0, 1, 2], [1, 0, 0], [0.1, 0.2, 0.3], noisy)
+    cex = exact_counterexamples([4, 0, 9], [0, 1, 2], [1, 0, 0], [0.1, 0.2, 0.3], noisy)
     assert len(cex) == 3
     assert cex_rows(cex)[-1] == (9, 2, 0, 0.3, [4.0, 5.0])
-    assert cex.input_index.dtype == np.intp and cex.level.dtype == float
-    assert len(Counterexamples([], [], [], [], np.empty((0, 2)))) == 0
+    index, _, predicted, level, rows = cex_columns(cex)
+    assert index.dtype == np.intp and predicted.dtype == np.intp and level.dtype == float
+    assert rows.tobytes() == noisy.tobytes()
+    empty = exact_counterexamples([], [], [], [], np.empty((0, 2)))
+    assert len(empty) == 0 and list(empty.blocks()) == []
     # compared by identity, so `==` never compares arrays elementwise (and
     # never raises on multi-feature rows)
-    twin = Counterexamples(cex.input_index, cex.true_class, cex.predicted_class,
-                           cex.level, noisy)
+    twin = Counterexamples(cex.levels, cex.wrong, cex.predicted, cex.variants)
     assert cex == cex and cex != twin
 
 
@@ -303,7 +336,7 @@ def test_sweep_counterexamples_replay_and_respect_bound():
         assert cls == pred != true
         assert np.all(np.abs(noisy - ds.features[index]) <= level * scales + 1e-12)
     # no logged counterexample at or below the reported tolerance
-    assert (report.counterexamples.level > report.delta_x_max).all()
+    assert (cex_columns(report.counterexamples)[3] > report.delta_x_max).all()
 
 
 def test_sweep_deterministic():
@@ -316,7 +349,7 @@ def test_sweep_deterministic():
     assert r1.b_r == r2.b_r
     assert r1.delta_x_max == r2.delta_x_max
     assert len(r1.counterexamples) == len(r2.counterexamples)
-    assert np.array_equal(r1.counterexamples.noisy_inputs, r2.counterexamples.noisy_inputs)
+    assert np.array_equal(cex_columns(r1.counterexamples)[4], cex_columns(r2.counterexamples)[4])
 
 
 @pytest.mark.parametrize("per_sample_scale, b_r, delta_x_max, per_level, count, first", [
@@ -477,6 +510,142 @@ def test_sweep_counts_are_consistent():
     assert report.variants_per_class.tolist() == expected.tolist()
 
 
+def reference_sweep_counterexamples(mlp, test, spec, seed, scales):
+    """The counterexamples of `noise_sweep` as five arrays, gathered the
+    allocating way: every level's batch is built from `Generator.uniform`
+    over every test row, its misclassified rows are copied out, and the
+    copies of all levels are concatenated."""
+    probed = np.flatnonzero(predict_batch(mlp, test.features)[0] == test.labels)
+    X, y = test.features[probed], test.labels[probed]
+    all_scales = np.abs(test.features) if spec.per_sample_scale else \
+        np.broadcast_to(scales, test.features.shape)
+    rng = substream(seed, "probe")
+    S = spec.samples_per_input
+    inputs = np.arange(len(probed))
+    found = []
+    for level in spec.levels:
+        batch, rows = [], []
+        if spec.random_enabled:
+            bound = (level * all_scales)[:, None, :]
+            noisy = test.features[:, None, :] + rng.uniform(-bound, bound,
+                                                            (test.n, S, test.d))
+            batch.append(noisy[probed].reshape(-1, test.d))
+            rows.append(np.repeat(inputs, S))
+        if spec.gradient_enabled:
+            signs = np.sign(input_gradients(mlp, X, y))
+            batch.append(X + level * all_scales[probed] * signs)
+            rows.append(inputs)
+        batch, rows = np.concatenate(batch), np.concatenate(rows)
+        pred = predict_batch(mlp, batch)[0]
+        wrong = pred != y[rows]
+        found.append((probed[rows[wrong]], y[rows[wrong]], pred[wrong],
+                      np.full(wrong.sum(), level), batch[wrong]))
+    return [np.concatenate(column) for column in zip(*found)]
+
+
+def _blob_model():
+    ds = make_toy_blobs(per_class=8, centers=[[2.0, 2.0], [3.5, 3.5]], spread=0.6, seed=4)
+    model, _ = train(init_mlp(MlpSpec((2, 6, 2), init_seed=1)), ds,
+                     TrainSchedule(((0.5, 150),)))
+    return ds, model
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+@pytest.mark.parametrize("per_sample_scale", [False, True])
+@pytest.mark.parametrize("attack", ["both", "random_sweep", "gradient_sign"])
+def test_blocks_equal_the_allocating_reference(attack, per_sample_scale, seed):
+    """The rows rebuilt from positions hold the bits of the rows the
+    reference sweep copied out, column by column."""
+    ds, model = _blob_model()
+    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6,
+                     attack=attack, per_sample_scale=per_sample_scale)
+    scales = feature_scales(ds.features)
+    report = noise_sweep(model, ds, spec, seed=seed, scales=scales)
+    expected = reference_sweep_counterexamples(model, ds, spec, seed, scales)
+    got = cex_columns(report.counterexamples)
+    assert len(report.counterexamples) == len(expected[0]) > 0
+    for name, want, have in zip(("index", "true", "predicted", "level", "noisy"),
+                                expected, got):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+
+
+def test_blocks_cut_any_row_range():
+    """Any row range, inside a level, across levels or past the end, is
+    that slice of the whole, and a level's block holds its rows alone."""
+    ds, model = _blob_model()
+    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6)
+    cex = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features)).counterexamples
+    whole = cex_columns(cex)
+    k = len(cex)
+    for start, stop in ((0, k), (0, 1), (3, 4), (5, 40), (k - 1, k), (k // 2, k + 9),
+                        (10, 10), (k, k + 1)):
+        part = cex_columns(cex, start, stop)
+        for column, want in zip(part, whole):
+            assert column.tobytes() == want[start:stop].tobytes(), (start, stop)
+    for _, _, _, level, _ in cex.blocks():
+        assert len(set(level.tolist())) == 1
+
+
+def test_counterexample_csv_bytes_with_a_block_edge_inside_a_level(tmp_path, monkeypatch):
+    """A sweep's CSV written by one process and by two, the second block
+    starting inside a level, so its helper replays that level's draw."""
+    ds, model = _blob_model()
+    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6)
+    report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
+    cex = report.counterexamples
+    ends = np.cumsum([len(w) for w in cex.wrong]).tolist()
+    assert len(cex) // 2 not in [0] + ends          # the edge falls inside a level
+    expected = _reference_csv(cex, ds.feature_names)
+    for processes in (1, 2):
+        _split_into(monkeypatch, processes)
+        path = tmp_path / f"cex{processes}.csv"
+        write_counterexamples_csv(report, path, ds.feature_names)
+        assert path.read_bytes() == expected, processes
+    assert multiprocessing.active_children() == []
+
+
+def _probe_cli_shaped():
+    """A model and a test set shaped like the benchmark's probe-cli: 450
+    rows of 8 features in 3 classes and two hidden layers of 15, probed
+    with the shipped grid (40 levels, 20 random variants per input)."""
+    centers = np.zeros((3, 8))
+    centers[[0, 1, 2], [1, 4, 6]] = 1.0
+    ds = make_toy_blobs(per_class=150, centers=centers, spread=1.3, seed=3)
+    model, _ = train(init_mlp(MlpSpec((8, 15, 15, 3), init_seed=2)), ds,
+                     TrainSchedule(((0.5, 200),)))
+    return ds, model
+
+
+def _traced_sweep():
+    """One sweep of `_probe_cli_shaped` under tracemalloc: its count of
+    counterexamples, its peak, and what its report still holds."""
+    ds, model = _probe_cli_shaped()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = noise_sweep(model, ds, NoiseSpec(), seed=5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return len(report.counterexamples), peak - before, retained - before
+
+
+def test_sweep_peak_does_not_grow_with_its_counterexamples():
+    """Over 40k counterexamples: copying each level's rows and then
+    concatenating the copies peaked at 13.1 MiB; keeping positions, 4.8 MiB."""
+    count, peak, _ = _traced_sweep()
+    assert count >= 40_000
+    assert peak < 8 * 2**20, peak
+
+
+def test_probe_report_keeps_positions_not_rows():
+    """The same sweep's report holds positions, predictions and what
+    rebuilds the rows: 0.7 MiB, where the rows themselves took 3.9 MiB."""
+    count, _, retained = _traced_sweep()
+    assert count >= 40_000
+    assert retained < 2 * 2**20, retained
+
+
 # -- serialization ------------------------------------------------------------------
 
 def test_probe_report_json_and_csv(tmp_path):
@@ -541,7 +710,8 @@ def test_counterexample_csv_bytes_match_per_row_repr(tmp_path):
     values = [1e-05, -0.0, 0.1 + 0.2, 1e16, 5e-324, 1 / 3, -123456789.125, 2.5, 0.0,
               float(np.nextafter(1.0, 2.0)), 1e-300, 7.0]
     noisy = np.array(values).reshape(4, 3)
-    cex = Counterexamples([0, 1, 2, 3], [0] * 4, [1] * 4, [0.01, 0.1, 0.35, 0.4], noisy)
+    cex = exact_counterexamples([0, 1, 2, 3], [0] * 4, [1] * 4, [0.01, 0.1, 0.35, 0.4], noisy)
+    assert cex_columns(cex)[4].tobytes() == noisy.tobytes()
     names = ("a", 'b, "quoted"', "c")   # the header keeps csv quoting
     report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
                          np.zeros(2, dtype=int), np.zeros(2, dtype=int))
@@ -556,8 +726,9 @@ def _random_report(rows: int) -> ProbeReport:
     """A report whose only content is `rows` counterexamples of 3 features."""
     source = substream(5, "csv", rows)
     noisy = source.normal(size=(rows, 3)) * 10.0 ** source.integers(-8, 9, size=(rows, 3))
-    cex = Counterexamples(np.arange(rows), np.zeros(rows, dtype=int), np.ones(rows, dtype=int),
-                          source.choice([0.01, 0.1, 0.35], rows), noisy)
+    cex = exact_counterexamples(np.arange(rows), np.zeros(rows, dtype=int),
+                                np.ones(rows, dtype=int), source.choice([0.01, 0.1, 0.35], rows),
+                                noisy)
     return ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
                        np.zeros(2, dtype=int), np.zeros(2, dtype=int))
 
