@@ -110,12 +110,13 @@ class _Variants:
             np.add(self.inputs[gradient_at],
                    level * self.scales[gradient_at] * self.signs[gradient_at], out=gradient)
 
-    def rebuild(self, level: float, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """A level's variants at `positions` (ascending) as rows, from
-        `draws`, the (test rows, samples, d) doubles that level drew."""
+    def rebuild(self, level: float, positions: np.ndarray, inputs: np.ndarray,
+                draws: np.ndarray) -> np.ndarray:
+        """A level's variants at `positions` (ascending; `inputs` are
+        their probed inputs) as rows, from `draws`, the (test rows,
+        samples, d) doubles that level drew."""
         d = self.inputs.shape[1]
         split = int(np.searchsorted(positions, self.n_random))
-        inputs = self.input_of(positions)
         noisy = np.empty((len(positions), d))
         if split:
             random = positions[:split]
@@ -182,7 +183,7 @@ class Counterexamples:
             positions = wrong[lo:hi]
             inputs = v.input_of(positions)
             yield (v.rows[inputs], v.labels[inputs], predicted[lo:hi],
-                   np.full(hi - lo, level), v.rebuild(level, positions, draws))
+                   np.full(hi - lo, level), v.rebuild(level, positions, inputs, draws))
 
 
 @dataclass
