@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -129,11 +130,13 @@ def _resolve_column(col, header: list[str]) -> int:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a comma-separated, UTF-8, header-first CSV into a Dataset.
 
-    No row is marked synthetic. A header that repeats a column name and an
-    empty label cell are errors. Error messages name the offending 1-based
-    data row and column so bad cells can be located directly.
+    A leading byte-order mark (as Excel's "CSV UTF-8" writes) is skipped,
+    so it never becomes part of the first column's name. No row is marked
+    synthetic. A header that repeats a column name and an empty label cell
+    are errors. Error messages name the offending 1-based data row and
+    column so bad cells can be located directly.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -166,7 +169,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     raise CsvParseError(
                         f"row {rownum}, column '{header[i]}': "
                         f"could not parse '{cell}' as a number") from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise CsvParseError(
                         f"row {rownum}, column '{header[i]}': non-finite value '{cell}'")
                 values.append(v)

@@ -17,11 +17,11 @@ with the bytes it would get alone.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -199,7 +199,19 @@ def _build(cls, section: str, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _resolve_path(raw: str, base_dir) -> str:
+# a `$NAME` or `${NAME}` reference, as `os.path.expandvars` reads them
+_ENV_REFERENCE = re.compile(r"\$(?:\{([^}]*)\}|(\w+))", re.ASCII)
+
+
+def _resolve_path(key: str, raw: str, base_dir) -> str:
+    """`raw` with its environment references expanded, relative to
+    `base_dir`. A reference to an unset variable is a config error that
+    names `key`, not a path that is read literally."""
+    for match in _ENV_REFERENCE.finditer(raw):
+        name = match[1] if match[1] is not None else match[2]
+        if name not in os.environ:
+            raise ConfigError(f"dataset.{key}: environment variable {name} is not set "
+                              f"(in '{raw}')")
     path = Path(os.path.expandvars(raw))
     if not path.is_absolute():
         path = Path(base_dir) / path
@@ -214,7 +226,7 @@ def _parse_dataset(doc, base_dir) -> DatasetConfig:
                     d.pop("feature_columns", None), d.pop("class_names", None) or None)
     for key, field in (("csv", "csv_path"), ("train_csv", "train_csv"), ("test_csv", "test_csv")):
         if key in d:
-            d[field] = _resolve_path(d.pop(key), base_dir)
+            d[field] = _resolve_path(key, d.pop(key), base_dir)
     return _build(DatasetConfig, "dataset", schema, **d)
 
 
@@ -691,6 +703,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     train_ds, test_ds = load_split(cfg)
     tasks = [(cfg, train_ds, test_ds, chunk) for chunk in _chunks(cfg.repeats, cfg.workers)]
     if len(tasks) > 1:
+        # imported here, so that a run with one chunk does not load the pool
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             outcomes = list(pool.map(_chunk_worker, tasks))
     else:
@@ -765,6 +779,28 @@ def write_report_csv(report: ExperimentReport, path) -> None:
                 agg.std, agg.min, agg.max, canonical)])
 
 
+def quartiles(values) -> tuple[float, float, float]:
+    """The 25th, 50th and 75th percentiles of `values`, as
+    `np.percentile(values, (25, 50, 75))` gives them: numpy's default
+    ("linear") rule, repeated on the sorted values, so that the box plot
+    does not load numpy's quantile code (and the `numpy.ma` it imports) for
+    three numbers. The bits are numpy's, except that a zero quartile
+    between a +0.0 and a -0.0 entry may differ from numpy's in sign, which
+    follows numpy's partition order; the plot draws both signs alike."""
+    v = sorted(float(x) for x in values)
+    n = len(v)
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        virtual = n * q + (1 + q * (1 - 1 - 1)) - 1
+        # numpy reads an index past the last value as -1, the last value
+        below = -1 if virtual >= n - 1 else max(math.floor(virtual), 0)
+        above = -1 if below == -1 else below + 1
+        t = virtual - below
+        a, b = v[below], v[above]
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)
+
+
 def render_boxplot(report: ExperimentReport) -> str:
     """Hand-rolled SVG: one whisker box per approach, fixed order."""
     approaches = report.approaches
@@ -807,7 +843,7 @@ def render_boxplot(report: ExperimentReport) -> str:
         parts.append(f'<text x="{cx:.2f}" y="{bottom + 18}" text-anchor="middle">'
                      f'{a}</text>')
         if values:
-            q1, q2, q3 = (float(q) for q in np.percentile(values, (25, 50, 75)))
+            q1, q2, q3 = quartiles(values)
             lo, hi = min(values), max(values)
             parts.append(f'<line x1="{cx:.2f}" y1="{y(lo):.2f}" x2="{cx:.2f}" '
                          f'y2="{y(hi):.2f}" stroke="#333"/>')

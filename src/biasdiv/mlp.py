@@ -354,7 +354,10 @@ def train_stack(mlps, datasets, schedule: TrainSchedule,
 
 def scale_epochs(epochs: int, n_original: int, n_new: int) -> int:
     """Shrink (or grow) an epoch budget proportionally to the dataset-size
-    change so augmented runs see a comparable number of weight updates."""
+    change, so that rows x epochs (how many row gradients a run sums) stays
+    comparable. Under full-batch descent an epoch is one weight update, so
+    the number of updates does not: a set with half the rows gets twice the
+    updates."""
     if epochs < 1 or n_original < 1 or n_new < 1:
         raise ValueError("epochs and sizes must be positive")
     return max(1, round_half_up(epochs * n_original / n_new))

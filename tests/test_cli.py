@@ -122,6 +122,17 @@ def test_missing_dataset_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_unset_dataset_variable_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIASDIV_LEUKEMIA_TEST", str(tmp_path / "test.csv"))
+    monkeypatch.delenv("BIASDIV_LEUKEMIA_TRAIN", raising=False)
+    path = REPO / "configs" / "leukemia.json"
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dataset.train_csv: environment variable "
+        "BIASDIV_LEUKEMIA_TRAIN is not set")
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_writes_outputs(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "probe_out"

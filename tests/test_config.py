@@ -309,6 +309,18 @@ def test_null_dataset_source_is_a_config_error(source, fragment):
         parse_experiment_config(with_value("dataset", source))
 
 
+@pytest.mark.parametrize("key", ["csv", "train_csv", "test_csv"])
+@pytest.mark.parametrize("template", ["${%s}/rows.csv", "data/$%s.csv"])
+def test_unset_path_variable_is_a_config_error(key, template, monkeypatch):
+    monkeypatch.delenv("BIASDIV_UNSET_DIR", raising=False)
+    source = {"csv": "rows.csv"} if key == "csv" else {"train_csv": "train.csv",
+                                                        "test_csv": "test.csv"}
+    source[key] = template % "BIASDIV_UNSET_DIR"
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: environment variable "
+                                          r"BIASDIV_UNSET_DIR is not set"):
+        parse_experiment_config(with_value("dataset", source))
+
+
 @pytest.mark.parametrize("path", NULL_ACCEPTED)
 def test_null_means_the_default(path):
     cfg = parse_experiment_config(with_value(path, None))

@@ -134,6 +134,34 @@ def test_load_csv_rejects_non_finite_cell(tmp_path):
         load_csv(p, DatasetSchema(label_column="y", feature_columns=["f0"]))
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "NaN"])
+def test_load_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
+    p = write(tmp_path, f"f0,f1,y\n1.0,2.0,A\n3.0,{cell},B\n")
+    with pytest.raises(CsvParseError,
+                       match=rf"row 2, column 'f1': non-finite value '{cell}'"):
+        load_csv(p, DatasetSchema(label_column="y", feature_columns=["f0", "f1"]))
+
+
+@pytest.mark.parametrize("text", ["y,f0,f1\nA,1.5,2.0\nB,3.0,-4.25\n",
+                                  "f0,f1,y\n1.5,2.0,A\n3.0,-4.25,B\n"],
+                         ids=["label-first", "label-last"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, text):
+    """A file that starts with a UTF-8 byte-order mark (Excel's "CSV UTF-8")
+    loads to the same dataset as the file without it, whether the label is
+    its first column or its last, and its first column keeps its name."""
+    plain = write(tmp_path, text, name="plain.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for schema in (DatasetSchema(label_column="y"),
+                   DatasetSchema(label_column="y", feature_columns=["f1", "f0"])):
+        want, got = load_csv(plain, schema), load_csv(marked, schema)
+        assert got.feature_names == want.feature_names
+        assert got.class_names == want.class_names
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.synthetic, want.synthetic)
+
+
 def test_load_csv_unmapped_label(tmp_path):
     p = write(tmp_path, "f0,y\n1.0,A\n2.0,C\n")
     schema = DatasetSchema(label_column="y", feature_columns=["f0"],

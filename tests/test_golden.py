@@ -1,7 +1,7 @@
 """Golden-output lock: the bundled iris experiment and the CLI at seed 6.
 
-`tests/golden/iris/` holds `report.json`, `runs.csv` and `report.csv` as
-written by `biasdiv experiment --config configs/iris.json`.
+`tests/golden/iris/` holds `report.json`, `runs.csv`, `report.csv` and
+`boxplot.svg` as written by `biasdiv experiment --config configs/iris.json`.
 `tests/golden/cli_sha256.json` holds, per command line (`probe`, `diversify`,
 `diversify --mode synth-only`, `diversify --mode delete-only` and
 `baseline`, each with `--config configs/iris.json`), the SHA-256 of every
@@ -9,7 +9,7 @@ file it writes and its stdout lines other than `wrote ...`, with the output
 directory shown as `<out>`. A refactor must leave all of these unchanged.
 A change that alters the bytes on purpose regenerates them and says why in
 CHANGES.md. One command, from the repository root, rewrites every golden
-file (the three iris report files and `cli_sha256.json`):
+file (the four iris report files and `cli_sha256.json`):
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -34,7 +34,7 @@ from biasdiv.harness import (emit_report, load_experiment_config, numeric_build,
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 IRIS_CONFIG = REPO / "configs" / "iris.json"
-REPORT_FILES = ("report.json", "runs.csv", "report.csv")
+REPORT_FILES = ("report.json", "runs.csv", "report.csv", "boxplot.svg")
 CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
                 "diversify --mode delete-only", "baseline")
 
@@ -62,7 +62,7 @@ def cli_outputs(command: str, out: Path) -> dict:
 
 def test_iris_report_matches_golden(iris_run, tmp_path):
     report, _ = iris_run
-    emit_report(report, tmp_path, svg=False)
+    emit_report(report, tmp_path)
     for name in REPORT_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "iris" / name).read_bytes(), \
             f"{name} differs from the golden file under {numeric_env()}"
@@ -77,7 +77,7 @@ def test_cli_outputs_match_golden(command, tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        emit_report(run_experiment(load_experiment_config(IRIS_CONFIG)), tmp, svg=False)
+        emit_report(run_experiment(load_experiment_config(IRIS_CONFIG)), tmp)
         for name in REPORT_FILES:
             (GOLDEN / "iris" / name).write_bytes((Path(tmp) / name).read_bytes())
         digests = {c: cli_outputs(c, Path(tmp) / c.replace(" ", "_"))

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biasdiv
 from biasdiv import harness
 from biasdiv.data import make_toy_blobs, save_csv
 from biasdiv.errors import ConfigError, DataError, ProbeError
@@ -496,6 +501,36 @@ def test_boxplot_has_one_group_per_approach(separated_report):
         assert f'<g id="box-{approach}">' in svg
     assert svg.count("<g id=") == len(separated_report.approaches)
     assert "infeasible" in svg  # the all-infeasible adasyn column is labelled
+
+
+SEQUENTIAL_RUN = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from biasdiv.harness import emit_report, parse_experiment_config, run_experiment
+cfg = parse_experiment_config(json.loads(sys.argv[1]))
+emit_report(run_experiment(cfg), sys.argv[2])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_sequential_run_loads_neither_the_pool_nor_numpy_ma(tmp_path):
+    """A `workers=1` experiment and its report, in a fresh interpreter,
+    leave `concurrent.futures` unloaded (only a pool of two or more chunks
+    needs it), and the box plot's quartiles do not load `numpy.ma`."""
+    write_blobs_csv(tmp_path / "blobs.csv")
+    doc = config_doc(tmp_path / "blobs.csv", workers=1)
+    src = str(Path(biasdiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SEQUENTIAL_RUN, json.dumps(doc),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "boxplot.svg").is_file()
+    loaded = json.loads(proc.stdout)
+    assert "concurrent.futures" not in loaded
+    assert "numpy.ma" not in loaded
 
 
 def test_feasible_adasyn_on_overlapping_blobs(tmp_path):

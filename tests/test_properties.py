@@ -1,8 +1,11 @@
 """Property tests: the bias score and overlap tightening under class
-relabelling, tightening on integer grids where endpoints coincide, and exact
-1-D k-means against brute force on integer grids with duplicates."""
+relabelling, tightening on integer grids where endpoints coincide, exact
+1-D k-means against brute force on integer grids with duplicates, and the
+box plot's quartiles against numpy's percentiles."""
 
 import itertools
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from biasdiv.data import Dataset
 from biasdiv.diversify import ClassBounds, dominant_clusters, tighten_overlaps
+from biasdiv.harness import quartiles
 from biasdiv.numerics import Interval, IntervalSet, kmeans_1d
 from biasdiv.probe import compute_bias
 from test_numerics import is_subset_of, single
@@ -138,3 +142,26 @@ def test_kmeans_1d_matches_brute_force_on_integer_grids(case):
         assert (dominant.lo[0, f], dominant.hi[0, f]) == (members[0], members[-1])
         assert dominant.radius[0, f] == pytest.approx(
             float(np.abs(members - members.mean()).max()), abs=1e-12)
+
+
+# ties, signed zeros, negatives, and magnitudes from 1e-5 to 1e5, some
+# rounded to two decimals as a report's scores often are
+QUARTILE_VALUES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 1e-5, -1e5]),
+    st.floats(-1e5, 1e5),
+    st.floats(-1e5, 1e5).map(lambda v: round(v, 2)),
+    st.floats(1e-5, 1e-3),
+), min_size=1, max_size=24)
+
+
+@settings(max_examples=1000)
+@given(QUARTILE_VALUES)
+def test_quartiles_match_numpy_percentile_bit_for_bit(values):
+    want = [float(q) for q in np.percentile(values, (25, 50, 75))]
+    got = quartiles(values)
+    zero_signs = {math.copysign(1.0, v) for v in values if v == 0.0}
+    for g, w in zip(got, want):
+        if g == w == 0.0 and len(zero_signs) == 2:
+            # between +0.0 and -0.0 numpy's sign follows its partition order
+            continue
+        assert struct.pack("<d", g) == struct.pack("<d", w), (values, got, want)
