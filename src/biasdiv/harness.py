@@ -18,6 +18,7 @@ with the bytes it would get alone.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -865,17 +866,38 @@ def render_boxplot(report: ExperimentReport) -> str:
 
 
 def numeric_build() -> dict:
-    """The numpy version, and the name and version of the BLAS it was built
-    with, which the report bytes depend on (matmul and reduction order).
-    numpy before 1.26 cannot list its build as a dict, so there only the
-    version is given."""
+    """The numpy version, the name and version of the BLAS it was built
+    with, and its SIMD extensions, which the report bytes depend on (matmul
+    and reduction order, and the loops the training kernel's sums dispatch
+    to). What numpy cannot list is left out: the BLAS before numpy 1.26,
+    which cannot list its build as a dict."""
     build = {"version": np.__version__}
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
-        return build
-    build["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+        pass
+    else:
+        build["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    simd = _simd_extensions()
+    if simd is not None:
+        build["simd_extensions"] = simd
     return build
+
+
+def _simd_extensions() -> dict | None:
+    """numpy's SIMD baseline and the dispatched extensions this CPU has,
+    as `numpy.show_runtime()` lists them under "simd_extensions"; None
+    where numpy does not expose them."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(module)
+            baseline, dispatch = umath.__cpu_baseline__, umath.__cpu_dispatch__
+            features = umath.__cpu_features__
+        except (ImportError, AttributeError):
+            continue
+        return {"baseline": list(baseline),
+                "found": [name for name in dispatch if features.get(name)]}
+    return None
 
 
 def emit_report(report: ExperimentReport, out_dir, svg: bool = True) -> dict:

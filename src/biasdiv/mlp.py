@@ -96,6 +96,38 @@ def init_mlp(spec: MlpSpec) -> Mlp:
     return Mlp(spec, weights, biases)
 
 
+# numpy's reduction along a short last axis adds fewer than 8 columns one
+# after another and 8 or more pairwise, so only below 8 does a sum column by
+# column keep its bits
+_PAIRWISE_FROM = 8
+# epochs whose losses `_descend` finishes together
+_LOSS_BLOCK = 8
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(a, axis=-2, out=out)`, bit for bit. Wider than one
+    column, both it and `einsum` add the rows one after another, and
+    `einsum` is the cheaper; a single column is a contiguous sum, which
+    numpy's reduction takes pairwise."""
+    if a.shape[-1] > 1:
+        return np.einsum("...nj->...j", a, out=out)
+    return np.add.reduce(a, axis=-2, out=out)
+
+
+def _class_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(a, axis=-1, keepdims=True, out=out)`, bit for bit on
+    the non-negative numerators of a softmax: column by column below
+    `_PAIRWISE_FROM` columns, far cheaper than a reduction along the short
+    axis."""
+    classes = a.shape[-1]
+    if not 1 < classes < _PAIRWISE_FROM:
+        return np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    np.add(a[..., 0:1], a[..., 1:2], out=out)
+    for j in range(2, classes):
+        np.add(out, a[..., j:j + 1], out=out)
+    return out
+
+
 class _Pass:
     """One forward and backward pass over fixed inputs, with every
     intermediate allocated once and written with `out=`, so a pass can run
@@ -107,6 +139,13 @@ class _Pass:
     weights and biases are read through views, so updating them in place
     shows in the next pass; each bias broadcasts against its layer's
     (..., n, out) output as (..., 1, out).
+
+    ReLU and the softmax's shift overwrite their inputs, so the pass holds
+    one buffer per layer, and one more for the probabilities when built for
+    backward. Backward masks by the activations: relu(z) > 0 holds exactly
+    where z > 0, NaN included. Bias gradients and softmax denominators go
+    through `_row_sums` and `_class_sums`, which give the bits of numpy's
+    reductions at less cost.
     """
 
     def __init__(self, weights, biases, X: np.ndarray, backward: bool = False):
@@ -115,44 +154,42 @@ class _Pass:
         self.weights_t = [w.swapaxes(-1, -2) for w in weights]
         self.bias_rows = [b[..., None, :] for b in biases]
         self.zs = [np.empty((*rows, w.shape[-2])) for w in weights]   # pre-activations
+        self.acts = [X] + self.zs[:-1]                # each layer's input
+        self.shifted = self.zs[-1]                    # logits minus each row's max
         self.top = np.empty((*rows, 1))
         self.top_flat = self.top[..., 0]
         self.sums = np.empty((*rows, 1))              # softmax denominators
         if not backward:
-            # forward only: ReLU and the softmax overwrite their inputs, so
-            # the pass holds one buffer per layer
-            self.acts = [X] + self.zs[:-1]
-            self.shifted = self.probs = self.zs[-1]
+            self.probs = self.shifted
             return
-        # backward reads the pre-activations, so they keep their own buffers
-        self.acts = [X] + [np.empty_like(z) for z in self.zs[:-1]]    # each layer's input
-        self.shifted = np.empty_like(self.zs[-1])     # logits minus each row's max
-        self.probs = np.empty_like(self.zs[-1])
+        self.probs = np.empty_like(self.shifted)
         self.deltas = [np.empty_like(z) for z in self.zs]
         self.deltas_t = [d.swapaxes(-1, -2) for d in self.deltas]
         self.active = [np.empty(z.shape, dtype=bool) for z in self.zs[:-1]]
 
-    def forward(self) -> np.ndarray:
-        """The probabilities; in a pass built for backward, `shifted` and
-        `sums` then give the loss without a second pass."""
+    def forward(self, sums: np.ndarray | None = None) -> np.ndarray:
+        """The probabilities; the softmax denominators go to `sums` when
+        given, else to the pass's own buffer. In a pass built for backward,
+        `shifted` and the denominators then give the loss without a second
+        pass."""
+        sums = self.sums if sums is None else sums
         last = len(self.zs) - 1
         for l, z in enumerate(self.zs):
             np.matmul(self.acts[l], self.weights_t[l], out=z)
             np.add(z, self.bias_rows[l], out=z)
             if l < last:
-                np.maximum(z, 0.0, out=self.acts[l + 1])
+                np.maximum(z, 0.0, out=z)
         logits = self.zs[-1]
+        classes = logits.shape[-1]
         # each row's max, one class column at a time: exact in any order,
-        # and far cheaper than a reduction along the short class axis
-        np.copyto(self.top_flat, logits[..., 0])
-        for j in range(1, logits.shape[-1]):
+        # and far cheaper than a reduction along the short class axis (a
+        # single class is its own max)
+        np.maximum(logits[..., 0], logits[..., min(1, classes - 1)], out=self.top_flat)
+        for j in range(2, classes):
             np.maximum(self.top_flat, logits[..., j], out=self.top_flat)
         np.subtract(logits, self.top, out=self.shifted)
         np.exp(self.shifted, out=self.probs)
-        # a reduction, not column by column: from 8 classes on, numpy sums
-        # pairwise, so a column-wise sum would change the bits
-        np.add.reduce(self.probs, axis=-1, keepdims=True, out=self.sums)
-        return np.divide(self.probs, self.sums, out=self.probs)
+        return np.divide(self.probs, _class_sums(self.probs, sums), out=self.probs)
 
     def backward(self, onehot: np.ndarray, dws=None, dbs=None) -> np.ndarray:
         """Mean cross-entropy gradients of the last forward pass, written
@@ -164,11 +201,11 @@ class _Pass:
         for l in range(len(self.zs) - 1, -1, -1):
             if dws is not None:
                 np.matmul(self.deltas_t[l], self.acts[l], out=dws[l])
-                np.add.reduce(delta, axis=-2, out=dbs[l])
+                _row_sums(delta, dbs[l])
             if l > 0:
                 below = self.deltas[l - 1]
                 np.matmul(delta, self.weights[l], out=below)
-                np.greater(self.zs[l - 1], 0.0, out=self.active[l - 1])
+                np.greater(self.acts[l], 0.0, out=self.active[l - 1])
                 delta = np.multiply(below, self.active[l - 1], out=below)
         return delta
 
@@ -230,6 +267,12 @@ def _descend(weights, biases, X, y, schedule: TrainSchedule):
     a buffer allocated once per call. The arithmetic, and each slice's
     matmul shapes, are those of one net trained alone.
 
+    Losses are finished in blocks of up to `_LOSS_BLOCK` epochs, none
+    spanning two phases: each forward pass leaves its softmax denominators
+    and true-class shifted logits in the block's row for its epoch, and the
+    logarithm, the row sum and the mean run once per block, element for
+    element the operations of one epoch's loss.
+
     Returns the losses, shape (epochs,) or (epochs, R); the probabilities
     of the last forward pass; and per net the 1-based epoch at which its
     loss first went non-finite, 0 if it never did. A net that diverges
@@ -248,27 +291,30 @@ def _descend(weights, biases, X, y, schedule: TrainSchedule):
     # flat index of each row's true-class logit in `p.shifted`
     true_logit = np.arange(y.size).reshape(y.shape) * onehot.shape[-1] + y
     flat_shifted = p.shifted.reshape(-1)
-    picked, log_sums = np.empty(y.shape), np.empty_like(p.sums)
+    block = min(_LOSS_BLOCK, max(epochs for _, epochs in schedule.phases))
+    picked, sums = np.empty((block, *y.shape)), np.empty((block, *p.sums.shape))
     losses = np.empty((sum(epochs for _, epochs in schedule.phases), *y.shape[:-1]))
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         p.forward()
         for lr, epochs in schedule.phases:
-            for _ in range(epochs):
-                p.backward(onehot, grad_views[:k], grad_views[k:])
-                np.multiply(grads, lr, out=grads)
-                np.subtract(params, grads, out=params)
-                p.forward()
-                # mean cross-entropy from the pass's shifted logits and denominators
-                # mode="clip" spares the copy numpy makes of `out` under "raise"
-                flat_shifted.take(true_logit, out=picked, mode="clip")
-                np.log(p.sums, out=log_sums)
-                np.subtract(picked, log_sums[..., 0], out=picked)
-                loss = losses[done, ...]
-                np.add.reduce(picked, axis=-1, out=loss)
+            for start in range(0, epochs, block):
+                m = min(block, epochs - start)
+                for i in range(m):
+                    p.backward(onehot, grad_views[:k], grad_views[k:])
+                    np.multiply(grads, lr, out=grads)
+                    np.subtract(params, grads, out=params)
+                    p.forward(sums[i])
+                    # mode="clip" spares the copy numpy makes of `out` under "raise"
+                    flat_shifted.take(true_logit, out=picked[i], mode="clip")
+                # mean cross-entropy of the block's epochs
+                np.log(sums[:m], out=sums[:m])
+                np.subtract(picked[:m], sums[:m, ..., 0], out=picked[:m])
+                loss = losses[done:done + m]
+                np.add.reduce(picked[:m], axis=-1, out=loss)
                 np.divide(loss, n, out=loss)
                 np.negative(loss, out=loss)
-                done += 1
+                done += m
             if not np.isfinite(losses[:done]).all(axis=0).any():
                 break
     losses = losses[:done]

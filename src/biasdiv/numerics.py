@@ -8,6 +8,7 @@ reproducible across runs and independent of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -118,6 +119,15 @@ class IntervalSet:
         interval is a point (total length zero) the points are chosen with
         equal probability instead.
         """
+        cdf, los, lengths = self._placement
+        picks = cdf.searchsorted(pick, side="right")
+        return los[picks] + position * lengths[picks]
+
+    @functools.cached_property
+    def _placement(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What `place` reads, computed once per set and read-only: the
+        normalized cumulative weights, and each interval's lower end and
+        length."""
         lengths = np.array([iv.length for iv in self.intervals])
         total = lengths.sum()
         if total > 0:
@@ -126,9 +136,10 @@ class IntervalSet:
             weights = np.full(len(lengths), 1.0 / len(lengths))
         cdf = weights.cumsum()
         cdf /= cdf[-1]
-        picks = cdf.searchsorted(pick, side="right")
-        los = np.array([iv.lo for iv in self.intervals])[picks]
-        return los + position * lengths[picks]
+        placement = cdf, np.array([iv.lo for iv in self.intervals]), lengths
+        for a in placement:
+            a.setflags(write=False)
+        return placement
 
     def to_json(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]

@@ -209,8 +209,11 @@ def format_level(level: float) -> str:
 def _add_uniform(x: np.ndarray, bound: np.ndarray, u: np.ndarray) -> None:
     """Overwrite `u`, a generator's doubles from `random`, with
     `x + Generator.uniform(-bound, bound)` of the same draws: numpy computes
-    `low + (high - low) * u` per entry, so this is the same arithmetic."""
-    np.add(x, -bound + (bound - -bound) * u, out=u)
+    `low + (high - low) * u` per entry, so this is the same arithmetic, run
+    in place (IEEE addition and multiplication commute bit for bit)."""
+    np.multiply(u, bound - -bound, out=u)
+    np.add(-bound, u, out=u)
+    np.add(x, u, out=u)
 
 
 def compute_bias(per_class_misclassified, per_class_correct):

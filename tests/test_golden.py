@@ -40,11 +40,15 @@ CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
 
 
 def numeric_env() -> str:
-    """The numpy version and BLAS that this run's bytes came from."""
+    """The numpy version, BLAS and SIMD extensions that this run's bytes
+    came from."""
     build = numeric_build()
     blas = build.get("blas")
     blas = f"{blas['name']} {blas['version']}" if blas else "unknown"
-    return f"numpy {build['version']}, BLAS {blas}"
+    simd = build.get("simd_extensions")
+    simd = (f"baseline {' '.join(simd['baseline']) or 'none'}, "
+            f"found {' '.join(simd['found']) or 'none'}") if simd else "unknown"
+    return f"numpy {build['version']}, BLAS {blas}, SIMD {simd}"
 
 
 def cli_outputs(command: str, out: Path) -> dict:

@@ -462,24 +462,36 @@ def test_emit_report_files_and_recompute(separated_cfg, separated_report, tmp_pa
 
 
 def test_meta_records_the_numpy_build(separated_report, tmp_path, monkeypatch):
-    """meta.json names the numpy version and its BLAS beside the
-    durations; a numpy that cannot list its build as a dict (before 1.26)
-    gives the version alone. The report files stay as they are."""
+    """meta.json names the numpy version, its BLAS and its SIMD extensions
+    beside the durations; a numpy that cannot list its build as a dict
+    (before 1.26) leaves out the BLAS, and one that does not expose its
+    SIMD extensions leaves those out. The report files stay as they are."""
     paths = emit_report(separated_report, tmp_path / "out", svg=False)
     meta = json.loads(paths["meta_json"].read_text())
     assert set(meta) == {"durations", "numpy"}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+    simd = {"baseline": list(__cpu_baseline__),
+            "found": [name for name in __cpu_dispatch__ if __cpu_features__[name]]}
     assert meta["numpy"] == {"version": np.__version__,
-                             "blas": {"name": blas["name"], "version": blas["version"]}}
+                             "blas": {"name": blas["name"], "version": blas["version"]},
+                             "simd_extensions": simd}
 
     def old_show_config():   # numpy 1.24's signature: no `mode`
         print("blas_opt_info: ...")
 
     monkeypatch.setattr(np, "show_config", old_show_config)
     again = emit_report(separated_report, tmp_path / "old", svg=False)
-    assert json.loads(again["meta_json"].read_text())["numpy"] == {"version": np.__version__}
+    assert json.loads(again["meta_json"].read_text())["numpy"] == {
+        "version": np.__version__, "simd_extensions": simd}
     for key in ("report_csv", "runs_csv", "report_json"):
         assert again[key].read_bytes() == paths[key].read_bytes()
+
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        monkeypatch.setitem(sys.modules, module, None)   # importing it now fails
+    bare = emit_report(separated_report, tmp_path / "bare", svg=False)
+    assert json.loads(bare["meta_json"].read_text())["numpy"] == {"version": np.__version__}
 
 
 def test_emit_report_bit_identical_across_runs(separated_cfg, separated_report, tmp_path):

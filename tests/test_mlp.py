@@ -1,7 +1,11 @@
 """Classifier tests: init, forward pass, gradients, training."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biasdiv.data import Dataset, make_toy_blobs
 from biasdiv.errors import TrainingError
@@ -18,7 +22,7 @@ from biasdiv.mlp import (
     train,
     train_stack,
 )
-from biasdiv.mlp import _onehot
+from biasdiv.mlp import _class_sums, _onehot, _row_sums
 from biasdiv.numerics import substream
 
 
@@ -417,14 +421,10 @@ def test_train_stack_equals_per_net_train(R, hidden):
         assert_same_training(stacked[r], train(nets[r], sets[r], schedule, test_ds=test_ds))
 
 
-@pytest.mark.parametrize("R", [1, 3])
-@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
-def test_training_equals_reference_descent(R, hidden):
+def assert_matches_reference(nets, sets, schedule):
     """The buffered kernel against the allocating reference loop, for one
     net (through `train`) and a stack (through `train_stack`)."""
-    sets = stack_sets(R)
-    nets = [init_mlp(MlpSpec((2, *hidden, 3), init_seed=r)) for r in range(R)]
-    schedule = TrainSchedule(((0.4, 30), (0.1, 20)))
+    R = len(nets)
     if R == 1:
         got = [train(nets[0], sets[0], schedule)]
         weights, biases, losses = reference_descend(nets[0].weights, nets[0].biases,
@@ -444,6 +444,132 @@ def test_training_equals_reference_descent(R, hidden):
         for a, b in zip(model.weights + model.biases, weights[r] + biases[r], strict=True):
             assert np.array_equal(a, b)
         assert report.losses == losses[:, r].tolist()
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+def test_training_equals_reference_descent(R, hidden):
+    sets = stack_sets(R)
+    nets = [init_mlp(MlpSpec((2, *hidden, 3), init_seed=r)) for r in range(R)]
+    assert_matches_reference(nets, sets, TrainSchedule(((0.4, 30), (0.1, 20))))
+
+
+def blob_sets(R, d, L, per_class):
+    """R distinct datasets of d features, `per_class` rows in each of L classes."""
+    centers = substream(8, "centers").uniform(-1.0, 1.0, size=(L, d))
+    return [make_toy_blobs(per_class, centers, 1.0, seed=70 + r) for r in range(R)]
+
+
+# Phases of 1, 7, 8, 9 and 19 epochs start, fill and end the kernel's blocks
+# of 8 epochs' losses at every offset a phase end can fall on.
+@pytest.mark.parametrize("sizes, R, per_class, epochs", [
+    ((32, 20, 3), 1, 40, (1, 7, 8, 9, 19)),   # wide-div's net
+    ((32, 20, 3), 3, 110, (9, 19)),           # its stack of three 330-row sets
+    ((2, 1, 3), 1, 12, (8, 9)),               # a hidden layer one unit wide
+    ((2, 1, 3), 3, 12, (7, 1, 8)),
+    ((2, 6, 2), 2, 12, (19, 1)),              # 2 classes
+    ((2, 6, 9), 2, 4, (1, 8, 19)),            # 9 classes: summed by the reduction
+    ((2, 6, 1), 1, 12, (9,)),                 # 1 class
+    ((2, 6, 3), 1, 2, (7, 1, 9)),             # sets of 6 rows
+    ((2, 6, 5, 3), 3, 2, (19,)),
+])
+def test_training_equals_reference_descent_across_shapes(sizes, R, per_class, epochs):
+    sets = blob_sets(R, sizes[0], sizes[-1], per_class)
+    nets = [init_mlp(MlpSpec(sizes, init_seed=r)) for r in range(R)]
+    schedule = TrainSchedule(tuple((0.4 / (i + 1), e) for i, e in enumerate(epochs)))
+    assert_matches_reference(nets, sets, schedule)
+
+
+def test_wide_net_training_is_pinned():
+    """A 32-20-3 net on 330 rows, wide-div's shape, against values frozen
+    from the kernel that finished each epoch's loss on its own: the losses
+    around the first block of 8 epochs and at the last epoch, and the
+    SHA-256 of the final weights' and biases' bytes."""
+    ds = make_toy_blobs(110, np.eye(3, 32) * 1.5, 1.0, seed=32)
+    model, report = train(init_mlp(MlpSpec((32, 20, 3), init_seed=5)), ds,
+                          TrainSchedule(((0.1, 60), (0.05, 40))))
+    assert [report.losses[e - 1] for e in (1, 8, 9, 100)] == [
+        1.2163319738602227, 0.9019953768049718, 0.8734321717516415, 0.1947395936213348]
+    digest = hashlib.sha256()
+    for a in model.weights + model.biases:
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == \
+        "d202576cdea8e03528c2c1d03e31952f94098899520319de956c7f470e07bc9a"
+
+
+# -- sums the kernel takes in place of numpy's reductions ---------------------------
+
+def spread_values(seed, shape, spread, zeros, negative_zero_column=False):
+    """Normal values times 10**e, e drawn from [-spread, spread], with a
+    share `zeros` of them +-0.0, and optionally a first column of -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
+    at = rng.random(shape) < zeros
+    a[at] = np.copysign(0.0, rng.normal(size=shape))[at]
+    if negative_zero_column:
+        a[..., 0] = -0.0
+    return a
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+STACKS = st.sampled_from([(), (1,), (3,)])
+SPREADS = st.sampled_from([0, 3, 30, 300])
+ZEROS = st.sampled_from([0.0, 0.2, 1.0])
+
+
+@given(SEEDS, STACKS, st.integers(1, 330), st.integers(2, 20), SPREADS, ZEROS, st.booleans())
+def test_row_sums_equal_the_reduction(seed, stack, rows, width, spread, zeros, negative_zero):
+    a = spread_values(seed, (*stack, rows, width), spread, zeros, negative_zero)
+    out = np.empty((*stack, width))
+    assert _row_sums(a, out) is out
+    assert out.tobytes() == np.add.reduce(a, axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_row_sums_of_one_column_take_the_reduction(stack):
+    """A single column is one contiguous run of rows, which numpy's
+    reduction sums pairwise and `einsum` does not; so at width 1 (a hidden
+    layer of one unit, or one class) `_row_sums` keeps the reduction."""
+    einsum_differs = 0
+    for seed in range(20):
+        a = spread_values(seed, (*stack, 330, 1), 0, 0.0)
+        out = np.empty((*stack, 1))
+        want = np.add.reduce(a, axis=-2).tobytes()
+        assert _row_sums(a, out).tobytes() == want
+        einsum_differs += np.einsum("...nj->...j", a).tobytes() != want
+    assert einsum_differs
+
+
+def column_by_column(a):
+    out = a[..., 0:1].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j:j + 1]
+    return out
+
+
+@given(SEEDS, STACKS, st.integers(1, 330), st.integers(1, 7), SPREADS, ZEROS)
+def test_class_sums_below_8_classes_equal_the_reduction(seed, stack, rows, classes,
+                                                        spread, zeros):
+    """On the non-negative values a softmax sums (a row of -0.0 alone would
+    sum to +0.0 by the reduction and -0.0 by columns)."""
+    a = np.abs(spread_values(seed, (*stack, rows, classes), spread, zeros))
+    out = np.empty((*stack, rows, 1))
+    assert _class_sums(a, out) is out
+    assert out.tobytes() == np.add.reduce(a, axis=-1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("classes", [8, 9])
+def test_class_sums_from_8_classes_take_the_reduction(classes):
+    """From 8 columns on numpy sums pairwise, so a sum column by column
+    would change the bits: `_class_sums` keeps the reduction there."""
+    columns_differ = 0
+    for seed in range(20):
+        a = np.abs(spread_values(seed, (3, 120, classes), 0, 0.0))
+        out = np.empty((3, 120, 1))
+        want = np.add.reduce(a, axis=-1, keepdims=True).tobytes()
+        assert _class_sums(a, out).tobytes() == want
+        columns_differ += column_by_column(a).tobytes() != want
+    assert columns_differ
 
 
 @pytest.mark.parametrize("R, per_class", [(40, 40), (10, 20)])

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biasdiv import numerics
 from biasdiv.numerics import (
@@ -166,6 +168,44 @@ def test_interval_set_sample_degenerate_points():
     assert set(np.unique(draws)) == {1.0, 5.0}
     frac = float(np.mean(draws == 1.0))
     assert 0.4 < frac < 0.6   # equal weights when total length is zero
+
+
+def reference_place(s, pick, position):
+    """`IntervalSet.place` with its weights, lower ends and lengths rebuilt
+    on every call."""
+    lengths = np.array([iv.length for iv in s.intervals])
+    total = lengths.sum()
+    if total > 0:
+        weights = lengths / total
+    else:
+        weights = np.full(len(lengths), 1.0 / len(lengths))
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(pick, side="right")
+    los = np.array([iv.lo for iv in s.intervals])[picks]
+    return los + position * lengths[picks]
+
+
+@st.composite
+def interval_sets(draw):
+    """1-4 intervals, any of them points, so the total length may be zero."""
+    count = draw(st.integers(1, 4))
+    lengths = st.sampled_from([0.0, 0.5, 1e-9]) | st.floats(0.0, 100.0)
+    hi, intervals = draw(st.floats(-1e3, 1e3)), []
+    for _ in range(count):
+        lo = hi + draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 100.0))
+        hi = lo + draw(lengths)
+        intervals.append(Interval(lo, hi))
+    return IntervalSet(tuple(intervals))
+
+
+@given(interval_sets(), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_interval_set_place_equals_the_uncached_body(s, seed, count):
+    pick, position = substream(seed, "place").random((2, count))
+    want = reference_place(s, pick, position).tobytes()
+    assert s.place(pick, position).tobytes() == want
+    assert s.place(pick, position).tobytes() == want   # from the cached arrays
+    assert not any(a.flags.writeable for a in s._placement)
 
 
 def test_interval_set_json_round_trip():
