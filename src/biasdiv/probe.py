@@ -164,22 +164,27 @@ class Counterexamples:
         predicted classes, levels and (k, d) noisy rows.
 
         A level's random variants are rebuilt from the doubles that level
-        drew, so a copy of the sweep's generator replays the draws of every
-        level from the first; the rows hold the bits the sweep probed."""
+        drew, from a copy of the sweep's generator. The generator spends one
+        64-bit output per double, so the levels that hold none of these rows
+        are skipped by advancing it past their draws; the rows hold the bits
+        the sweep probed."""
         v = self.variants
         stop = len(self) if stop is None else min(stop, len(self))
         rng = copy.deepcopy(v.generator) if v.samples and start < stop else None
         draws = None if rng is None else np.empty((v.test_rows, v.samples, v.inputs.shape[1]))
-        begin = 0
-        for level, wrong, predicted in zip(self.levels, self.wrong, self.predicted):
+        begin = drawn = 0   # drawn: the levels whose doubles `rng` has spent
+        for li, (level, wrong, predicted) in enumerate(
+                zip(self.levels, self.wrong, self.predicted)):
             if begin >= stop:
                 break
-            if rng is not None:
-                rng.random(out=draws)
             lo, hi = max(start - begin, 0), min(stop - begin, len(wrong))
             begin += len(wrong)
             if lo >= hi:
                 continue
+            if rng is not None:
+                rng.bit_generator.advance((li - drawn) * draws.size)
+                rng.random(out=draws)
+                drawn = li + 1
             positions = wrong[lo:hi]
             inputs = v.input_of(positions)
             yield (v.rows[inputs], v.labels[inputs], predicted[lo:hi],
@@ -391,9 +396,8 @@ def _write_part(cex: Counterexamples, start: int, stop: int, path) -> None:
 
 # Timed on a 2-vCPU VM: forking a helper costs about as much as writing 8k
 # floats in place (iris rows, 4 features: 2k rows broke even, 5.6k rows
-# were 15 % faster in two processes). No count above 2 has been timed.
+# were 15 % faster in two processes).
 _MIN_BLOCK_VALUES = 10_000
-_MAX_PROCESSES = 2
 
 
 def _usable_cpus() -> int:
@@ -407,63 +411,54 @@ def _usable_cpus() -> int:
 
 def _block_count(rows: int, values: int) -> int:
     """How many processes write a CSV of `rows` rows holding `values`
-    floats: one per usable CPU, at most `_MAX_PROCESSES`, and each with at
-    least one row and `_MIN_BLOCK_VALUES` floats."""
-    return max(1, min(_usable_cpus(), _MAX_PROCESSES, rows, values // _MIN_BLOCK_VALUES))
+    floats: two where two CPUs are usable and each half holds at least one
+    row and `_MIN_BLOCK_VALUES` floats, else one."""
+    return 2 if _usable_cpus() >= 2 and rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES else 1
 
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
     """One row per counterexample, in the bytes `csv.writer` would write;
     the header goes through `csv` so feature names keep their quoting.
 
-    The rows are cut into `_block_count` contiguous blocks. This process
-    writes the header and the first block to `path`, while a forked helper
-    writes each further block to a temporary part file beside `path`; the
-    parts are then appended in order, so the bytes are the same at any
-    count. Forked helpers inherit the counterexamples rather than have them
-    pickled, and each rebuilds, formats and writes only its own rows; where
-    "fork" is not available, this process writes every row. Every helper is
-    joined and every part file removed before this returns, and a helper
+    Where `_block_count` gives two blocks and "fork" is available, a forked
+    helper writes the second half of the rows to a temporary part file
+    beside `path` while this process writes the header and the first half
+    to `path`; the part is then appended, so the bytes are the same either
+    way. The helper inherits the counterexamples rather than have them
+    pickled, and rebuilds, formats and writes only its own rows. It is
+    joined and its part file removed before this returns, and a helper
     that exits non-zero raises `OSError`.
     """
     cex = report.counterexamples
     blocks = _block_count(len(cex), len(cex) * cex.variants.inputs.shape[1])
-    context = _fork_context() if blocks > 1 else None
-    if context is None:
-        blocks = 1
-    edges = [len(cex) * b // blocks for b in range(blocks + 1)]
+    context = _fork_context() if blocks == 2 else None
+    half = len(cex) // 2 if context is not None else len(cex)
     target = Path(path)
-    parts, helpers = [], []
+    part = helper = None
     try:
         try:
-            for start, stop in zip(edges[1:-1], edges[2:]):
+            if context is not None:
                 fd, part = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
                                             suffix=".part")
                 os.close(fd)
-                parts.append(part)
-                helper = context.Process(target=_write_part,
-                                         args=(cex, start, stop, part))
-                helper.start()
-                helpers.append(helper)
+                process = context.Process(target=_write_part, args=(cex, half, len(cex), part))
+                process.start()
+                helper = process   # joined below only once it has started
             with open(target, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(["input_index", "true_class", "predicted_class",
                                          "level"] + list(feature_names))
-                _write_rows(fh, cex, edges[0], edges[1])
+                _write_rows(fh, cex, 0, half)
         finally:
-            for helper in helpers:
+            if helper is not None:
                 helper.join()
-        failed = [f"rows {start}:{stop} (exit {helper.exitcode})"
-                  for helper, start, stop in zip(helpers, edges[1:-1], edges[2:])
-                  if helper.exitcode != 0]
-        if failed:
-            raise OSError(f"could not write {target}: the helper process for "
-                          f"{', '.join(failed)} failed")
-        with open(target, "ab") as out:
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out)
+        if helper is not None:
+            if helper.exitcode != 0:
+                raise OSError(f"could not write {target}: the helper process for rows "
+                              f"{half}:{len(cex)} failed (exit {helper.exitcode})")
+            with open(target, "ab") as out, open(part, "rb") as src:
+                shutil.copyfileobj(src, out)
     finally:
-        for part in parts:
+        if part is not None:
             Path(part).unlink(missing_ok=True)
 
 

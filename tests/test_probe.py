@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -586,6 +587,21 @@ def test_blocks_cut_any_row_range():
         assert len(set(level.tolist())) == 1
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 5), (450, 20, 8)],
+                         ids=["1x1x1", "7x3x5", "450x20x8"])
+def test_advancing_the_sweep_generator_equals_drawing(shape):
+    """`Counterexamples.blocks` skips a level by advancing a copy of the
+    sweep's generator by the level's count of doubles: what it draws next is
+    what drawing and discarding that level's block would have left."""
+    drawn, advanced = substream(7, "probe"), substream(7, "probe")
+    block = np.empty(shape)
+    for skipped in (0, 1, 3, 0, 2):
+        for _ in range(skipped):
+            drawn.random(out=block)
+        advanced.bit_generator.advance(skipped * block.size)
+        assert advanced.random(shape).tobytes() == drawn.random(shape).tobytes(), skipped
+
+
 def test_counterexample_csv_bytes_with_a_block_edge_inside_a_level(tmp_path, monkeypatch):
     """A sweep's CSV written by one process and by two, the second block
     starting inside a level, so its helper replays that level's draw."""
@@ -734,29 +750,25 @@ def _random_report(rows: int) -> ProbeReport:
 
 
 def _split_into(monkeypatch, processes: int) -> None:
-    """Have the CSV writer use `processes` processes, however small the CSV."""
+    """Have the CSV writer use `processes` processes (1 or 2), however small
+    the CSV."""
     monkeypatch.setattr(probe_module, "_usable_cpus", lambda: processes)
-    monkeypatch.setattr(probe_module, "_MAX_PROCESSES", processes)
     monkeypatch.setattr(probe_module, "_MIN_BLOCK_VALUES", 1)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 37])
 def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, rows):
-    """Each block of rows written by its own process, or every row by one
-    process where "fork" is unavailable: the same bytes as one process, and
-    no part file left behind."""
+    """Each half of the rows written by its own process, or every row by
+    one process where "fork" is unavailable: the same bytes as one process,
+    and no part file left behind."""
     report = _random_report(rows)
     names = ("a", 'b, "quoted"', "c")
     expected = _reference_csv(report.counterexamples, names)
-    _split_into(monkeypatch, 1)
-    write_counterexamples_csv(report, tmp_path / "one.csv", names)
-    assert (tmp_path / "one.csv").read_bytes() == expected
-    for processes in (2, 3, rows + 1):
+    for processes in (1, 2):
         _split_into(monkeypatch, processes)
         path = tmp_path / f"split{processes}.csv"
         write_counterexamples_csv(report, path, names)
         assert path.read_bytes() == expected, processes
-    _split_into(monkeypatch, 3)
     monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
     write_counterexamples_csv(report, tmp_path / "nofork.csv", names)
     assert (tmp_path / "nofork.csv").read_bytes() == expected
@@ -769,6 +781,8 @@ def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypat
     (8, 51_500, 412_000, 2),   # at most two processes
     (2, 5_627, 22_508, 2),     # iris's probe: two blocks of over 10k floats
     (2, 2_000, 8_000, 1),      # too small to pay for a fork
+    (2, 2, 20_000, 2),         # the smallest CSV that forks
+    (2, 2, 19_999, 1),
     (2, 0, 0, 1),
 ])
 def test_counterexample_csv_block_count(monkeypatch, cpus, rows, values, blocks):
@@ -781,8 +795,26 @@ def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkey
         raise RuntimeError("a helper fails")
 
     monkeypatch.setattr(probe_module, "_write_part", failing)
-    _split_into(monkeypatch, 3)
-    with pytest.raises(OSError, match=r"rows 3:6 \(exit 1\), rows 6:9 \(exit 1\)"):
+    _split_into(monkeypatch, 2)
+    with pytest.raises(OSError, match=r"rows 4:9 failed \(exit 1\)"):
+        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_counterexample_csv_own_failure_joins_the_helper_and_cleans_up(tmp_path, monkeypatch):
+    """This process's half fails while the helper writes the other: the
+    error propagates, and the helper is joined and its part file removed."""
+    writer, parent = probe_module._write_rows, os.getpid()
+
+    def failing_here(fh, cex, start, stop):
+        if os.getpid() == parent:
+            raise RuntimeError("this process fails")
+        writer(fh, cex, start, stop)
+
+    monkeypatch.setattr(probe_module, "_write_rows", failing_here)
+    _split_into(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="this process fails"):
         write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
     assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
     assert multiprocessing.active_children() == []
