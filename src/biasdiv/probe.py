@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import os
 import shutil
@@ -377,27 +378,40 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
 
 
 def _write_rows(fh, cex: Counterexamples, start: int, stop: int) -> None:
-    """Counterexamples `start:stop` as CSV rows, joined by hand, since
-    integers, level texts and float `repr`s never need quoting. Rows are
-    rebuilt one level at a time and converted to Python floats one at a
-    time, so no list of every value is held at once."""
-    for index, true, pred, level, noisy in cex.blocks(start, stop):
-        text = format_level(float(level[0]))
-        fh.writelines(
-            f"{i},{t},{p},{text},{','.join(map(repr, row.tolist()))}\r\n"
-            for i, t, p, row in zip(index.tolist(), true.tolist(), pred.tolist(), noisy))
+    """Counterexamples `start:stop` as CSV bytes into the binary file `fh`,
+    formatted in chunks of at most `_CHUNK_ROWS` rows by
+    `floattext.csv_rows` (each float the bytes of its `repr`). A chunk may
+    span levels, so small levels share one, and no more rows than a chunk
+    are formatted at once."""
+    from .floattext import csv_rows
+    pending, count = [], 0
+    for block in cex.blocks(start, stop):
+        lo, rows = 0, len(block[0])
+        while lo < rows:
+            take = min(_CHUNK_ROWS - count, rows - lo)
+            pending.append([column[lo:lo + take] for column in block])
+            count, lo = count + take, lo + take
+            if count == _CHUNK_ROWS:
+                fh.write(csv_rows(*map(np.concatenate, zip(*pending)), format_level))
+                pending, count = [], 0
+    if pending:
+        fh.write(csv_rows(*map(np.concatenate, zip(*pending)), format_level))
 
 
 def _write_part(cex: Counterexamples, start: int, stop: int, path) -> None:
     """A helper process's block of rows, into its own part file."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, cex, start, stop)
 
 
-# Timed on a 2-vCPU VM: forking a helper costs about as much as writing 8k
-# floats in place (iris rows, 4 features: 2k rows broke even, 5.6k rows
-# were 15 % faster in two processes).
-_MIN_BLOCK_VALUES = 10_000
+# Rows formatted at once: bounds the formatter's buffers, whatever the CSV's size.
+_CHUNK_ROWS = 1024
+
+# Timed on a 2-vCPU VM, one process against a forked helper, on iris sweeps
+# of 4 features (medians of 41 interleaved writes): they broke even at 41k
+# floats (27.7 and 27.9 ms); the helper was 52 % slower at 32k floats and
+# 23 % faster at 51k.
+_MIN_BLOCK_VALUES = 20_000
 
 
 def _usable_cpus() -> int:
@@ -444,9 +458,11 @@ def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
                 process = context.Process(target=_write_part, args=(cex, half, len(cex), part))
                 process.start()
                 helper = process   # joined below only once it has started
-            with open(target, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerow(["input_index", "true_class", "predicted_class",
+            header = io.StringIO(newline="")
+            csv.writer(header).writerow(["input_index", "true_class", "predicted_class",
                                          "level"] + list(feature_names))
+            with open(target, "wb") as fh:
+                fh.write(header.getvalue().encode("utf-8"))
                 _write_rows(fh, cex, 0, half)
         finally:
             if helper is not None:

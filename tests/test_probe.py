@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasdiv.data import Dataset, make_toy_blobs
 from biasdiv.errors import BiasMetricError, ProbeError
@@ -30,6 +32,7 @@ from biasdiv.probe import (
     write_counterexamples_csv,
 )
 from biasdiv import probe as probe_module
+from biasdiv.floattext import csv_rows, shortest_digits
 from biasdiv.numerics import substream
 
 
@@ -779,10 +782,10 @@ def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypat
 @pytest.mark.parametrize("cpus,rows,values,blocks", [
     (1, 51_500, 412_000, 1),   # one usable CPU
     (8, 51_500, 412_000, 2),   # at most two processes
-    (2, 5_627, 22_508, 2),     # iris's probe: two blocks of over 10k floats
-    (2, 2_000, 8_000, 1),      # too small to pay for a fork
-    (2, 2, 20_000, 2),         # the smallest CSV that forks
-    (2, 2, 19_999, 1),
+    (2, 5_627, 22_508, 1),     # iris's probe: too small to pay for a fork
+    (2, 2_000, 8_000, 1),
+    (2, 2, 40_000, 2),         # the smallest CSV that forks
+    (2, 2, 39_999, 1),
     (2, 0, 0, 1),
 ])
 def test_counterexample_csv_block_count(monkeypatch, cpus, rows, values, blocks):
@@ -818,3 +821,139 @@ def test_counterexample_csv_own_failure_joins_the_helper_and_cleans_up(tmp_path,
         write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
     assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
     assert multiprocessing.active_children() == []
+
+
+def test_counterexample_csv_level_longer_than_a_chunk(tmp_path):
+    """A level of more rows than `_CHUNK_ROWS`, between two small levels,
+    with zeros, a subnormal and values `repr` writes in exponent notation
+    among them."""
+    rows = 2 * probe_module._CHUNK_ROWS + 37
+    rng = np.random.default_rng(3)
+    noisy = rng.normal(size=(rows + 20, 3)) * 10.0 ** rng.integers(-6, 18, size=(rows + 20, 3))
+    noisy[[5, 900, 2000]] = [[0.0, -0.0, 5e-324], [1e16, 1e-4, -9999999999999998.0],
+                             [2.5, 1.0, 1e22]]
+    level = [0.05] * 10 + [0.1] * rows + [0.35] * 10
+    cex = exact_counterexamples(np.arange(rows + 20), np.zeros(rows + 20, dtype=int),
+                                np.ones(rows + 20, dtype=int), level, noisy)
+    report = ProbeReport(0.0, np.zeros(2), np.zeros(2), 0.0, cex, {},
+                         np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+    write_counterexamples_csv(report, tmp_path / "cex.csv", ("a", "b", "c"))
+    assert (tmp_path / "cex.csv").read_bytes() == _reference_csv(cex, ("a", "b", "c"))
+
+
+def test_counterexample_csv_peak_does_not_grow_with_its_rows(tmp_path, monkeypatch):
+    """Writing over 40k counterexamples in one process: the rows are rebuilt
+    a level at a time and formatted a chunk at a time, so the peak is the
+    sweep's draw block, one level's rows and one chunk's buffers: 2.9 to
+    3.1 MiB for the first 20 levels' 12k rows and for all 42k. Formatting
+    every row as one chunk peaked at 83 MiB."""
+    _split_into(monkeypatch, 1)
+    ds, model = _probe_cli_shaped()
+    report = noise_sweep(model, ds, NoiseSpec(), seed=5)
+    assert len(report.counterexamples) >= 40_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_counterexamples_csv(report, tmp_path / "cex.csv", ds.feature_names)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "cex.csv").stat().st_size > 6_000_000
+    assert peak < 5 * 2**20, peak
+
+
+# -- the CSV's float formatter -----------------------------------------------------
+
+def _written(values) -> list:
+    """The texts `floattext.csv_rows` writes for `values`, one row each."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    n = len(values)
+    text = csv_rows(np.arange(n), np.zeros(n, dtype=int), np.ones(n, dtype=int),
+                    np.full(n, 0.1), values, format_level).decode()
+    lines = text.split("\r\n")
+    assert lines.pop() == ""
+    return [line.split(",", 4)[4] for line in lines]
+
+
+def _repr_digits(value: float) -> tuple:
+    """`repr(abs(value))` as digits without trailing zeros and a decimal
+    exponent, so that the value reads digits * 10**exponent."""
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    fraction = fraction.rstrip("0")
+    digits = (whole + fraction).lstrip("0")
+    stripped = digits.rstrip("0")
+    return int(stripped), int(exponent or 0) - len(fraction) + len(digits) - len(stripped)
+
+
+def _assert_formats_like_repr(values) -> None:
+    """The formatter's text of every value is its `repr`, and the shortest
+    digits of every normal double are `repr`'s, in exponent notation too."""
+    values = np.asarray(values, dtype=float)
+    assert _written(values) == [repr(v) for v in values.tolist()]
+    digits, exponent, normal = shortest_digits(values)
+    for value, d, e in zip(values[normal].tolist(), digits[normal].tolist(),
+                           exponent[normal].tolist()):
+        while d % 10 == 0:
+            d, e = d // 10, e + 1
+        assert (d, e) == _repr_digits(value), value
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_format_floats_like_repr(values):
+    _assert_formats_like_repr(values)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_format_bit_patterns_like_repr(patterns):
+    """Every 64-bit pattern: normal and subnormal doubles, zeros, infinities, NaN."""
+    _assert_formats_like_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def _neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def test_format_boundaries_like_repr():
+    cases = np.concatenate([
+        _neighbours([1e-4, 1e15, 1e16]),   # where repr changes notation
+        _neighbours(2.0 ** np.arange(-1074, 1024)),
+        _neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+        2.0 ** 53 - np.arange(1, 65),      # the largest doubles that hold every integer
+        [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max],
+        # 16-digit integer parts
+        [1234567890123456.0, 9999999999999998.0, 1e15 + 0.125, 4503599627370495.5],
+        # the one-digit-shorter candidate wins: 0.3 is 0.29999999999999998890,
+        # 2.675 is 2.67499999999999982236431605997495353221893310546875
+        [0.3, 0.1 + 0.2, 2.675, 0.5, 123.0, 1e23, 9007199254740992.0, 5e-5, 7e-4],
+        # halfway between two 16-digit decimals: the even one is written
+        [2.0 ** 49 + 0.25, 2.0 ** 49 + 0.75, 2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75,
+         2.0 ** 49 + 1.25, 2.0 ** 50 + 3.75],
+    ])
+    assert len(cases) > 8_000
+    _assert_formats_like_repr(np.concatenate([cases, -cases]))
+
+
+def test_format_bulk_sample_like_repr():
+    """About 200k values, whole CSV rows: log-uniform magnitudes of both
+    signs across fixed notation and beyond it, 16-digit integer parts, and
+    raw bit patterns; levels of two decimals and of more."""
+    rng = np.random.default_rng(24)
+    magnitudes = np.concatenate([10.0 ** rng.uniform(-4, 16, (15_000, 8)),
+                                 10.0 ** rng.uniform(-5, 17, (6_000, 8)),
+                                 1e15 * (1.0 + 9.0 * rng.random((1_000, 8)))])
+    values = np.concatenate([magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape),
+                             rng.integers(0, 2**64, (3_000, 8), dtype=np.uint64).view(np.float64)])
+    n = len(values)
+    index, true, pred = rng.integers(0, 10**6, n), rng.integers(0, 3, n), rng.integers(0, 12, n)
+    level = rng.choice([0.05, 0.121, 0.4], n)
+    chunks = range(0, n, 1024)
+    got = b"".join(csv_rows(index[i:i + 1024], true[i:i + 1024], pred[i:i + 1024],
+                            level[i:i + 1024], values[i:i + 1024], format_level) for i in chunks)
+    want = "".join(f"{i},{t},{p},{format_level(v)},{','.join(map(repr, row))}\r\n"
+                   for i, t, p, v, row in zip(index.tolist(), true.tolist(), pred.tolist(),
+                                              level.tolist(), values.tolist()))
+    assert got == want.encode()
