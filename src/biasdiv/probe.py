@@ -423,11 +423,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _spare_cpu(running: int = 1) -> bool:
+    """Whether each of `running` processes that run at once may fork one
+    helper: the usable CPUs number at least twice as many. The one rule for
+    every forked helper, the counterexample CSV writer's and an experiment
+    chunk's; pinning the process to fewer CPUs (`taskset`) turns it off."""
+    return _usable_cpus() >= 2 * running
+
+
 def _block_count(rows: int, values: int) -> int:
     """How many processes write a CSV of `rows` rows holding `values`
-    floats: two where two CPUs are usable and each half holds at least one
-    row and `_MIN_BLOCK_VALUES` floats, else one."""
-    return 2 if _usable_cpus() >= 2 and rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES else 1
+    floats: two where `_spare_cpu` allows a helper and each half holds at
+    least one row and `_MIN_BLOCK_VALUES` floats, else one."""
+    return 2 if _spare_cpu() and rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES else 1
 
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:

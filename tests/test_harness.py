@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 
 import biasdiv
 from biasdiv import harness
+from biasdiv import probe as probe_module
 from biasdiv.data import make_toy_blobs, save_csv
-from biasdiv.errors import ConfigError, DataError, ProbeError
+from biasdiv.diversify import derive_seed
+from biasdiv.errors import ConfigError, DataError, InfeasibleError, ProbeError
 from biasdiv.harness import (APPROACH_ORDER, BASELINE_APPROACHES, LegResult,
                              aggregate_legs, emit_report, load_dataset_pair,
                              load_experiment_config, parse_experiment_config,
@@ -57,6 +60,18 @@ def separated_cfg(tmp_path_factory):
 @pytest.fixture(scope="module")
 def separated_report(separated_cfg):
     return run_experiment(separated_cfg)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: no chunk forks a helper, so every leg trains and is
+    probed in this process, where a spy on `harness.train_stack` or
+    `harness.noise_sweep` sees it."""
+    use_cpus(monkeypatch, 1)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: count)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +340,7 @@ def _report_bytes(report, out):
             for key in ("report_csv", "runs_csv", "report_json", "boxplot_svg")}
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("case", ["default", "gate_fails"])
 def test_chunks_write_the_bytes_of_single_repeats(separated_cfg, monkeypatch, tmp_path, case):
     """One chunk of three repeats (workers=1) and chunks [0] and [1, 2]
@@ -366,6 +382,7 @@ def test_reference_probe_matches_repeat_zero(separated_cfg, separated_report):
     assert probe.b_r == separated_report.legs[0].b_r
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_probe_error_marks_only_its_leg_infeasible(separated_cfg, monkeypatch):
     train, test = harness.load_split(separated_cfg)
     real_sweep, calls = harness.noise_sweep, []
@@ -597,6 +614,7 @@ def single_approach_legs(cfg, train, test, repeat):
     return legs
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("case", ["default", "gate_fails", "diverges"])
 def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, case):
     cfg = separated_cfg
@@ -634,3 +652,144 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
     if case == "diverges":
         assert trained and any(leg.note.startswith("training diverged at epoch ")
                                for leg in legs)
+
+
+# ---------------------------------------------------------------------------
+# Forked helpers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("costs, share", [
+    ([1_152_000, 288_000], [False, True]),   # iris at seed 6: the main stack and rus
+    ([144_092, 144_115], [True, False]),     # iris's two diversified singletons
+    ([270_000, 270_120, 810_810], [True, True, False]),   # wide-div: the oversamplers' stack
+    ([1] * 5, [False, True, False, True, False]),           # probes, equal costs
+    ([7], [False]),
+    ([], []),
+])
+def test_helper_share_on_the_benchmark_group_costs(costs, share):
+    assert harness._helper_share(costs) == share
+
+
+def test_helper_share_keeps_the_heaviest_item_and_graham_bound():
+    """This process takes the heaviest item, and the larger bin is within
+    7/6 of the best two-way split's, against brute force."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        costs = rng.integers(1, 50, size=int(rng.integers(1, 9))).tolist()
+        share = harness._helper_share(costs)
+        assert not share[int(np.argmax(costs))]
+        larger = max(sum(c for c, h in zip(costs, share) if h == side) for side in (0, 1))
+        best = min(max(sum(c for i, c in enumerate(costs) if mask >> i & 1),
+                       sum(c for i, c in enumerate(costs) if not mask >> i & 1))
+                   for mask in range(2 ** len(costs)))
+        assert 6 * larger <= 7 * best
+
+
+@pytest.mark.parametrize("case", ["default", "gate_fails", "diverges"])
+def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path, case):
+    """A chunk forks a helper per stage where the usable CPUs number at
+    least twice the chunks: at workers=1 on two CPUs, and in each pool
+    worker at workers=2 on four. Neither at workers=2 on two CPUs, nor where
+    "fork" is not available. The report bytes are the one-CPU bytes."""
+    cfg = replace(separated_cfg, repeats=3)
+    if case == "gate_fails":   # every leg re-seeds, in a cross-repeat stack
+        monkeypatch.setattr(harness, "ACCURACY_GATE", 1.0)
+    elif case == "diverges":
+        cfg = replace(cfg, schedule=TrainSchedule(((1e9, 50),)))
+    use_cpus(monkeypatch, 1)
+    want = _report_bytes(run_experiment(cfg), tmp_path / "one")
+    helpers = {}
+    for cpus, workers in ((2, 1), (4, 2), (2, 2)):
+        use_cpus(monkeypatch, cpus)
+        report = run_experiment(replace(cfg, workers=workers))
+        assert _report_bytes(report, tmp_path / f"{cpus}-{workers}") == want, (cpus, workers)
+        assert report.durations["usable_cpus"] == cpus
+        helpers[cpus, workers] = report.durations["helpers_per_chunk"]
+    assert helpers[2, 1][0] > 0 and helpers[2, 2] == [0, 0]
+    if multiprocessing.get_start_method() == "fork":   # pool workers see the patched CPUs
+        assert min(helpers[4, 2]) > 0
+    monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
+    report = run_experiment(cfg)
+    assert report.durations["helpers_per_chunk"] == [0]
+    assert _report_bytes(report, tmp_path / "nofork") == want
+    trained = [leg for leg in report.legs if not leg.infeasible]
+    assert trained and all(leg.reseeded for leg in trained) == (case == "gate_fails")
+    if case == "diverges":
+        assert any(leg.note.startswith("training diverged at epoch ") for leg in report.legs)
+
+
+@pytest.mark.parametrize("stage", ["diversify", "probe"])
+def test_leg_error_in_the_helper_marks_only_its_leg_infeasible(separated_cfg, monkeypatch,
+                                                                stage):
+    """A leg error raised in the helper comes back as a value and lands on
+    its own leg: the diversify leg `(1, diversified)`, or each leg of repeat
+    1 whose probe the helper runs. Every other leg is as on one CPU."""
+    train, test = harness.load_split(separated_cfg)
+    use_cpus(monkeypatch, 1)
+    want = run_repeat(separated_cfg, train, test, [0, 1])
+    use_cpus(monkeypatch, 2)
+    main, note = os.getpid(), f"{stage} fails in the helper"
+    if stage == "diversify":
+        real, target = harness.diversify, derive_seed(separated_cfg.seed, "rep", 1, "diversified")
+
+        def failing(train_ds, reference, config, seed):
+            if os.getpid() != main and seed == target:
+                raise InfeasibleError(note)
+            return real(train_ds, reference, config, seed)
+    else:
+        real, target = harness.noise_sweep, derive_seed(separated_cfg.seed, "rep", 1, "probe")
+
+        def failing(model, test_ds, noise, seed, scales):
+            if os.getpid() != main and seed == target:
+                raise ProbeError(note)
+            return real(model, test_ds, noise, seed, scales)
+
+    monkeypatch.setattr(harness, stage if stage == "diversify" else "noise_sweep", failing)
+    legs = run_repeat(separated_cfg, train, test, [0, 1])
+    failed = {i for i, leg in enumerate(legs) if leg.note == note}
+    assert failed and all(legs[i].repeat == 1 and legs[i].infeasible for i in failed)
+    if stage == "diversify":
+        assert [(legs[i].repeat, legs[i].approach) for i in failed] == [(1, "diversified")]
+    assert ([leg for i, leg in enumerate(legs) if i not in failed]
+            == [leg for i, leg in enumerate(want) if i not in failed])
+    assert multiprocessing.active_children() == []
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("where", ["helper", "here", "helper_exits"])
+def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg, monkeypatch,
+                                                                  where):
+    """An exception in the helper is raised in the caller, with the helper's
+    traceback as its cause; one in this process while the helper runs
+    propagates; a helper that exits without its results is an error. On
+    every path the helper is joined and both ends of its pipe are closed."""
+    train, test = harness.load_split(separated_cfg)
+    use_cpus(monkeypatch, 2)
+    main, real_sweep = os.getpid(), harness.noise_sweep
+
+    def sweep(*args):
+        if os.getpid() == main and where == "here":
+            raise ValueError("a sweep fails here")
+        if os.getpid() != main and where == "helper":
+            raise ValueError("a sweep fails in the helper")
+        if os.getpid() != main and where == "helper_exits":
+            os._exit(3)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(harness, "noise_sweep", sweep)
+    fds = _open_fds()
+    raised = {"here": (ValueError, "a sweep fails here"),
+              "helper": (ValueError, "a sweep fails in the helper"),
+              "helper_exits": (RuntimeError, "the helper process for .* exited with code 3")}
+    with pytest.raises(raised[where][0], match=raised[where][1]) as info:
+        run_repeat(separated_cfg, train, test, [0, 1])
+    if where == "helper":
+        cause = info.value.__cause__
+        assert isinstance(cause, harness._HelperTraceback)
+        assert "in the helper process for [(0, 'rus')" in str(cause)
+        assert "ValueError: a sweep fails in the helper" in str(cause)
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
