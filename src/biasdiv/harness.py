@@ -12,10 +12,11 @@ Repeats run in contiguous chunks, one per worker process, and a chunk runs
 stage-major (`run_repeat`): the reference and resampler legs of every
 repeat in it are prepared, trained and probed, then the diversify legs.
 Legs of equal size train as one weight stack across repeats, each net
-with the bytes it would get alone. Where a CPU is spare, each stage hands
-part of its independent items to one forked helper (`_fan_out`); every
-item draws only from its own sub-streams, so the bytes do not depend on
-which process computes it.
+with the bytes it would get alone. Work runs in other processes through
+one primitive, `forking.fan_out`: every chunk but the first runs in a
+forked helper, and where a CPU is spare, each stage hands part of its
+independent items to one more. Every item draws only from its own
+sub-streams, so the bytes do not depend on which process computes it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import probe as probe_module
+from . import forking
 from .baselines import (ADASYN, ROS, RUS_EQUALIZE, RUS_FRACTION, SMOTE,
                         ResamplePlan, resample)
 from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
@@ -379,106 +380,6 @@ def subsample_imbalanced(ds: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# One forked helper per stage
-# ---------------------------------------------------------------------------
-
-# Chunks of repeats that run at once: set in each pool worker by
-# `_start_pool_worker`, one elsewhere.
-_chunks_running = 1
-# Helpers this process has forked; `_chunk_worker` counts its chunk's.
-_helpers_forked = 0
-
-
-def _start_pool_worker(chunks: int) -> None:
-    """A pool worker's initializer: `chunks` chunks run at once."""
-    global _chunks_running
-    _chunks_running = chunks
-
-
-def _helper_share(costs) -> list[bool]:
-    """Per item, whether a helper takes it: Graham's longest-processing-time
-    rule over two bins. Heaviest first (ties in the given order), each item
-    goes to the bin with the smaller load, this process's on a tie, so this
-    process takes the heaviest item. The larger bin stays within 7/6 of
-    the best split's (Graham 1969)."""
-    loads, share = [0, 0], [False] * len(costs)
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        share[i] = loads[1] < loads[0]
-        loads[share[i]] += costs[i]
-    return share
-
-
-class _HelperTraceback(Exception):
-    """The traceback of an exception raised in a forked helper, set as the
-    cause of that exception when `_fan_out` raises it in the caller."""
-
-
-def _helper_main(fn, items, sender) -> None:
-    """A forked helper's share of `_fan_out`: `{item: fn(item)}`, or the
-    exception that stopped it and its traceback, sent whole over `sender`."""
-    try:
-        message = True, {item: fn(item) for item in items}
-    except Exception as exc:
-        import traceback
-        message = False, (exc, traceback.format_exc())
-    sender.send(message)
-
-
-def _fan_out(fn, items, costs) -> dict:
-    """`{item: fn(item)}` for `items`, distinct keys that share no state,
-    with `costs` their relative costs.
-
-    Where `probe._spare_cpu` allows this chunk of repeats a helper and
-    "fork" is available, the items are split by `_helper_share`: this
-    process computes the bin that holds the heaviest item while one forked
-    helper computes the other and sends its results back over a pipe. The
-    results are merged by key, in the order of `items`. `fn` must return
-    picklable values, the same in either process. An exception in the
-    helper is raised here, with the helper's traceback as its cause. If
-    this process fails first, the helper is ended; it is joined on every
-    path.
-    """
-    global _helpers_forked
-    items = list(items)
-    share = _helper_share(costs)
-    context = None
-    if any(share) and probe_module._spare_cpu(_chunks_running):
-        context = probe_module._fork_context()
-    if context is None:
-        return {item: fn(item) for item in items}
-    theirs = [item for item, helped in zip(items, share) if helped]
-    receiver, sender = context.Pipe(duplex=False)
-    helper = context.Process(target=_helper_main, args=(fn, theirs, sender))
-    started = received = False
-    try:
-        helper.start()
-        started = True
-        _helpers_forked += 1
-        sender.close()   # the helper's copy is then the pipe's only writer
-        results = {item: fn(item) for item, helped in zip(items, share) if not helped}
-        try:
-            ok, payload = receiver.recv()
-        except EOFError:
-            helper.join()
-            raise RuntimeError(f"the helper process for {theirs} exited with code "
-                               f"{helper.exitcode} before sending its results") from None
-        received = True
-        if not ok:
-            exc, trace = payload
-            raise exc from _HelperTraceback(f"in the helper process for {theirs}:\n{trace}")
-        results.update(payload)
-    finally:
-        sender.close()
-        receiver.close()
-        if started:
-            if not received:
-                helper.terminate()
-            helper.join()
-            helper.close()
-    return {item: results[item] for item in items}
-
-
-# ---------------------------------------------------------------------------
 # Per-repeat protocol
 # ---------------------------------------------------------------------------
 
@@ -506,8 +407,8 @@ def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
     draws no random numbers. Legs with equally many rows under the same
     schedule train as one weight stack, whatever their repeat, which gives
     each the bytes it would get alone. The groups (a stack or a single leg
-    each) go through `_fan_out`, costed as the row gradients they sum: nets
-    x rows x epochs. Returns (repeat, approach) -> (model, report) or
+    each) go through `forking.fan_out`, costed as the row gradients they
+    sum: nets x rows x epochs. Returns (repeat, approach) -> (model, report) or
     TrainingError.
     """
     groups = {}
@@ -530,7 +431,7 @@ def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
 
     costs = [len(members) * n * sum(epochs for _, epochs in schedule.phases)
              for (n, schedule), members in groups.items()]
-    trained = _fan_out(train_group, groups, costs)
+    trained = forking.fan_out(train_group, groups, costs)
     return {key: result for group, members in groups.items()
             for key, result in zip(members, trained[group])}
 
@@ -645,10 +546,10 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     Every leg is probed with its repeat's noise sub-stream and with feature
     scales taken from the original training set, so scores differ only
     through the nets and the data they were trained on. The diversify legs'
-    sets, the training groups and the probes each go through `_fan_out`.
-    Returns, per leg in the given order, (leg, trained net, training
-    report, probe), the probe kept for `original` legs only, or the error
-    that made the leg infeasible (see `_leg_of`).
+    sets, the training groups and the probes each go through
+    `forking.fan_out`. Returns, per leg in the given order, (leg, trained
+    net, training report, probe), the probe kept for `original` legs only,
+    or the error that made the leg infeasible (see `_leg_of`).
     """
     def prepare(key):
         repeat, approach = key
@@ -662,7 +563,7 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     here = {key: prepare(key) for key in legs
             if key[1] in ("original", *BASELINE_APPROACHES)}
     shared = [key for key in legs if key not in here]
-    prepared = {**here, **_fan_out(prepare, shared, [1] * len(shared))}
+    prepared = {**here, **forking.fan_out(prepare, shared)}
     runs, fits, notes = {}, {}, {}
     for key in legs:
         if isinstance(prepared[key], LEG_ERRORS):
@@ -689,7 +590,7 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
             runs[key] = trained[key]
         else:
             probed.append(key)
-    for key, swept in _fan_out(sweep, probed, [1] * len(probed)).items():
+    for key, swept in forking.fan_out(sweep, probed).items():
         if isinstance(swept, LEG_ERRORS):
             runs[key] = swept
             continue
@@ -766,16 +667,6 @@ def _chunks(repeats: int, workers: int) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _chunk_worker(args):
-    """A chunk's legs, its wall time shared evenly among its repeats, and
-    how many helpers it forked."""
-    cfg, train_ds, test_ds, repeats = args
-    started, forked = time.perf_counter(), _helpers_forked
-    legs = run_repeat(cfg, train_ds, test_ds, repeats)
-    return (legs, [(time.perf_counter() - started) / len(repeats)] * len(repeats),
-            _helpers_forked - forked)
-
-
 # ---------------------------------------------------------------------------
 # Aggregation and reports
 # ---------------------------------------------------------------------------
@@ -829,30 +720,32 @@ def aggregate_legs(legs, approaches, repeats) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Every repeat of the experiment. Each worker runs one contiguous chunk
-    of repeats (all of them at `workers=1`) through `run_repeat`, and the
-    chunks' legs are joined in repeat order. Where the usable CPUs number
-    at least twice the chunks, each chunk forks a helper per stage (see
-    `_fan_out`); `durations` records the usable CPUs and how many helpers
-    each chunk forked."""
+    """Every repeat of the experiment, in one contiguous chunk of repeats
+    per worker (all of them at `workers=1`) through `run_repeat`, the legs
+    joined in repeat order. The first chunk runs here and each other in a
+    forked helper (`forking.fan_out`; all here where "fork" is not
+    available), with the same bytes. Where the usable CPUs number at least
+    twice the chunks, each chunk forks a helper per stage too; `durations`
+    records the usable CPUs and how many helpers each chunk forked."""
     started = time.perf_counter()
     train_ds, test_ds = load_split(cfg)
-    tasks = [(cfg, train_ds, test_ds, chunk) for chunk in _chunks(cfg.repeats, cfg.workers)]
-    if len(tasks) > 1:
-        # imported here, so that a run with one chunk does not load the pool
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(tasks), initializer=_start_pool_worker,
-                initargs=(len(tasks),)) as pool:
-            outcomes = list(pool.map(_chunk_worker, tasks))
-    else:
-        outcomes = [_chunk_worker(task) for task in tasks]
 
+    def run_chunk(repeats):
+        """A chunk's legs, its wall time shared evenly among its repeats,
+        and how many helpers it forked."""
+        began, forked = time.perf_counter(), forking.forked
+        legs = run_repeat(cfg, train_ds, test_ds, repeats)
+        return (legs, [(time.perf_counter() - began) / len(repeats)] * len(repeats),
+                forking.forked - forked)
+
+    chunks = _chunks(cfg.repeats, cfg.workers)
+    outcomes = forking.fan_out(run_chunk, chunks, processes=len(chunks),
+                               spare_only=False).values()
     legs = tuple(leg for result, _, _ in outcomes for leg in result)
     aggregates = aggregate_legs(legs, cfg.approaches, cfg.repeats)
     durations = {"total_seconds": time.perf_counter() - started,
                  "per_repeat_seconds": [s for _, seconds, _ in outcomes for s in seconds],
-                 "usable_cpus": probe_module._usable_cpus(),
+                 "usable_cpus": forking.usable_cpus(),
                  "helpers_per_chunk": [forked for _, _, forked in outcomes]}
     return ExperimentReport(
         approaches=cfg.approaches,

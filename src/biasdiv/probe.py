@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forking
 from .data import Dataset
 from .errors import BiasMetricError, ProbeError
 from .mlp import Mlp, _Pass, input_gradients, predict_batch
@@ -398,12 +399,6 @@ def _write_rows(fh, cex: Counterexamples, start: int, stop: int) -> None:
         fh.write(csv_rows(*map(np.concatenate, zip(*pending)), format_level))
 
 
-def _write_part(cex: Counterexamples, start: int, stop: int, path) -> None:
-    """A helper process's block of rows, into its own part file."""
-    with open(path, "wb") as fh:
-        _write_rows(fh, cex, start, stop)
-
-
 # Rows formatted at once: bounds the formatter's buffers, whatever the CSV's size.
 _CHUNK_ROWS = 1024
 
@@ -414,83 +409,54 @@ _CHUNK_ROWS = 1024
 _MIN_BLOCK_VALUES = 20_000
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _spare_cpu(running: int = 1) -> bool:
-    """Whether each of `running` processes that run at once may fork one
-    helper: the usable CPUs number at least twice as many. The one rule for
-    every forked helper, the counterexample CSV writer's and an experiment
-    chunk's; pinning the process to fewer CPUs (`taskset`) turns it off."""
-    return _usable_cpus() >= 2 * running
-
-
-def _block_count(rows: int, values: int) -> int:
-    """How many processes write a CSV of `rows` rows holding `values`
-    floats: two where `_spare_cpu` allows a helper and each half holds at
-    least one row and `_MIN_BLOCK_VALUES` floats, else one."""
-    return 2 if _spare_cpu() and rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES else 1
+def _helper_start(rows: int, values: int) -> int:
+    """The first row a forked helper writes of a CSV of `rows` rows holding
+    `values` floats: the middle one where each half holds at least one row
+    and `_MIN_BLOCK_VALUES` floats and `forking.fork_context` allows a
+    helper, else `rows`, as this process then writes every row."""
+    if rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES and forking.fork_context(2) is not None:
+        return rows // 2
+    return rows
 
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
     """One row per counterexample, in the bytes `csv.writer` would write;
     the header goes through `csv` so feature names keep their quoting.
 
-    Where `_block_count` gives two blocks and "fork" is available, a forked
-    helper writes the second half of the rows to a temporary part file
-    beside `path` while this process writes the header and the first half
-    to `path`; the part is then appended, so the bytes are the same either
-    way. The helper inherits the counterexamples rather than have them
-    pickled, and rebuilds, formats and writes only its own rows. It is
-    joined and its part file removed before this returns, and a helper
-    that exits non-zero raises `OSError`.
+    Where `_helper_start` splits the rows, the two blocks go through
+    `forking.fan_out`: a forked helper writes the second half of the rows
+    to a temporary part file beside `path` while this process writes the
+    header and the first half to `path`; the part is then appended, so the
+    bytes are the same either way. The helper inherits the counterexamples
+    rather than have them pickled, and rebuilds, formats and writes only
+    its own rows. The part file is removed before this returns, and an
+    error in the helper is raised here as `fan_out` raises it.
     """
     cex = report.counterexamples
-    blocks = _block_count(len(cex), len(cex) * cex.variants.inputs.shape[1])
-    context = _fork_context() if blocks == 2 else None
-    half = len(cex) // 2 if context is not None else len(cex)
+    half = _helper_start(len(cex), len(cex) * cex.variants.inputs.shape[1])
     target = Path(path)
-    part = helper = None
-    try:
-        try:
-            if context is not None:
-                fd, part = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
-                                            suffix=".part")
-                os.close(fd)
-                process = context.Process(target=_write_part, args=(cex, half, len(cex), part))
-                process.start()
-                helper = process   # joined below only once it has started
-            header = io.StringIO(newline="")
-            csv.writer(header).writerow(["input_index", "true_class", "predicted_class",
-                                         "level"] + list(feature_names))
-            with open(target, "wb") as fh:
+    header = io.StringIO(newline="")
+    csv.writer(header).writerow(["input_index", "true_class", "predicted_class",
+                                 "level"] + list(feature_names))
+
+    def write(block):
+        start, stop, file = block
+        with open(file, "wb") as fh:
+            if start == 0:   # the first block, into `path`
                 fh.write(header.getvalue().encode("utf-8"))
-                _write_rows(fh, cex, 0, half)
-        finally:
-            if helper is not None:
-                helper.join()
-        if helper is not None:
-            if helper.exitcode != 0:
-                raise OSError(f"could not write {target}: the helper process for rows "
-                              f"{half}:{len(cex)} failed (exit {helper.exitcode})")
+            _write_rows(fh, cex, start, stop)
+
+    blocks, part = [(0, half, target)], None
+    try:
+        if half < len(cex):
+            fd, part = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
+                                        suffix=".part")
+            os.close(fd)
+            blocks.append((half, len(cex), part))
+        forking.fan_out(write, blocks)
+        if part is not None:
             with open(target, "ab") as out, open(part, "rb") as src:
                 shutil.copyfileobj(src, out)
     finally:
         if part is not None:
             Path(part).unlink(missing_ok=True)
-
-
-def _fork_context():
-    """multiprocessing's "fork" context, or None where it is not available.
-    Imported here, so that importing biasdiv does not load multiprocessing."""
-    import multiprocessing
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import multiprocessing
 import os
@@ -11,8 +12,7 @@ import numpy as np
 import pytest
 
 import biasdiv
-from biasdiv import harness
-from biasdiv import probe as probe_module
+from biasdiv import forking, harness
 from biasdiv.data import make_toy_blobs, save_csv
 from biasdiv.diversify import derive_seed
 from biasdiv.errors import ConfigError, DataError, InfeasibleError, ProbeError
@@ -71,7 +71,7 @@ def one_cpu(monkeypatch):
 
 
 def use_cpus(monkeypatch, count):
-    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: count)
 
 
 # ---------------------------------------------------------------------------
@@ -532,34 +532,39 @@ def test_boxplot_has_one_group_per_approach(separated_report):
     assert "infeasible" in svg  # the all-infeasible adasyn column is labelled
 
 
-SEQUENTIAL_RUN = """
+RUNS = """
 import json, sys
 import numpy
 before = set(sys.modules)
+from dataclasses import replace
 from biasdiv.harness import emit_report, parse_experiment_config, run_experiment
 cfg = parse_experiment_config(json.loads(sys.argv[1]))
 emit_report(run_experiment(cfg), sys.argv[2])
-print(json.dumps(sorted(set(sys.modules) - before)))
+sequential = sorted(set(sys.modules) - before)
+emit_report(run_experiment(replace(cfg, workers=2)), sys.argv[3])
+print(json.dumps([sequential, sorted(set(sys.modules) - before)]))
 """
 
 
-def test_sequential_run_loads_neither_the_pool_nor_numpy_ma(tmp_path):
-    """A `workers=1` experiment and its report, in a fresh interpreter,
-    leave `concurrent.futures` unloaded (only a pool of two or more chunks
-    needs it), and the box plot's quartiles do not load `numpy.ma`."""
+def test_runs_load_no_pool_and_no_numpy_ma(tmp_path):
+    """A `workers=1` experiment and its report, then a `workers=2` one, in
+    one fresh interpreter: neither loads `concurrent.futures` (chunks run
+    in forked helpers, not a process pool), and the box plot's quartiles
+    do not load `numpy.ma`. The two runs write the same bytes."""
     write_blobs_csv(tmp_path / "blobs.csv")
-    doc = config_doc(tmp_path / "blobs.csv", workers=1)
+    doc = config_doc(tmp_path / "blobs.csv", workers=1, repeats=2)
     src = str(Path(biasdiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SEQUENTIAL_RUN, json.dumps(doc),
-                           str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", RUNS, json.dumps(doc), str(tmp_path / "one"),
+                           str(tmp_path / "two")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "boxplot.svg").is_file()
-    loaded = json.loads(proc.stdout)
-    assert "concurrent.futures" not in loaded
-    assert "numpy.ma" not in loaded
+    sequential, both = json.loads(proc.stdout)
+    for loaded in (sequential, both):
+        assert "concurrent.futures" not in loaded
+        assert "numpy.ma" not in loaded
+    for name in ("report.json", "runs.csv", "report.csv", "boxplot.svg"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_feasible_adasyn_on_overlapping_blobs(tmp_path):
@@ -667,7 +672,14 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
     ([], []),
 ])
 def test_helper_share_on_the_benchmark_group_costs(costs, share):
-    assert harness._helper_share(costs) == share
+    assert forking._helper_share(costs) == share
+
+
+def _best_largest_bin(costs, processes):
+    """The largest bin of the best split of `costs` over `processes` bins,
+    by brute force."""
+    return min(max(sum(c for c, at in zip(costs, bins) if at == b) for b in range(processes))
+               for bins in itertools.product(range(processes), repeat=len(costs)))
 
 
 def test_helper_share_keeps_the_heaviest_item_and_graham_bound():
@@ -676,21 +688,44 @@ def test_helper_share_keeps_the_heaviest_item_and_graham_bound():
     rng = np.random.default_rng(3)
     for _ in range(300):
         costs = rng.integers(1, 50, size=int(rng.integers(1, 9))).tolist()
-        share = harness._helper_share(costs)
-        assert not share[int(np.argmax(costs))]
-        larger = max(sum(c for c, h in zip(costs, share) if h == side) for side in (0, 1))
-        best = min(max(sum(c for i, c in enumerate(costs) if mask >> i & 1),
-                       sum(c for i, c in enumerate(costs) if not mask >> i & 1))
-                   for mask in range(2 ** len(costs)))
-        assert 6 * larger <= 7 * best
+        bins = forking._helper_share(costs)
+        assert bins[int(np.argmax(costs))] == 0
+        larger = max(sum(c for c, at in zip(costs, bins) if at == b) for b in (0, 1))
+        assert 6 * larger <= 7 * _best_largest_bin(costs, 2)
+
+
+def test_helper_share_keeps_graham_bound_over_three_bins():
+    """Over three bins, this process takes the heaviest item and the
+    largest bin is within Graham's 4/3 - 1/(3k) = 11/9 of the best
+    three-way split's, against brute force."""
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        costs = rng.integers(1, 50, size=int(rng.integers(1, 8))).tolist()
+        bins = forking._helper_share(costs, 3)
+        assert bins[int(np.argmax(costs))] == 0 and set(bins) <= {0, 1, 2}
+        largest = max(sum(c for c, at in zip(costs, bins) if at == b) for b in range(3))
+        assert 9 * largest <= 11 * _best_largest_bin(costs, 3)
+
+
+@pytest.mark.parametrize("costs", [[1, 1, 1], [4, 9, 2], [5, 5, 3, 3], [2, 7]])
+def test_helper_share_puts_k_items_one_per_bin(costs):
+    """k items into k bins go one per bin, this process's bin 0 taking the
+    heaviest; at equal costs, item i goes to bin i (chunk 0 stays here)."""
+    bins = forking._helper_share(costs, len(costs))
+    assert sorted(bins) == list(range(len(costs)))
+    assert bins[int(np.argmax(costs))] == 0
+    if len(set(costs)) == 1:
+        assert bins == list(range(len(costs)))
 
 
 @pytest.mark.parametrize("case", ["default", "gate_fails", "diverges"])
 def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path, case):
-    """A chunk forks a helper per stage where the usable CPUs number at
-    least twice the chunks: at workers=1 on two CPUs, and in each pool
-    worker at workers=2 on four. Neither at workers=2 on two CPUs, nor where
-    "fork" is not available. The report bytes are the one-CPU bytes."""
+    """Every chunk but the first runs in a forked helper, and a chunk forks
+    a helper per stage where the usable CPUs number at least twice the
+    chunks: at workers=1 on two CPUs, and in each chunk at workers=2 on
+    four. Neither at workers=2 on two CPUs, nor where "fork" is not
+    available, where every chunk runs here. The report bytes are the
+    one-CPU bytes."""
     cfg = replace(separated_cfg, repeats=3)
     if case == "gate_fails":   # every leg re-seeds, in a cross-repeat stack
         monkeypatch.setattr(harness, "ACCURACY_GATE", 1.0)
@@ -706,12 +741,13 @@ def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path
         assert report.durations["usable_cpus"] == cpus
         helpers[cpus, workers] = report.durations["helpers_per_chunk"]
     assert helpers[2, 1][0] > 0 and helpers[2, 2] == [0, 0]
-    if multiprocessing.get_start_method() == "fork":   # pool workers see the patched CPUs
-        assert min(helpers[4, 2]) > 0
-    monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
-    report = run_experiment(cfg)
-    assert report.durations["helpers_per_chunk"] == [0]
-    assert _report_bytes(report, tmp_path / "nofork") == want
+    assert min(helpers[4, 2]) > 0
+    monkeypatch.setattr(forking, "_fork_context", lambda: None)
+    for workers, chunks in ((1, 1), (2, 2)):
+        report = run_experiment(replace(cfg, workers=workers))
+        assert report.durations["helpers_per_chunk"] == [0] * chunks
+        assert _report_bytes(report, tmp_path / f"nofork-{workers}") == want, workers
+    assert multiprocessing.active_children() == []
     trained = [leg for leg in report.legs if not leg.infeasible]
     assert trained and all(leg.reseeded for leg in trained) == (case == "gate_fails")
     if case == "diverges":
@@ -759,13 +795,15 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.parametrize("where", ["helper", "here", "helper_exits"])
+@pytest.mark.parametrize("where", ["helper", "here", "helper_exits", "chunk"])
 def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg, monkeypatch,
                                                                   where):
-    """An exception in the helper is raised in the caller, with the helper's
-    traceback as its cause; one in this process while the helper runs
-    propagates; a helper that exits without its results is an error. On
-    every path the helper is joined and both ends of its pipe are closed."""
+    """An exception in a stage's helper, or in the helper that runs the
+    second chunk of a workers=2 experiment, is raised in the caller, with
+    the helper's traceback as its cause; one in this process while the
+    helper runs propagates; a helper that exits without its results raises
+    `ChildProcessError`. On every path the helper is joined and both ends
+    of its pipe are closed."""
     train, test = harness.load_split(separated_cfg)
     use_cpus(monkeypatch, 2)
     main, real_sweep = os.getpid(), harness.noise_sweep
@@ -773,7 +811,7 @@ def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg,
     def sweep(*args):
         if os.getpid() == main and where == "here":
             raise ValueError("a sweep fails here")
-        if os.getpid() != main and where == "helper":
+        if os.getpid() != main and where in ("helper", "chunk"):
             raise ValueError("a sweep fails in the helper")
         if os.getpid() != main and where == "helper_exits":
             os._exit(3)
@@ -783,13 +821,19 @@ def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg,
     fds = _open_fds()
     raised = {"here": (ValueError, "a sweep fails here"),
               "helper": (ValueError, "a sweep fails in the helper"),
-              "helper_exits": (RuntimeError, "the helper process for .* exited with code 3")}
+              "chunk": (ValueError, "a sweep fails in the helper"),
+              "helper_exits": (ChildProcessError,
+                               "the helper process for .* exited with code 3")}
     with pytest.raises(raised[where][0], match=raised[where][1]) as info:
-        run_repeat(separated_cfg, train, test, [0, 1])
-    if where == "helper":
+        if where == "chunk":
+            run_experiment(replace(separated_cfg, workers=2))
+        else:
+            run_repeat(separated_cfg, train, test, [0, 1])
+    if where in ("helper", "chunk"):
         cause = info.value.__cause__
-        assert isinstance(cause, harness._HelperTraceback)
-        assert "in the helper process for [(0, 'rus')" in str(cause)
+        assert isinstance(cause, forking._HelperTraceback)
+        assert ("in the helper process for [range(1, 2)]" if where == "chunk" else
+                "in the helper process for [(0, 'rus')") in str(cause)
         assert "ValueError: a sweep fails in the helper" in str(cause)
     assert multiprocessing.active_children() == []
     assert _open_fds() == fds

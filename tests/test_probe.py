@@ -1,6 +1,7 @@
 """Noise probe tests: perturbations, sweep bookkeeping, bias scoring."""
 
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -31,6 +32,7 @@ from biasdiv.probe import (
     save_probe_report,
     write_counterexamples_csv,
 )
+from biasdiv import forking
 from biasdiv import probe as probe_module
 from biasdiv.floattext import csv_rows, shortest_digits
 from biasdiv.numerics import substream
@@ -755,7 +757,7 @@ def _random_report(rows: int) -> ProbeReport:
 def _split_into(monkeypatch, processes: int) -> None:
     """Have the CSV writer use `processes` processes (1 or 2), however small
     the CSV."""
-    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: processes)
     monkeypatch.setattr(probe_module, "_MIN_BLOCK_VALUES", 1)
 
 
@@ -772,7 +774,7 @@ def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypat
         path = tmp_path / f"split{processes}.csv"
         write_counterexamples_csv(report, path, names)
         assert path.read_bytes() == expected, processes
-    monkeypatch.setattr(probe_module, "_fork_context", lambda: None)
+    monkeypatch.setattr(forking, "_fork_context", lambda: None)
     write_counterexamples_csv(report, tmp_path / "nofork.csv", names)
     assert (tmp_path / "nofork.csv").read_bytes() == expected
     assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".part"]
@@ -789,18 +791,34 @@ def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypat
     (2, 0, 0, 1),
 ])
 def test_counterexample_csv_block_count(monkeypatch, cpus, rows, values, blocks):
-    monkeypatch.setattr(probe_module, "_usable_cpus", lambda: cpus)
-    assert probe_module._block_count(rows, values) == blocks
+    """Two processes write the CSV, the helper from the middle row on,
+    where each half pays for a fork and `forking.fork_context` allows a
+    helper."""
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    assert probe_module._helper_start(rows, values) == (rows // 2 if blocks == 2 else rows)
 
 
 def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkeypatch):
-    def failing(*args):
-        raise RuntimeError("a helper fails")
+    """An OSError in the helper, here a full disk under its part file,
+    arrives as itself, with its errno, message and the helper's traceback;
+    no part file is left and no helper runs."""
+    writer, parent = probe_module._write_rows, os.getpid()
 
-    monkeypatch.setattr(probe_module, "_write_part", failing)
+    def failing_in_the_helper(fh, cex, start, stop):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device", fh.name)
+        writer(fh, cex, start, stop)
+
+    monkeypatch.setattr(probe_module, "_write_rows", failing_in_the_helper)
     _split_into(monkeypatch, 2)
-    with pytest.raises(OSError, match=r"rows 4:9 failed \(exit 1\)"):
+    with pytest.raises(OSError) as info:
         write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
+    assert info.value.errno == errno.ENOSPC
+    assert info.value.strerror == "No space left on device"
+    assert info.value.filename.endswith(".part")
+    assert isinstance(info.value.__cause__, forking._HelperTraceback)
+    assert (f"OSError: [Errno {errno.ENOSPC}] No space left on device"
+            in str(info.value.__cause__))
     assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
     assert multiprocessing.active_children() == []
 
