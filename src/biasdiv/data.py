@@ -194,8 +194,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
     labels = np.array([mapping[lab] for lab in raw_labels], dtype=int)
     class_names = tuple(name for name, _ in sorted(mapping.items(), key=lambda kv: kv[1]))
-    absent = [class_names[c] for c in range(len(class_names))
-              if c not in set(labels.tolist())]
+    present = set(labels.tolist())
+    absent = [name for c, name in enumerate(class_names) if c not in present]
     if absent:
         raise LabelError(f"mapped classes never appear in the file: {absent}")
     return Dataset(np.array(rows), labels, class_names, feat_names)

@@ -9,14 +9,17 @@ keyed by the repeat index, so repeats can run in parallel without
 changing the result and equal master seeds give bit-identical reports.
 
 Repeats run in contiguous chunks, one per worker process, and a chunk runs
-stage-major (`run_repeat`): the reference and resampler legs of every
-repeat in it are prepared, trained and probed, then the diversify legs.
-Legs of equal size train as one weight stack across repeats, each net
-with the bytes it would get alone. Work runs in other processes through
-one primitive, `forking.fan_out`: every chunk but the first runs in a
-forked helper, and where a CPU is spare, each stage hands part of its
-independent items to one more. Every item draws only from its own
-sub-streams, so the bytes do not depend on which process computes it.
+stage-major (`run_repeat`): the training sets of the reference and
+resampler legs of every repeat in it are prepared, then those legs are
+trained and probed, then the same for the diversify legs. Legs of equal
+size form a group that trains as one weight stack across repeats, each
+net with the bytes it would get alone, and the process that trains a
+group probes its nets. Work runs in other processes through one
+primitive, `forking.fan_out`: every chunk but the first runs in a forked
+helper, and where a CPU is spare, each stage hands part of its
+independent items (diversify sets, or groups) to one more. Every item
+draws only from its own sub-streams, so the bytes do not depend on which
+process computes it.
 """
 
 from __future__ import annotations
@@ -400,48 +403,15 @@ class LegResult:
     note: str = ""
 
 
-def _train_attempt(cfg: ExperimentConfig, fits: dict, schedules: dict,
-                   test_ds: Dataset, attempt: int) -> dict:
-    """Train one net per leg in `fits` ((repeat, approach) -> fitted set),
-    initialised from the leg's init seed for this attempt; training itself
-    draws no random numbers. Legs with equally many rows under the same
-    schedule train as one weight stack, whatever their repeat, which gives
-    each the bytes it would get alone. The groups (a stack or a single leg
-    each) go through `forking.fan_out`, costed as the row gradients they
-    sum: nets x rows x epochs. Returns (repeat, approach) -> (model, report) or
-    TrainingError.
-    """
-    groups = {}
-    for key, fit_ds in fits.items():
-        groups.setdefault((fit_ds.n, schedules[key]), []).append(key)
-
-    def train_group(group):
-        members, schedule = groups[group], group[1]
-        nets = [init_mlp(MlpSpec((fits[repeat, approach].d, *cfg.hidden,
-                                  fits[repeat, approach].L),
-                                 init_seed=derive_seed(cfg.seed, "rep", repeat, approach,
-                                                       "init", attempt)))
-                for repeat, approach in members]
-        if len(members) > 1:
-            return train_stack(nets, [fits[key] for key in members], schedule, test_ds)
-        try:
-            return [train(nets[0], fits[members[0]], schedule, test_ds=test_ds)]
-        except TrainingError as exc:
-            return [exc]
-
-    costs = [len(members) * n * sum(epochs for _, epochs in schedule.phases)
-             for (n, schedule), members in groups.items()]
-    trained = forking.fan_out(train_group, groups, costs)
-    return {key: result for group, members in groups.items()
-            for key, result in zip(members, trained[group])}
-
-
-def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
-                 test_ds: Dataset) -> dict:
-    """Train every leg in `fits` ((repeat, approach) -> fitted set) with its
-    epoch budget rescaled to the set's size (which leaves `original`
-    unchanged); a leg that fails the accuracy gate or diverges is re-seeded
-    exactly once, and the re-seeded legs train as a second round of stacks.
+def _train_gated(cfg: ExperimentConfig, group: tuple, fits: dict,
+                 schedule: TrainSchedule, gate_ds: Dataset, test_ds: Dataset) -> dict:
+    """Train the legs of `group`, (repeat, approach) keys whose fitted sets
+    in `fits` have equally many rows, under `schedule`: as one weight stack,
+    which gives each net the bytes it would get alone, or by `train` for a
+    single leg. Each net starts from its leg's init seed for the attempt;
+    training itself draws no random numbers. A leg that fails the accuracy
+    gate or diverges is re-seeded exactly once, and the re-seeded legs
+    train as the group's second stack.
 
     The gate judges the net on the original train split, not on whatever
     augmented set it was fitted to: synthetic rows are deliberately noisy
@@ -450,19 +420,30 @@ def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
     reseeded), or the TrainingError of the last attempt when no attempt
     trained.
     """
-    schedules = {key: scale_schedule(cfg.schedule, gate_ds.n, ds.n) for key, ds in fits.items()}
-    outcomes, fallbacks, pending = {}, {}, dict(fits)
+    outcomes, fallbacks, pending = {}, {}, list(group)
     for attempt in range(2):
-        results = _train_attempt(cfg, pending, schedules, test_ds, attempt)
-        retry = {}
-        for key, fit_ds in pending.items():
-            result = results[key]
+        if not pending:
+            break
+        nets = [init_mlp(MlpSpec((fits[repeat, approach].d, *cfg.hidden,
+                                  fits[repeat, approach].L),
+                                 init_seed=derive_seed(cfg.seed, "rep", repeat, approach,
+                                                       "init", attempt)))
+                for repeat, approach in pending]
+        if len(pending) > 1:
+            results = train_stack(nets, [fits[key] for key in pending], schedule, test_ds)
+        else:
+            try:
+                results = [train(nets[0], fits[pending[0]], schedule, test_ds=test_ds)]
+            except TrainingError as exc:
+                results = [exc]
+        retry = []
+        for key, result in zip(pending, results):
             if isinstance(result, TrainingError):
                 outcomes[key] = result
-                retry[key] = fit_ds
+                retry.append(key)
                 continue
             model, rep = result
-            if gate_ds is fit_ds:
+            if gate_ds is fits[key]:
                 train_acc = rep.train_accuracy   # train already scored every fitted row
             else:
                 train_acc = accuracy(model, gate_ds)
@@ -470,7 +451,7 @@ def _train_gated(cfg: ExperimentConfig, fits: dict, gate_ds: Dataset,
                 outcomes[key] = (model, rep, train_acc, False, attempt > 0)
             else:
                 fallbacks[key] = (model, rep, train_acc)
-                retry[key] = fit_ds
+                retry.append(key)
         pending = retry
     for key in pending:
         if key in fallbacks:
@@ -538,18 +519,22 @@ def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: in
 
 def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
               legs, references=None) -> list:
-    """Some legs, given as (repeat, approach) pairs, stage by stage: prepare
-    every training set, train them through the accuracy gate (see
-    `_train_gated`), then probe every trained net. A diversify leg reads its
-    repeat's reference probe from `references` (repeat -> probe).
+    """Some legs, given as (repeat, approach) pairs, in two stages: prepare
+    every training set, then train each group of legs through the accuracy
+    gate (see `_train_gated`) and probe the nets it trained. A diversify
+    leg reads its repeat's reference probe from `references` (repeat ->
+    probe).
 
-    Every leg is probed with its repeat's noise sub-stream and with feature
-    scales taken from the original training set, so scores differ only
-    through the nets and the data they were trained on. The diversify legs'
-    sets, the training groups and the probes each go through
-    `forking.fan_out`. Returns, per leg in the given order, (leg, trained
-    net, training report, probe), the probe kept for `original` legs only,
-    or the error that made the leg infeasible (see `_leg_of`).
+    Legs with equally many rows share a scaled schedule (the epoch budget,
+    rescaled to the set's size, which leaves `original` unchanged) and
+    form one group, whatever their repeat. Every leg is probed with its
+    repeat's noise sub-stream and with feature scales taken from the
+    original training set, so scores differ only through the nets and the
+    data they were trained on. The diversify legs' sets and the groups each
+    go through `forking.fan_out`, a group costed as the row gradients it
+    sums: nets x rows x epochs. Returns, per leg in the given order, (leg,
+    trained net, training report, probe), the probe kept for `original`
+    legs only, or the error that made the leg infeasible (see `_leg_of`).
     """
     def prepare(key):
         repeat, approach = key
@@ -564,43 +549,42 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
             if key[1] in ("original", *BASELINE_APPROACHES)}
     shared = [key for key in legs if key not in here]
     prepared = {**here, **forking.fan_out(prepare, shared)}
-    runs, fits, notes = {}, {}, {}
+    runs, fits, notes, by_rows = {}, {}, {}, {}
     for key in legs:
         if isinstance(prepared[key], LEG_ERRORS):
             runs[key] = prepared[key]
         else:
             fits[key], notes[key] = prepared[key]
-    trained = _train_gated(cfg, fits, train_ds, test_ds)
+            by_rows.setdefault(fits[key].n, []).append(key)
+    schedules = {tuple(group): scale_schedule(cfg.schedule, train_ds.n, n)
+                 for n, group in by_rows.items()}
     scales = feature_scales(train_ds.features)
 
-    def sweep(key):
-        repeat, approach = key
+    def probe_leg(key, outcome):
+        if isinstance(outcome, TrainingError):
+            return outcome
+        (repeat, approach), (model, rep, acc, flagged, reseeded) = key, outcome
         try:
-            probe = noise_sweep(trained[key][0], test_ds, cfg.noise,
+            probe = noise_sweep(model, test_ds, cfg.noise,
                                 derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
         except LEG_ERRORS as exc:
             return exc
-        # only a reference probe is read after this round (diversify starts
-        # from it); every other leg keeps its b_r and tolerance in its leg
-        return probe.b_r, probe.delta_x_max, probe if approach == "original" else None
-
-    probed = []
-    for key in fits:
-        if isinstance(trained[key], TrainingError):
-            runs[key] = trained[key]
-        else:
-            probed.append(key)
-    for key, swept in forking.fan_out(sweep, probed).items():
-        if isinstance(swept, LEG_ERRORS):
-            runs[key] = swept
-            continue
-        (repeat, approach), (b_r, delta_x_max, probe) = key, swept
-        model, rep, acc, flagged, reseeded = trained[key]
-        leg = LegResult(approach=approach, repeat=repeat, b_r=b_r,
-                        delta_x_max=delta_x_max, train_accuracy=acc,
+        leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
+                        delta_x_max=probe.delta_x_max, train_accuracy=acc,
                         test_accuracy=rep.test_accuracy, n_train=fits[key].n,
                         accuracy_flag=flagged, reseeded=reseeded, note=notes[key])
-        runs[key] = (leg, model, rep, probe)
+        # only a reference probe is read after this round (diversify starts
+        # from it); every other leg keeps its b_r and tolerance in its leg
+        return leg, model, rep, probe if approach == "original" else None
+
+    def run_group(group):
+        trained = _train_gated(cfg, group, fits, schedules[group], train_ds, test_ds)
+        return [probe_leg(key, trained[key]) for key in group]
+
+    costs = [len(group) * fits[group[0]].n * sum(epochs for _, epochs in schedule.phases)
+             for group, schedule in schedules.items()]
+    for group, results in forking.fan_out(run_group, schedules, costs).items():
+        runs.update(zip(group, results))
     return [runs[key] for key in legs]
 
 
@@ -632,7 +616,7 @@ def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     resampler legs of every repeat in the chunk, and the second round the
     diversify legs, each against its own repeat's reference probe. Within a
     round, same-size legs of different repeats train as one stack (see
-    `_train_attempt`); each leg draws only from sub-streams keyed by its
+    `_run_legs`); each leg draws only from sub-streams keyed by its
     repeat, so a repeat's legs are the same bytes in any chunk. A leg whose
     method cannot run (resampler infeasibility, divergence, no correctly
     classified input, or a class with no correct variants) is recorded as
@@ -725,8 +709,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     joined in repeat order. The first chunk runs here and each other in a
     forked helper (`forking.fan_out`; all here where "fork" is not
     available), with the same bytes. Where the usable CPUs number at least
-    twice the chunks, each chunk forks a helper per stage too; `durations`
-    records the usable CPUs and how many helpers each chunk forked."""
+    twice the chunks, each chunk forks a helper for each stage that splits
+    too: its diversify sets, and its groups of legs to train and probe
+    (see `_run_legs`). `durations` records the usable CPUs and how many
+    helpers each chunk forked."""
     started = time.perf_counter()
     train_ds, test_ds = load_split(cfg)
 

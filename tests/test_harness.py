@@ -385,13 +385,14 @@ def test_reference_probe_matches_repeat_zero(separated_cfg, separated_report):
 @pytest.mark.usefixtures("one_cpu")
 def test_probe_error_marks_only_its_leg_infeasible(separated_cfg, monkeypatch):
     train, test = harness.load_split(separated_cfg)
-    real_sweep, calls = harness.noise_sweep, []
+    real_sweep = harness.noise_sweep
+    rus = {derive_seed(separated_cfg.seed, "rep", 0, "rus", "init", attempt)
+           for attempt in (0, 1)}
 
-    def sweep(*args):
-        calls.append(1)
-        if len(calls) == 2:   # the first leg after the reference: rus
+    def sweep(model, *args):
+        if model.spec.init_seed in rus:   # the rus net, first or re-seeded
             raise ProbeError("no correctly classified inputs to probe")
-        return real_sweep(*args)
+        return real_sweep(model, *args)
 
     monkeypatch.setattr(harness, "noise_sweep", sweep)
     by = {leg.approach: leg for leg in run_repeat(separated_cfg, train, test, [0])}
@@ -629,14 +630,15 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
         cfg = replace(cfg, schedule=TrainSchedule(((1e9, 50),)))
     train, test = harness.load_split(cfg)
     real_stack, stacks = harness.train_stack, []
-    real_sweep, probed = harness.noise_sweep, []
+    real_sweep, probed = harness.noise_sweep, []   # (init seed, net) per probe
 
     def stack_spy(mlps, *args, **kwargs):
         stacks.append(len(mlps))
         return real_stack(mlps, *args, **kwargs)
 
     def sweep_spy(model, *args):   # every leg here scores b_r 0: compare the nets
-        probed.append(b"".join(p.tobytes() for p in model.weights + model.biases))
+        probed.append((model.spec.init_seed,
+                       b"".join(p.tobytes() for p in model.weights + model.biases)))
         return real_sweep(model, *args)
 
     monkeypatch.setattr(harness, "train_stack", stack_spy)
@@ -645,11 +647,11 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
     for repeat in range(2):
         probed.clear()
         legs += run_repeat(cfg, train, test, [repeat])
-        stacked, nets = len(stacks), probed[:]
+        stacked, nets = len(stacks), sorted(probed)
         probed.clear()
         assert legs[-len(cfg.approaches):] == single_approach_legs(cfg, train, test, repeat)
         assert len(stacks) == stacked
-        assert probed == nets
+        assert sorted(probed) == nets
     assert stacks and min(stacks) >= 2
     trained = [leg for leg in legs if not leg.infeasible]
     if case == "gate_fails":
@@ -740,7 +742,9 @@ def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path
         assert _report_bytes(report, tmp_path / f"{cpus}-{workers}") == want, (cpus, workers)
         assert report.durations["usable_cpus"] == cpus
         helpers[cpus, workers] = report.durations["helpers_per_chunk"]
-    assert helpers[2, 1][0] > 0 and helpers[2, 2] == [0, 0]
+    # one helper each for round 1's groups, round 2's sets and round 2's
+    # groups; a group re-seeds and probes in the process that trained it
+    assert helpers[2, 1] == [3] and helpers[2, 2] == [0, 0]
     assert min(helpers[4, 2]) > 0
     monkeypatch.setattr(forking, "_fork_context", lambda: None)
     for workers, chunks in ((1, 1), (2, 2)):
@@ -752,6 +756,17 @@ def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path
     assert trained and all(leg.reseeded for leg in trained) == (case == "gate_fails")
     if case == "diverges":
         assert any(leg.note.startswith("training diverged at epoch ") for leg in report.legs)
+
+
+def test_iris_chunk_forks_one_helper_per_split_stage(monkeypatch):
+    """Iris at two repeats on two CPUs forks three helpers: round 1's
+    groups, round 2's diversify sets and round 2's groups, each trained
+    and probed in one process."""
+    use_cpus(monkeypatch, 2)
+    cfg = load_experiment_config(Path(__file__).resolve().parent.parent / "configs" / "iris.json")
+    report = run_experiment(replace(cfg, repeats=2, workers=1))
+    assert report.durations["helpers_per_chunk"] == [3]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("stage", ["diversify", "probe"])
@@ -833,7 +848,7 @@ def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg,
         cause = info.value.__cause__
         assert isinstance(cause, forking._HelperTraceback)
         assert ("in the helper process for [range(1, 2)]" if where == "chunk" else
-                "in the helper process for [(0, 'rus')") in str(cause)
+                "in the helper process for [((0, 'rus'), (1, 'rus'))]") in str(cause)
         assert "ValueError: a sweep fails in the helper" in str(cause)
     assert multiprocessing.active_children() == []
     assert _open_fds() == fds
