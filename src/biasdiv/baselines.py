@@ -63,7 +63,7 @@ def rus(ds: Dataset, plan: ResamplePlan, seed: int) -> Dataset:
         raise ValueError(f"rus cannot execute plan '{plan.method}'")
     counts = ds.class_counts()
     if plan.method == RUS_EQUALIZE and ds.L < 2:
-        raise ValueError("equalizing needs at least 2 classes")
+        raise InfeasibleError("equalizing needs at least 2 classes")
     keep_idx = []
     for c in range(ds.L):
         rows = np.flatnonzero(ds.labels == c)
@@ -88,7 +88,7 @@ def ros(ds: Dataset, seed: int) -> Dataset:
     original rows.
     """
     if ds.L < 2:
-        raise ValueError("over-sampling needs at least 2 classes")
+        raise InfeasibleError("over-sampling needs at least 2 classes")
     counts = ds.class_counts()
     majority = int(counts.max())
     extra = {}
@@ -125,15 +125,11 @@ def _interpolate(base: np.ndarray, neighbor: np.ndarray, lam: float) -> np.ndarr
     return base + lam * (neighbor - base)
 
 
-def smote(ds: Dataset, k: int = 5, seed: int = 0,
-          lam: float | None = None) -> Dataset:
-    """Equalize class counts with interpolated synthetic minority rows.
-
-    `lam` pins the interpolation coefficient for testing; left None, each
-    synthetic row draws its own uniform coefficient.
-    """
+def smote(ds: Dataset, k: int = 5, seed: int = 0) -> Dataset:
+    """Equalize class counts with interpolated synthetic minority rows, each
+    at its own uniform coefficient along the segment to a neighbour."""
     if ds.L < 2:
-        raise ValueError("over-sampling needs at least 2 classes")
+        raise InfeasibleError("over-sampling needs at least 2 classes")
     counts = ds.class_counts()
     majority = int(counts.max())
     extra = {}
@@ -153,8 +149,7 @@ def smote(ds: Dataset, k: int = 5, seed: int = 0,
         for s in range(deficit):
             base = int(rng.integers(len(rows)))
             neighbor = int(nn[base, int(rng.integers(k))])
-            coeff = float(rng.uniform()) if lam is None else lam
-            synth[s] = _interpolate(feats[base], feats[neighbor], coeff)
+            synth[s] = _interpolate(feats[base], feats[neighbor], float(rng.uniform()))
         extra[c] = synth
     return _append_synthetic(ds, extra)
 
@@ -163,7 +158,7 @@ def adasyn(ds: Dataset, k: int = 5, seed: int = 0, balance: float = 1.0) -> Data
     """Difficulty-weighted SMOTE: minority points surrounded by other
     classes receive proportionally more synthetic neighbours."""
     if ds.L < 2:
-        raise ValueError("over-sampling needs at least 2 classes")
+        raise InfeasibleError("over-sampling needs at least 2 classes")
     if not 0.0 < balance <= 1.0:
         raise ValueError("balance must be in (0, 1]")
     counts = ds.class_counts()

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import save_csv
-from .diversify import DELETE_ONLY, FULL, SYNTH_ONLY, save_diversify_report
+from .diversify import save_diversify_report
 from .errors import BiasdivError, ConfigError, DataError, InfeasibleError, NeighborError
 from .harness import (ABLATION_APPROACHES, BASELINE_APPROACHES, baseline_source,
                       diversified_set, emit_report, label_column_name,
@@ -23,9 +23,8 @@ from .harness import (ABLATION_APPROACHES, BASELINE_APPROACHES, baseline_source,
                       resampled_set, run_experiment, validation_summary)
 from .probe import format_level, save_probe_report, write_counterexamples_csv
 
-_MODES = {"full": FULL, "synth-only": SYNTH_ONLY, "delete-only": DELETE_ONLY}
-_MODE_APPROACH = {FULL: "diversified", SYNTH_ONLY: "synth_only",
-                  DELETE_ONLY: "delete_only"}
+# `diversify --mode`: the diversify approach whose training set it writes
+_MODES = {"full": "diversified", "synth-only": "synth_only", "delete-only": "delete_only"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -60,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--repeats", type=int, default=None, help="repeat count override")
         p.add_argument("--no-svg", action="store_true", help="skip the box plot")
-        if name == "experiment":
-            p.add_argument("--mode", choices=sorted(_MODES), default=None,
-                           help="mode for the diversified leg")
 
     return parser
 
@@ -77,8 +73,6 @@ def _load_config(args):
         if args.repeats < 1:
             raise ConfigError("--repeats must be >= 1")
         cfg = replace(cfg, repeats=args.repeats)
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, diversify=replace(cfg.diversify, mode=_MODES[args.mode]))
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     return cfg, out_dir
 
@@ -86,13 +80,13 @@ def _load_config(args):
 def _cmd_probe(args) -> int:
     cfg, out = _load_config(args)
     train_ds, test_ds = load_split(cfg)
-    _, rep, probe, flagged, _ = reference_probe(cfg, train_ds, test_ds)
+    leg, probe = reference_probe(cfg, train_ds, test_ds)
     out.mkdir(parents=True, exist_ok=True)
     save_probe_report(probe, out / "probe_report.json", class_names=test_ds.class_names)
     write_counterexamples_csv(probe, out / "counterexamples.csv", test_ds.feature_names)
-    gate = " (below the accuracy gate)" if flagged else ""
+    gate = " (below the accuracy gate)" if leg.accuracy_flag else ""
     print(f"b_r={probe.b_r:.4f} delta_x_max={format_level(probe.delta_x_max)} "
-          f"train_acc={rep.train_accuracy:.3f} test_acc={rep.test_accuracy:.3f}{gate}")
+          f"train_acc={leg.train_accuracy:.3f} test_acc={leg.test_accuracy:.3f}{gate}")
     print(f"wrote {out / 'probe_report.json'} and {out / 'counterexamples.csv'}")
     return 0
 
@@ -100,8 +94,8 @@ def _cmd_probe(args) -> int:
 def _cmd_diversify(args) -> int:
     cfg, out = _load_config(args)
     train_ds, test_ds = load_split(cfg)
-    _, _, probe, _, _ = reference_probe(cfg, train_ds, test_ds)
-    dd = diversified_set(cfg, train_ds, probe, _MODE_APPROACH[cfg.diversify.mode])
+    _, probe = reference_probe(cfg, train_ds, test_ds)
+    dd = diversified_set(cfg, train_ds, probe, _MODES[args.mode])
     out.mkdir(parents=True, exist_ok=True)
     save_csv(dd.dataset, out / "diversified.csv",
              label_column=label_column_name(cfg.dataset))

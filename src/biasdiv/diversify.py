@@ -64,7 +64,6 @@ class DiversifyConfig:
     clusters: int = 2                 # for compactness scoring and final bounds
     synth_base: int | None = None     # None: original minority-class size
     max_retries: int = 100
-    mode: str = FULL
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -79,8 +78,6 @@ class DiversifyConfig:
             raise ValueError("synth_base must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if self.mode not in (FULL, SYNTH_ONLY, DELETE_ONLY):
-            raise ValueError(f"unknown mode '{self.mode}'")
 
 
 @dataclass
@@ -379,12 +376,16 @@ def validate_synthetic(synth: np.ndarray, original_corr: CorrMatrix,
 # ---------------------------------------------------------------------------
 
 def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
-              seed: int) -> DiversifiedDataset:
+              seed: int, mode: str = FULL) -> DiversifiedDataset:
     """Full alleviation pipeline; see module docstring for the stages.
 
-    Synthesis is retried with fresh sub-streams until the correlation check
-    passes or max_retries is exhausted; the best attempt is kept either way.
+    `mode` is FULL, SYNTH_ONLY (no redundancy removal) or DELETE_ONLY (no
+    synthesis). Synthesis is retried with fresh sub-streams until the
+    correlation check passes or max_retries is exhausted; the best attempt
+    is kept either way.
     """
+    if mode not in (FULL, SYNTH_ONLY, DELETE_ONLY):
+        raise ValueError(f"unknown mode '{mode}'")
     if cfg.top_k > train.d:
         raise ValueError(f"top_k ({cfg.top_k}) exceeds feature count ({train.d})")
     parts = segment_by_class(train)
@@ -397,7 +398,7 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
     bounds = final_bounds(bounds, top, clusters)
 
     counts = train.class_counts()
-    if cfg.mode == DELETE_ONLY:
+    if mode == DELETE_ONLY:
         chi = np.zeros(train.L, dtype=int)
         validation = ValidationReport(0.0, 0, 0, True, "synthesis skipped (delete_only)")
         synth_per_class = [np.empty((0, train.d)) for _ in range(train.L)]
@@ -417,7 +418,7 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
         combined = np.vstack([orig.features, synth_per_class[c]])
         synthetic = np.concatenate([orig.synthetic,
                                     np.ones(len(synth_per_class[c]), dtype=bool)])
-        if cfg.mode == SYNTH_ONLY:
+        if mode == SYNTH_ONLY:
             keep = np.arange(len(combined))
         else:
             keep = minimize_redundancy(combined, cfg.removal_fraction,

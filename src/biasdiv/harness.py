@@ -41,7 +41,8 @@ from .baselines import (ADASYN, ROS, RUS_EQUALIZE, RUS_FRACTION, SMOTE,
                         ResamplePlan, resample)
 from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
                    load_csv, split_stratified)
-from .diversify import DiversifyConfig, derive_seed, diversify
+from .diversify import (DELETE_ONLY, FULL, SYNTH_ONLY, DiversifyConfig, derive_seed,
+                        diversify)
 from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
                      NeighborError, ProbeError, TrainingError)
 from .mlp import (MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train,
@@ -53,6 +54,10 @@ APPROACH_ORDER = ("original", "rus", "ros", "smote", "adasyn",
                   "diversified", "synth_only", "delete_only")
 BASELINE_APPROACHES = ("rus", "ros", "smote", "adasyn")
 ABLATION_APPROACHES = ("original", "synth_only", "delete_only")
+# The approaches that diversify, each with the mode it runs. Their legs
+# start from their repeat's reference probe; the other legs do not read it.
+_DIVERSIFY_MODES = {"diversified": FULL, "synth_only": SYNTH_ONLY,
+                    "delete_only": DELETE_ONLY}
 
 ACCURACY_GATE = 0.90
 
@@ -141,8 +146,7 @@ _SECTIONS = {
     "noise": {"levels": (None, [float]), "samples_per_input": int, "attack": str,
               "per_sample_scale": bool},
     "diversify": {"top_k": int, "removal_fraction": float, "corr_threshold": float,
-                  "clusters": int, "synth_base": (None, int), "max_retries": int,
-                  "mode": str},
+                  "clusters": int, "synth_base": (None, int), "max_retries": int},
     "baselines": {"subsample_fraction": (None, float), "rus": dict, "smote": dict,
                   "adasyn": dict},
     "baselines.rus": {"method": str, "fraction": float},
@@ -253,8 +257,6 @@ def _parse_diversify(doc) -> DiversifyConfig:
     d = dict(_section(doc, "diversify"))
     if "top_k" not in d:
         raise ConfigError("diversify.top_k is required")
-    if "mode" in d:
-        d["mode"] = d["mode"].replace("-", "_")
     return _build(DiversifyConfig, "diversify", **d)
 
 
@@ -488,14 +490,11 @@ def resampled_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str,
 
 def diversified_set(cfg: ExperimentConfig, train_ds: Dataset, reference,
                     approach: str, repeat: int = 0):
-    """Training set of a diversify leg, guided by the reference probe.
-
-    `diversified` runs the configured mode; `synth_only` and `delete_only`
-    name their own mode.
-    """
-    mode = cfg.diversify.mode if approach == "diversified" else approach
-    return diversify(train_ds, reference, replace(cfg.diversify, mode=mode),
-                     derive_seed(cfg.seed, "rep", repeat, approach))
+    """Training set of a diversify leg, guided by the reference probe, in
+    the mode its approach names."""
+    return diversify(train_ds, reference, cfg.diversify,
+                     derive_seed(cfg.seed, "rep", repeat, approach),
+                     mode=_DIVERSIFY_MODES[approach])
 
 
 def validation_summary(validation) -> str:
@@ -509,12 +508,12 @@ def validation_summary(validation) -> str:
 def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: int,
              reference):
     """A leg's training set and its note."""
+    if approach in _DIVERSIFY_MODES:
+        dd = diversified_set(cfg, train_ds, reference, approach, repeat)
+        return dd.dataset, validation_summary(dd.validation)
     if approach == "original":
         return train_ds, ""
-    if approach in BASELINE_APPROACHES:
-        return resampled_set(cfg, train_ds, approach, repeat), ""
-    dd = diversified_set(cfg, train_ds, reference, approach, repeat)
-    return dd.dataset, validation_summary(dd.validation)
+    return resampled_set(cfg, train_ds, approach, repeat), ""
 
 
 def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
@@ -533,8 +532,9 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     data they were trained on. The diversify legs' sets and the groups each
     go through `forking.fan_out`, a group costed as the row gradients it
     sums: nets x rows x epochs. Returns, per leg in the given order, (leg,
-    trained net, training report, probe), the probe kept for `original`
-    legs only, or the error that made the leg infeasible (see `_leg_of`).
+    probe), the probe kept for `original` legs only, or the error that made
+    the leg infeasible (see `_leg_of`). Each net stays in the process that
+    trained and probed it.
     """
     def prepare(key):
         repeat, approach = key
@@ -545,8 +545,7 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
 
     # `original`'s set is `train_ds` itself, which the gate tests by
     # identity, and a resampler takes less time than a fork: both stay here
-    here = {key: prepare(key) for key in legs
-            if key[1] in ("original", *BASELINE_APPROACHES)}
+    here = {key: prepare(key) for key in legs if key[1] not in _DIVERSIFY_MODES}
     shared = [key for key in legs if key not in here]
     prepared = {**here, **forking.fan_out(prepare, shared)}
     runs, fits, notes, by_rows = {}, {}, {}, {}
@@ -575,7 +574,7 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
                         accuracy_flag=flagged, reseeded=reseeded, note=notes[key])
         # only a reference probe is read after this round (diversify starts
         # from it); every other leg keeps its b_r and tolerance in its leg
-        return leg, model, rep, probe if approach == "original" else None
+        return leg, probe if approach == "original" else None
 
     def run_group(group):
         trained = _train_gated(cfg, group, fits, schedules[group], train_ds, test_ds)
@@ -596,14 +595,12 @@ def _leg_of(run, approach: str, repeat: int) -> LegResult:
     return run[0]
 
 
-def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-                    repeat: int = 0):
-    """Train the reference network for one repeat and probe it."""
-    run, = _run_legs(cfg, train_ds, test_ds, [(repeat, "original")])
+def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset):
+    """Train repeat 0's reference network and probe it: (leg, probe)."""
+    run, = _run_legs(cfg, train_ds, test_ds, [(0, "original")])
     if isinstance(run, LEG_ERRORS):
         raise run
-    leg, model, rep, probe = run
-    return model, rep, probe, leg.accuracy_flag, leg.reseeded
+    return run
 
 
 def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
@@ -626,11 +623,11 @@ def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     Returns the legs repeat by repeat, in approach order within a repeat.
     """
     repeats = list(repeats)
-    first = [a for a in cfg.approaches if a in ("original", *BASELINE_APPROACHES)]
-    rest = [a for a in cfg.approaches if a not in first]
+    first = [a for a in cfg.approaches if a not in _DIVERSIFY_MODES]
+    rest = [a for a in cfg.approaches if a in _DIVERSIFY_MODES]
     keys = [(r, a) for r in repeats for a in first]
     runs = dict(zip(keys, _run_legs(cfg, train_ds, test_ds, keys)))
-    references = {r: runs[r, "original"][3] for r in repeats
+    references = {r: runs[r, "original"][1] for r in repeats
                   if not isinstance(runs[r, "original"], LEG_ERRORS)}
     keys = [(r, a) for r in references for a in rest]
     runs.update(zip(keys, _run_legs(cfg, train_ds, test_ds, keys, references)))

@@ -133,15 +133,6 @@ def test_smote_minority_too_small():
         smote(ds, k=5, seed=0)
 
 
-def test_smote_lambda_zero_duplicates():
-    ds = imbalanced(12, 6)
-    out = smote(ds, k=3, seed=2, lam=0.0)
-    originals = rows_as_set(ds.features[ds.labels == 1])
-    synth = out.synthetic
-    for row in out.features[synth]:
-        assert tuple(row) in originals
-
-
 def test_smote_synthetics_on_same_class_segments():
     ds = imbalanced(30, 9, c1=(2.0, -3.0))
     out = smote(ds, k=4, seed=3)
@@ -301,3 +292,13 @@ def test_resample_dispatch():
     assert resample(ds, ResamplePlan("ros"), 0).class_counts().tolist() == [20, 20]
     assert resample(ds, ResamplePlan("smote"), 0).class_counts().tolist() == [20, 20]
     assert resample(ds, ResamplePlan("adasyn"), 0).class_counts().tolist() == [20, 20]
+
+
+@pytest.mark.parametrize("method", ["rus_equalize", "ros", "smote", "adasyn"])
+def test_single_class_is_infeasible(method):
+    # a resampler with no second class to balance against cannot apply at
+    # all, which the harness records as an infeasible leg
+    ds = Dataset(substream(0, "fixture").uniform(size=(12, 2)), np.zeros(12, dtype=int),
+                 ("only",), ("f0", "f1"))
+    with pytest.raises(InfeasibleError, match="at least 2 classes"):
+        resample(ds, ResamplePlan(method), 0)

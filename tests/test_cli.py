@@ -251,14 +251,34 @@ def test_experiment_out_dir_defaults_to_config(tmp_path):
     assert (tmp_path / "results" / "boxplot.svg").is_file()
 
 
-def test_experiment_mode_flag_changes_diversified_leg(tmp_path):
-    path = write_config(tmp_path, approaches=["original", "diversified"])
-    out = tmp_path / "mode_out"
-    assert main(["experiment", "--config", str(path), "--out", str(out),
-                 "--mode", "delete-only", "--no-svg"]) == 0
-    doc = json.loads((out / "report.json").read_text())
-    legs = {leg["approach"]: leg for leg in doc["legs"]}
-    assert legs["diversified"]["n_train"] == 10  # delete-only halves the 18 rows
+def test_experiment_has_no_mode_flag(tmp_path, capsys):
+    # each diversify variant runs as its own approach (see `ablate`)
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "--config", str(path), "--mode", "delete-only"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_diversify_mode_in_config_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, diversify={"top_k": 2, "mode": "delete-only"})
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert "unknown key(s) in diversify: mode" in capsys.readouterr().err
+
+
+def test_single_class_csv_makes_only_the_resamplers_infeasible(tmp_path, capsys):
+    save_csv(make_toy_blobs(30, [(0.0, 0.0)], 0.8, seed=5), tmp_path / "one.csv")
+    path = write_config(tmp_path, baselines=None,
+                        dataset={"csv": "one.csv", "label_column": "label"})
+    out = tmp_path / "one_out"
+    assert main(["experiment", "--config", str(path), "--out", str(out), "--no-svg"]) == 0
+    legs = {leg["approach"]: leg for leg in json.loads((out / "report.json").read_text())["legs"]}
+    assert [a for a, leg in legs.items() if leg["infeasible"]] == ["rus", "ros", "smote", "adasyn"]
+    assert legs["rus"]["note"] == "equalizing needs at least 2 classes"
+    capsys.readouterr()
+    assert main(["baseline", "--config", str(path), "--out", str(out)]) == 0
+    assert "rus: infeasible (equalizing needs at least 2 classes)" in capsys.readouterr().out
+    assert not (out / "rus.csv").exists()
 
 
 def test_ablate_runs_reduced_approach_set(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from biasdiv.baselines import ADASYN, ROS, RUS_EQUALIZE, RUS_FRACTION, SMOTE, ResamplePlan
 from biasdiv.data import make_toy_blobs, save_csv
-from biasdiv.diversify import SYNTH_ONLY, DiversifyConfig
+from biasdiv.diversify import DiversifyConfig
 from biasdiv.errors import ConfigError
 from biasdiv.harness import (APPROACH_ORDER, label_column_name, load_dataset_pair,
                              load_experiment_config, parse_experiment_config)
@@ -34,8 +34,7 @@ EVERY_KEY = {
     "noise": {"levels": [0.1, 0.2], "samples_per_input": 3, "attack": "gradient",
               "per_sample_scale": True},
     "diversify": {"top_k": 1, "removal_fraction": 0.25, "corr_threshold": 10.0,
-                  "clusters": 3, "synth_base": 12, "max_retries": 7,
-                  "mode": "synth-only"},
+                  "clusters": 3, "synth_base": 12, "max_retries": 7},
     "baselines": {"subsample_fraction": 0.4,
                   "rus": {"method": "fraction", "fraction": 0.3},
                   "smote": {"k_neighbors": 2},
@@ -102,8 +101,7 @@ def expected(name, tmp_path):
                                    attack=GRADIENT_SIGN, per_sample_scale=True),
                 "diversify": DiversifyConfig(top_k=1, removal_fraction=0.25,
                                              corr_threshold=10.0, clusters=3,
-                                             synth_base=12, max_retries=7,
-                                             mode=SYNTH_ONLY),
+                                             synth_base=12, max_retries=7),
                 "plans": {"rus": ResamplePlan(RUS_FRACTION, fraction=0.3),
                           "ros": ResamplePlan(ROS),
                           "smote": ResamplePlan(SMOTE, k_neighbors=2),
@@ -270,7 +268,6 @@ NULL_REJECTED = [
     ("diversify.corr_threshold", "corr_threshold"),
     ("diversify.clusters", "clusters"),
     ("diversify.max_retries", "max_retries"),
-    ("diversify.mode", "mode"),
     ("baselines.rus", "rus"),
     ("baselines.smote", "smote"),
     ("baselines.adasyn", "adasyn"),

@@ -500,8 +500,8 @@ def blobs():
 
 def test_diversify_delete_only_halves_classes():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, removal_fraction=0.5, mode="delete_only")
-    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0)
+    cfg = DiversifyConfig(top_k=1, removal_fraction=0.5)
+    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0, mode="delete_only")
     assert out.dataset.class_counts().tolist() == [6, 6]
     assert not out.dataset.synthetic.any()
     assert out.chi.tolist() == [0, 0]
@@ -510,9 +510,8 @@ def test_diversify_delete_only_halves_classes():
 
 def test_diversify_synth_only_appends_planned_counts():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10,
-                          mode="synth_only")
-    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10)
+    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0, mode="synth_only")
     assert out.chi.tolist() == [20, 10]
     synth_mask = out.dataset.synthetic
     assert synth_mask.sum() == 30
@@ -538,9 +537,9 @@ def test_diversify_full_mode_count_law():
 
 def test_diversify_synthetics_inside_final_bounds():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=2, corr_threshold=1e6, synth_base=8,
-                          mode="synth_only")
-    out = diversify(ds, fake_probe([20.0, 10.0], delta_x_max=0.05), cfg, seed=9)
+    cfg = DiversifyConfig(top_k=2, corr_threshold=1e6, synth_base=8)
+    out = diversify(ds, fake_probe([20.0, 10.0], delta_x_max=0.05), cfg, seed=9,
+                    mode="synth_only")
     synth_mask = out.dataset.synthetic
     for row, label in zip(out.dataset.features[synth_mask],
                           out.dataset.labels[synth_mask]):
@@ -550,8 +549,8 @@ def test_diversify_synthetics_inside_final_bounds():
 
 def test_diversify_no_misclassification_no_synthesis():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=10.0, mode="synth_only")
-    out = diversify(ds, fake_probe([0.0, 0.0]), cfg, seed=0)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=10.0)
+    out = diversify(ds, fake_probe([0.0, 0.0]), cfg, seed=0, mode="synth_only")
     assert out.chi.tolist() == [0, 0]
     assert out.dataset.n == ds.n
     assert out.validation.passed
@@ -574,9 +573,8 @@ def test_diversify_deterministic():
 
 def test_diversify_retry_exhaustion_reports_best_attempt():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=0.001, synth_base=6,
-                          max_retries=3, mode="synth_only")
-    out = diversify(ds, fake_probe([10.0, 10.0]), cfg, seed=2)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=0.001, synth_base=6, max_retries=3)
+    out = diversify(ds, fake_probe([10.0, 10.0]), cfg, seed=2, mode="synth_only")
     assert not out.validation.passed
     assert out.validation.attempts_made == 3
     assert 1 <= out.validation.best_attempt <= 3
@@ -586,9 +584,8 @@ def test_diversify_retry_exhaustion_reports_best_attempt():
 
 def test_diversify_validation_report_is_truthful():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10,
-                          mode="synth_only")
-    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=3)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10)
+    out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=3, mode="synth_only")
     synth_mask = out.dataset.synthetic
     recheck = validate_synthetic(out.dataset.features[synth_mask], pearson_corr(ds.features),
                                  cfg.corr_threshold)
@@ -612,8 +609,9 @@ def test_config_validation():
         DiversifyConfig(top_k=1, corr_threshold=0.0)
     with pytest.raises(ValueError):
         DiversifyConfig(top_k=1, synth_base=0)
-    with pytest.raises(ValueError):
-        DiversifyConfig(top_k=1, mode="everything")
+    with pytest.raises(ValueError, match="unknown mode 'everything'"):
+        diversify(blobs(), fake_probe([1.0, 1.0]), DiversifyConfig(top_k=1), seed=0,
+                  mode="everything")
 
 
 def test_diversify_report_serialization(tmp_path):

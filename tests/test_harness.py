@@ -123,7 +123,6 @@ def test_parse_config_requires_sections(tmp_path, section):
     (lambda d: d["dataset"].update(train_fraction=1.0), "train_fraction"),
     (lambda d: d["baselines"].update(subsample_fraction=0.0), "subsample_fraction"),
     (lambda d: d["noise"].update(attack="meteor"), "attack"),
-    (lambda d: d["diversify"].update(mode="sideways"), "mode"),
 ])
 def test_parse_config_value_errors(tmp_path, mutate, fragment):
     doc = config_doc(tmp_path / "blobs.csv")
@@ -156,13 +155,6 @@ def test_parse_config_approaches(tmp_path):
     doc = config_doc(tmp_path / "blobs.csv", approaches=["rus"])
     with pytest.raises(ConfigError, match="original"):
         parse_experiment_config(doc, base_dir=tmp_path)
-
-
-def test_parse_config_mode_hyphen_alias(tmp_path):
-    doc = config_doc(tmp_path / "blobs.csv")
-    doc["diversify"]["mode"] = "delete-only"
-    cfg = parse_experiment_config(doc, base_dir=tmp_path)
-    assert cfg.diversify.mode == "delete_only"
 
 
 def test_load_config_file_errors(tmp_path):
@@ -378,8 +370,9 @@ def test_reference_probe_matches_repeat_zero(separated_cfg, separated_report):
     from biasdiv.diversify import derive_seed
     train, test = load_dataset_pair(separated_cfg.dataset,
                                     derive_seed(separated_cfg.seed, "split"))
-    _, _, probe, _, _ = reference_probe(separated_cfg, train, test)
-    assert probe.b_r == separated_report.legs[0].b_r
+    leg, probe = reference_probe(separated_cfg, train, test)
+    assert leg == separated_report.legs[0]
+    assert probe.b_r == leg.b_r
 
 
 @pytest.mark.usefixtures("one_cpu")
@@ -592,14 +585,21 @@ def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
         scored.append(ds)
         return real_accuracy(model, ds)
 
-    monkeypatch.setattr(harness, "accuracy", counting_accuracy)
-    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, [(0, "original")])
-    assert scored == []
-    assert leg.train_accuracy == rep.train_accuracy == real_accuracy(model, train)
+    real_sweep, nets = harness.noise_sweep, []
 
-    (leg, model, rep, _), = harness._run_legs(separated_cfg, train, test, [(0, "ros")])
+    def sweep_spy(model, *args):
+        nets.append(model)
+        return real_sweep(model, *args)
+
+    monkeypatch.setattr(harness, "accuracy", counting_accuracy)
+    monkeypatch.setattr(harness, "noise_sweep", sweep_spy)
+    (leg, _), = harness._run_legs(separated_cfg, train, test, [(0, "original")])
+    assert scored == []
+    assert leg.train_accuracy == real_accuracy(nets[-1], train)
+
+    (leg, _), = harness._run_legs(separated_cfg, train, test, [(0, "ros")])
     assert scored == [train]
-    assert leg.train_accuracy == real_accuracy(model, train)
+    assert leg.train_accuracy == real_accuracy(nets[-1], train)
 
 
 def single_approach_legs(cfg, train, test, repeat):
@@ -615,7 +615,7 @@ def single_approach_legs(cfg, train, test, repeat):
             leg = harness._infeasible_leg(approach, repeat,
                                           f"reference leg infeasible: {legs[0].note}")
         if approach == "original" and not leg.infeasible:
-            reference = run[3]
+            reference = run[1]
         legs.append(leg)
     return legs
 
@@ -783,10 +783,10 @@ def test_leg_error_in_the_helper_marks_only_its_leg_infeasible(separated_cfg, mo
     if stage == "diversify":
         real, target = harness.diversify, derive_seed(separated_cfg.seed, "rep", 1, "diversified")
 
-        def failing(train_ds, reference, config, seed):
+        def failing(train_ds, reference, config, seed, mode):
             if os.getpid() != main and seed == target:
                 raise InfeasibleError(note)
-            return real(train_ds, reference, config, seed)
+            return real(train_ds, reference, config, seed, mode)
     else:
         real, target = harness.noise_sweep, derive_seed(separated_cfg.seed, "rep", 1, "probe")
 
