@@ -108,11 +108,11 @@ def _cmd_diversify(args) -> int:
 def _cmd_baseline(args) -> int:
     cfg, out = _load_config(args)
     train_ds, _ = load_split(cfg)
-    n_source = baseline_source(cfg, train_ds).n
     out.mkdir(parents=True, exist_ok=True)
     methods = [args.method] if args.method else list(BASELINE_APPROACHES)
     for method in methods:
         try:
+            n_source = baseline_source(cfg, train_ds).n
             ds = resampled_set(cfg, train_ds, method)
         except (InfeasibleError, NeighborError) as exc:
             print(f"{method}: infeasible ({exc})")

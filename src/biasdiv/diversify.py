@@ -62,7 +62,6 @@ class DiversifyConfig:
     removal_fraction: float = 0.5
     corr_threshold: float = 25.0
     clusters: int = 2                 # for compactness scoring and final bounds
-    synth_base: int | None = None     # None: original minority-class size
     max_retries: int = 100
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class DiversifyConfig:
             raise ValueError("corr_threshold must be positive")
         if self.clusters < 1:
             raise ValueError("clusters must be >= 1")
-        if self.synth_base is not None and self.synth_base < 1:
-            raise ValueError("synth_base must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
@@ -380,9 +377,10 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
     """Full alleviation pipeline; see module docstring for the stages.
 
     `mode` is FULL, SYNTH_ONLY (no redundancy removal) or DELETE_ONLY (no
-    synthesis). Synthesis is retried with fresh sub-streams until the
-    correlation check passes or max_retries is exhausted; the best attempt
-    is kept either way.
+    synthesis). The synthetic rows requested per class (`chi`, see
+    `synth_counts`) are anchored at the training set's minority-class count.
+    Synthesis is retried with fresh sub-streams until the correlation check
+    passes or max_retries is exhausted; the best attempt is kept either way.
     """
     if mode not in (FULL, SYNTH_ONLY, DELETE_ONLY):
         raise ValueError(f"unknown mode '{mode}'")
@@ -397,14 +395,12 @@ def diversify(train: Dataset, probe: ProbeReport, cfg: DiversifyConfig,
     top = top_k_features(clusters, cfg.top_k)
     bounds = final_bounds(bounds, top, clusters)
 
-    counts = train.class_counts()
     if mode == DELETE_ONLY:
         chi = np.zeros(train.L, dtype=int)
         validation = ValidationReport(0.0, 0, 0, True, "synthesis skipped (delete_only)")
         synth_per_class = [np.empty((0, train.d)) for _ in range(train.L)]
     else:
-        base = cfg.synth_base if cfg.synth_base is not None else int(counts.min())
-        chi = synth_counts(probe.mu, base)
+        chi = synth_counts(probe.mu, int(train.class_counts().min()))
         if chi.sum() == 0:
             validation = ValidationReport(0.0, 0, 0, True, "probe saw no misclassification")
             synth_per_class = [np.empty((0, train.d)) for _ in range(train.L)]

@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forking
-from .baselines import (ADASYN, ROS, RUS_EQUALIZE, RUS_FRACTION, SMOTE,
-                        ResamplePlan, resample)
+from .baselines import ADASYN, ROS, RUS_EQUALIZE, SMOTE, ResamplePlan, resample
 from .data import (Dataset, DatasetSchema, MinMaxScaler, builtin_dataset_path,
                    load_csv, split_stratified)
 from .diversify import (DELETE_ONLY, FULL, SYNTH_ONLY, DiversifyConfig, derive_seed,
@@ -146,12 +145,10 @@ _SECTIONS = {
     "noise": {"levels": (None, [float]), "samples_per_input": int, "attack": str,
               "per_sample_scale": bool},
     "diversify": {"top_k": int, "removal_fraction": float, "corr_threshold": float,
-                  "clusters": int, "synth_base": (None, int), "max_retries": int},
-    "baselines": {"subsample_fraction": (None, float), "rus": dict, "smote": dict,
-                  "adasyn": dict},
-    "baselines.rus": {"method": str, "fraction": float},
+                  "clusters": int, "max_retries": int},
+    "baselines": {"subsample_fraction": (None, float), "smote": dict, "adasyn": dict},
     "baselines.smote": {"k_neighbors": int},
-    "baselines.adasyn": {"k_neighbors": int, "balance": float},
+    "baselines.adasyn": {"k_neighbors": int},
 }
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -262,17 +259,8 @@ def _parse_diversify(doc) -> DiversifyConfig:
 
 def _parse_plans(d: dict) -> dict:
     """The resampler plans of a checked `baselines` section."""
-    rus = _section(d.get("rus", {}), "baselines.rus")
-    method = rus.get("method", "equalize")
-    if method == "equalize":
-        rus_plan = ResamplePlan(RUS_EQUALIZE)
-    elif method == "fraction":
-        rus_plan = _build(ResamplePlan, "baselines.rus", RUS_FRACTION,
-                          fraction=rus.get("fraction", 0.25))
-    else:
-        raise ConfigError("baselines.rus.method must be 'equalize' or 'fraction'")
     smote, adasyn = (_section(d.get(k, {}), f"baselines.{k}") for k in ("smote", "adasyn"))
-    return {"rus": rus_plan, "ros": ResamplePlan(ROS),
+    return {"rus": ResamplePlan(RUS_EQUALIZE), "ros": ResamplePlan(ROS),
             "smote": _build(ResamplePlan, "baselines.smote", SMOTE, **smote),
             "adasyn": _build(ResamplePlan, "baselines.adasyn", ADASYN, **adasyn)}
 
@@ -374,7 +362,7 @@ def subsample_imbalanced(ds: Dataset, fraction: float, seed: int) -> Dataset:
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if ds.L < 2:
-        raise DataError("subsampling one class needs at least two classes")
+        raise InfeasibleError("subsampling one class needs at least two classes")
     rng = substream(seed, "subsample")
     target = int(rng.integers(ds.L))
     rows = np.flatnonzero(ds.labels == target)

@@ -40,56 +40,25 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ResamplePlan("nonsense")
     with pytest.raises(ValueError):
-        ResamplePlan("rus_fraction")            # missing fraction
-    with pytest.raises(ValueError):
-        ResamplePlan("rus_fraction", fraction=1.0)
-    with pytest.raises(ValueError):
         ResamplePlan("smote", k_neighbors=0)
     with pytest.raises(ValueError):
-        ResamplePlan("adasyn", balance=0.0)
-    ResamplePlan("rus_fraction", fraction=0.25)  # valid
+        ResamplePlan("adasyn", k_neighbors=0)
+    ResamplePlan("rus_equalize", k_neighbors=0)  # valid: RUS has no neighbours
 
 
 # -- RUS -------------------------------------------------------------------------
 
 def test_rus_equalize_to_minority():
     ds = imbalanced(27, 11)
-    out = rus(ds, ResamplePlan("rus_equalize"), seed=1)
+    out = rus(ds, seed=1)
     assert out.class_counts().tolist() == [11, 11]
     assert rows_as_set(out.features) <= rows_as_set(ds.features)
     assert not out.synthetic.any()
 
 
-def test_rus_fraction_quarter():
-    ds = imbalanced(40, 40)
-    # three equal classes would mirror the flower set; two suffice for counts
-    out = rus(ds, ResamplePlan("rus_fraction", fraction=0.25), seed=2)
-    assert out.class_counts().tolist() == [30, 30]
-
-
-def test_rus_fraction_zero_identity():
-    ds = imbalanced(10, 6)
-    out = rus(ds, ResamplePlan("rus_fraction", fraction=0.0), seed=3)
-    assert np.array_equal(out.features, ds.features)
-    assert np.array_equal(out.labels, ds.labels)
-
-
-def test_rus_never_empties_a_class():
-    ds = imbalanced(3, 2)
-    out = rus(ds, ResamplePlan("rus_fraction", fraction=0.9), seed=4)
-    assert out.class_counts().min() >= 1
-
-
 def test_rus_deterministic():
     ds = imbalanced()
-    a = rus(ds, ResamplePlan("rus_equalize"), seed=5)
-    b = rus(ds, ResamplePlan("rus_equalize"), seed=5)
-    assert np.array_equal(a.features, b.features)
-
-
-def test_rus_rejects_wrong_plan():
-    with pytest.raises(ValueError):
-        rus(imbalanced(), ResamplePlan("ros"), seed=0)
+    assert np.array_equal(rus(ds, seed=5).features, rus(ds, seed=5).features)
 
 
 # -- ROS -------------------------------------------------------------------------
@@ -129,8 +98,10 @@ def test_smote_count_arithmetic():
 
 def test_smote_minority_too_small():
     ds = imbalanced(10, 4)
-    with pytest.raises(NeighborError, match="lower k"):
+    with pytest.raises(NeighborError) as info:
         smote(ds, k=5, seed=0)
+    assert str(info.value) == ("class 'small' has 4 rows but SMOTE needs more "
+                               "than k=5; lower k")
 
 
 def test_smote_synthetics_on_same_class_segments():
@@ -215,8 +186,21 @@ def test_adasyn_equalizes_on_overlapping_classes():
 
 def test_adasyn_minority_too_small():
     ds = imbalanced(12, 4, c1=(1.0, 1.0))
-    with pytest.raises(NeighborError):
+    with pytest.raises(NeighborError) as info:
         adasyn(ds, k=5, seed=0)
+    assert str(info.value) == ("class 'small' has 4 rows but ADASYN needs more "
+                               "than k=5; lower k")
+
+
+@pytest.mark.parametrize("resampler", [smote, adasyn])
+def test_a_class_that_needs_no_rows_may_be_small(resampler):
+    # only a class with a deficit needs neighbours: the 3-row majority of
+    # this set is left alone although k=5
+    ds = imbalanced(3, 2, c1=(0.5, 0.5), spread=1.0)
+    with pytest.raises(NeighborError, match="class 'small' has 2 rows"):
+        resampler(ds, k=5, seed=0)
+    out = resampler(imbalanced(3, 3), k=5, seed=0)
+    assert out.n == 6 and not out.synthetic.any()
 
 
 def test_adasyn_deterministic():
@@ -224,13 +208,6 @@ def test_adasyn_deterministic():
     a = adasyn(ds, k=5, seed=3)
     b = adasyn(ds, k=5, seed=3)
     assert np.array_equal(a.features, b.features)
-
-
-def test_adasyn_partial_balance():
-    ds = imbalanced(25, 10, c0=(0.0, 0.0), c1=(1.0, 0.5), spread=1.5)
-    out = adasyn(ds, k=5, seed=4, balance=0.5)
-    # half the deficit: 10 + round(15 * 0.5) = 18
-    assert out.class_counts().tolist() == [25, 18]
 
 
 # -- distances in row blocks ----------------------------------------------------
@@ -300,5 +277,7 @@ def test_single_class_is_infeasible(method):
     # all, which the harness records as an infeasible leg
     ds = Dataset(substream(0, "fixture").uniform(size=(12, 2)), np.zeros(12, dtype=int),
                  ("only",), ("f0", "f1"))
-    with pytest.raises(InfeasibleError, match="at least 2 classes"):
+    with pytest.raises(InfeasibleError) as info:
         resample(ds, ResamplePlan(method), 0)
+    sampling = "equalizing" if method == "rus_equalize" else "over-sampling"
+    assert str(info.value) == f"{sampling} needs at least 2 classes"

@@ -268,17 +268,28 @@ def test_diversify_mode_in_config_exits_2(tmp_path, capsys):
 
 def test_single_class_csv_makes_only_the_resamplers_infeasible(tmp_path, capsys):
     save_csv(make_toy_blobs(30, [(0.0, 0.0)], 0.8, seed=5), tmp_path / "one.csv")
-    path = write_config(tmp_path, baselines=None,
-                        dataset={"csv": "one.csv", "label_column": "label"})
-    out = tmp_path / "one_out"
-    assert main(["experiment", "--config", str(path), "--out", str(out), "--no-svg"]) == 0
-    legs = {leg["approach"]: leg for leg in json.loads((out / "report.json").read_text())["legs"]}
-    assert [a for a, leg in legs.items() if leg["infeasible"]] == ["rus", "ros", "smote", "adasyn"]
-    assert legs["rus"]["note"] == "equalizing needs at least 2 classes"
-    capsys.readouterr()
-    assert main(["baseline", "--config", str(path), "--out", str(out)]) == 0
-    assert "rus: infeasible (equalizing needs at least 2 classes)" in capsys.readouterr().out
-    assert not (out / "rus.csv").exists()
+    # without a subsample the resamplers refuse the set; with one, the
+    # subsample does, and only the legs that read it
+    for baselines, reason in ((None, "equalizing needs at least 2 classes"),
+                              ({"subsample_fraction": 0.5},
+                               "subsampling one class needs at least two classes")):
+        path = write_config(tmp_path, baselines=baselines,
+                            dataset={"csv": "one.csv", "label_column": "label"})
+        out = tmp_path / "one_out"
+        assert main(["experiment", "--config", str(path), "--out", str(out),
+                     "--no-svg"]) == 0
+        legs = {leg["approach"]: leg
+                for leg in json.loads((out / "report.json").read_text())["legs"]}
+        infeasible = [a for a, leg in legs.items() if leg["infeasible"]]
+        assert infeasible == ["rus", "ros", "smote", "adasyn"]
+        assert legs["rus"]["note"] == reason
+        capsys.readouterr()
+        assert main(["baseline", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for method in infeasible:
+            assert f"{method}: infeasible (" in printed
+        assert f"rus: infeasible ({reason})" in printed
+        assert not (out / "rus.csv").exists()
 
 
 def test_ablate_runs_reduced_approach_set(tmp_path):

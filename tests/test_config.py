@@ -3,21 +3,25 @@ sets every key parse to, which inputs are config errors, and where `null`
 is accepted."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from biasdiv.baselines import ADASYN, ROS, RUS_EQUALIZE, RUS_FRACTION, SMOTE, ResamplePlan
+from biasdiv.baselines import ADASYN, ROS, RUS_EQUALIZE, SMOTE, ResamplePlan
+from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
 from biasdiv.diversify import DiversifyConfig
 from biasdiv.errors import ConfigError
-from biasdiv.harness import (APPROACH_ORDER, label_column_name, load_dataset_pair,
-                             load_experiment_config, parse_experiment_config)
+from biasdiv.harness import (_SECTIONS, APPROACH_ORDER, label_column_name,
+                             load_dataset_pair, load_experiment_config,
+                             parse_experiment_config)
 from biasdiv.mlp import TrainSchedule
 from biasdiv.probe import BOTH, GRADIENT_SIGN, NoiseSpec
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
 
 SHIPPED_PLANS = {"rus": ResamplePlan(RUS_EQUALIZE), "ros": ResamplePlan(ROS),
                  "smote": ResamplePlan(SMOTE, k_neighbors=5),
@@ -34,11 +38,10 @@ EVERY_KEY = {
     "noise": {"levels": [0.1, 0.2], "samples_per_input": 3, "attack": "gradient",
               "per_sample_scale": True},
     "diversify": {"top_k": 1, "removal_fraction": 0.25, "corr_threshold": 10.0,
-                  "clusters": 3, "synth_base": 12, "max_retries": 7},
+                  "clusters": 3, "max_retries": 7},
     "baselines": {"subsample_fraction": 0.4,
-                  "rus": {"method": "fraction", "fraction": 0.3},
                   "smote": {"k_neighbors": 2},
-                  "adasyn": {"k_neighbors": 3, "balance": 0.5}},
+                  "adasyn": {"k_neighbors": 3}},
     "approaches": ["delete_only", "original", "smote"],
     "repeats": 3,
     "seed": 42,
@@ -101,11 +104,11 @@ def expected(name, tmp_path):
                                    attack=GRADIENT_SIGN, per_sample_scale=True),
                 "diversify": DiversifyConfig(top_k=1, removal_fraction=0.25,
                                              corr_threshold=10.0, clusters=3,
-                                             synth_base=12, max_retries=7),
-                "plans": {"rus": ResamplePlan(RUS_FRACTION, fraction=0.3),
+                                             max_retries=7),
+                "plans": {"rus": ResamplePlan(RUS_EQUALIZE),
                           "ros": ResamplePlan(ROS),
                           "smote": ResamplePlan(SMOTE, k_neighbors=2),
-                          "adasyn": ResamplePlan(ADASYN, k_neighbors=3, balance=0.5)},
+                          "adasyn": ResamplePlan(ADASYN, k_neighbors=3)},
                 "subsample_fraction": 0.4,
                 "approaches": ("original", "smote", "delete_only"),
                 "repeats": 3, "seed": 42, "workers": 2, "out_dir": "out",
@@ -135,6 +138,17 @@ def config_path(name, tmp_path, monkeypatch):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(EVERY_KEY if name == "every_key" else MINIMAL))
     return path
+
+
+def test_every_config_key_is_documented():
+    # each key of each section is a word of some inline code span in
+    # README's Configuration section
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    words = {word for span in re.findall(r"`([^`\n]+)`", section)
+             for word in re.findall(r"\w+", span)}
+    assert [f"{name}.{key}" for name, keys in _SECTIONS.items() for key in keys
+            if key not in words] == []
 
 
 def test_every_shipped_config_is_pinned():
@@ -172,9 +186,8 @@ def base_doc():
         "noise": {"levels": [0.1, 0.2], "samples_per_input": 6},
         "diversify": {"top_k": 2, "max_retries": 5},
         "baselines": {"subsample_fraction": 0.5,
-                      "rus": {"method": "fraction", "fraction": 0.25},
                       "smote": {"k_neighbors": 2},
-                      "adasyn": {"k_neighbors": 2, "balance": 1.0}},
+                      "adasyn": {"k_neighbors": 2}},
         "repeats": 1,
         "seed": 7,
     }
@@ -225,7 +238,6 @@ BAD_VALUES = [
     ("diversify.top_k", 0, "top_k"),
     ("diversify.top_k", 1.0, "top_k"),
     ("diversify.clusters", 0, "clusters"),
-    ("diversify.synth_base", 0, "synth_base"),
     ("diversify.max_retries", 0, "max_retries"),
     ("diversify.removal_fraction", 1.0, "removal_fraction"),
     ("diversify.corr_threshold", 0, "corr_threshold"),
@@ -238,11 +250,8 @@ BAD_VALUES = [
     ("dataset.class_names", ["a"], "class_names"),
     ("dataset.class_names", {"a": "zero"}, "class_names"),
     ("baselines.subsample_fraction", 1.0, "subsample_fraction"),
-    ("baselines.rus.method", "median", "method"),
-    ("baselines.rus.fraction", 1.0, "fraction"),
     ("baselines.smote.k_neighbors", 0, "k_neighbors"),
     ("baselines.adasyn.k_neighbors", 0, "k_neighbors"),
-    ("baselines.adasyn.balance", 0, "balance"),
 ]
 
 # keys where null is a config error, with the fragment the message must contain
@@ -268,19 +277,22 @@ NULL_REJECTED = [
     ("diversify.corr_threshold", "corr_threshold"),
     ("diversify.clusters", "clusters"),
     ("diversify.max_retries", "max_retries"),
-    ("baselines.rus", "rus"),
     ("baselines.smote", "smote"),
     ("baselines.adasyn", "adasyn"),
-    ("baselines.rus.method", "method"),
-    ("baselines.rus.fraction", "fraction"),
     ("baselines.smote.k_neighbors", "k_neighbors"),
     ("baselines.adasyn.k_neighbors", "k_neighbors"),
-    ("baselines.adasyn.balance", "balance"),
 ]
 
 NULL_ACCEPTED = ["noise", "baselines", "approaches", "dataset.label_column",
                  "dataset.feature_columns", "dataset.class_names", "noise.levels",
-                 "diversify.synth_base", "baselines.subsample_fraction"]
+                 "baselines.subsample_fraction"]
+
+# keys that earlier versions read; a config that still sets one fails to load
+REMOVED_KEYS = [
+    ("baselines.rus", {"method": "equalize"}, "baselines: rus"),
+    ("baselines.adasyn.balance", 1.0, "baselines.adasyn: balance"),
+    ("diversify.synth_base", 12, "diversify: synth_base"),
+]
 
 
 @pytest.mark.parametrize("path, value, fragment", BAD_VALUES,
@@ -323,3 +335,12 @@ def test_null_means_the_default(path):
     cfg = parse_experiment_config(with_value(path, None))
     default = parse_experiment_config(without(path))
     assert replace(cfg, raw=None) == replace(default, raw=None)
+
+
+@pytest.mark.parametrize("path, value, message", REMOVED_KEYS,
+                         ids=[p for p, _, _ in REMOVED_KEYS])
+def test_removed_key_exits_2_as_an_unknown_key(path, value, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(with_value(path, value)))
+    assert main(["baseline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key(s) in {message}\n"

@@ -510,24 +510,27 @@ def test_diversify_delete_only_halves_classes():
 
 def test_diversify_synth_only_appends_planned_counts():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6)
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=0, mode="synth_only")
-    assert out.chi.tolist() == [20, 10]
+    # the least misclassified class gets the minority count, the other twice it
+    minority = int(ds.class_counts().min())
+    assert out.chi.tolist() == [2 * minority, minority]
     synth_mask = out.dataset.synthetic
-    assert synth_mask.sum() == 30
+    assert synth_mask.sum() == 3 * minority
     counts = np.bincount(out.dataset.labels[synth_mask], minlength=2)
-    assert counts.tolist() == [20, 10]
+    assert counts.tolist() == [2 * minority, minority]
     # originals all retained in synth_only mode
     assert (~synth_mask).sum() == ds.n
 
 
 def test_diversify_full_mode_count_law():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, removal_fraction=0.25, corr_threshold=1e6,
-                          synth_base=4)
+    cfg = DiversifyConfig(top_k=1, removal_fraction=0.25, corr_threshold=1e6)
     probe = fake_probe([10.0, 5.0])
     out = diversify(ds, probe, cfg, seed=5)
     chi = out.chi
+    minority = int(ds.class_counts().min())
+    assert chi.tolist() == [2 * minority, minority]
     for c in range(2):
         combined = 12 + chi[c]
         expected = max(1, int(np.floor(combined * 0.75 + 0.5)))
@@ -537,7 +540,7 @@ def test_diversify_full_mode_count_law():
 
 def test_diversify_synthetics_inside_final_bounds():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=2, corr_threshold=1e6, synth_base=8)
+    cfg = DiversifyConfig(top_k=2, corr_threshold=1e6)
     out = diversify(ds, fake_probe([20.0, 10.0], delta_x_max=0.05), cfg, seed=9,
                     mode="synth_only")
     synth_mask = out.dataset.synthetic
@@ -559,8 +562,7 @@ def test_diversify_no_misclassification_no_synthesis():
 
 def test_diversify_deterministic():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, removal_fraction=0.3, corr_threshold=200.0,
-                          synth_base=6)
+    cfg = DiversifyConfig(top_k=1, removal_fraction=0.3, corr_threshold=200.0)
     a = diversify(ds, fake_probe([12.0, 6.0], 0.02), cfg, seed=11)
     b = diversify(ds, fake_probe([12.0, 6.0], 0.02), cfg, seed=11)
     assert np.array_equal(a.dataset.features, b.dataset.features)
@@ -573,18 +575,19 @@ def test_diversify_deterministic():
 
 def test_diversify_retry_exhaustion_reports_best_attempt():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=0.001, synth_base=6, max_retries=3)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=0.001, max_retries=3)
     out = diversify(ds, fake_probe([10.0, 10.0]), cfg, seed=2, mode="synth_only")
     assert not out.validation.passed
     assert out.validation.attempts_made == 3
     assert 1 <= out.validation.best_attempt <= 3
     assert math.isfinite(out.validation.corr_diff)
+    assert out.chi.tolist() == [int(ds.class_counts().min())] * 2
     assert out.dataset.synthetic.sum() == out.chi.sum()
 
 
 def test_diversify_validation_report_is_truthful():
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=10)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6)
     out = diversify(ds, fake_probe([10.0, 5.0]), cfg, seed=3, mode="synth_only")
     synth_mask = out.dataset.synthetic
     recheck = validate_synthetic(out.dataset.features[synth_mask], pearson_corr(ds.features),
@@ -608,7 +611,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiversifyConfig(top_k=1, corr_threshold=0.0)
     with pytest.raises(ValueError):
-        DiversifyConfig(top_k=1, synth_base=0)
+        DiversifyConfig(top_k=1, clusters=0)
     with pytest.raises(ValueError, match="unknown mode 'everything'"):
         diversify(blobs(), fake_probe([1.0, 1.0]), DiversifyConfig(top_k=1), seed=0,
                   mode="everything")
@@ -616,7 +619,7 @@ def test_config_validation():
 
 def test_diversify_report_serialization(tmp_path):
     ds = blobs()
-    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6, synth_base=5)
+    cfg = DiversifyConfig(top_k=1, corr_threshold=1e6)
     out = diversify(ds, fake_probe([10.0, 5.0], 0.03), cfg, seed=7)
     path = tmp_path / "report.json"
     save_diversify_report(out, path)

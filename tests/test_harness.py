@@ -268,7 +268,7 @@ def test_subsample_imbalanced_varies_target_class():
 
 def test_subsample_imbalanced_single_class_rejected():
     ds = make_toy_blobs(10, [(1.0, 1.0)], 0.3, seed=4)
-    with pytest.raises(DataError, match="two classes"):
+    with pytest.raises(InfeasibleError, match="two classes"):
         subsample_imbalanced(ds, 0.4, seed=2)
 
 
