@@ -56,6 +56,13 @@ def test_rus_equalize_to_minority():
     assert not out.synthetic.any()
 
 
+def test_rus_never_empties_a_class():
+    ds = imbalanced(9, 1)
+    out = rus(ds, seed=4)
+    assert out.class_counts().tolist() == [1, 1]
+    assert rows_as_set(out.features) >= rows_as_set(ds.features[ds.labels == 1])
+
+
 def test_rus_deterministic():
     ds = imbalanced()
     assert np.array_equal(rus(ds, seed=5).features, rus(ds, seed=5).features)

@@ -199,7 +199,7 @@ def with_value(path, value):
     *parents, key = path.split(".")
     target = doc
     for part in parents:
-        target = target[part]
+        target = target.setdefault(part, {})
     target[key] = value
     return doc
 
@@ -252,6 +252,11 @@ BAD_VALUES = [
     ("baselines.subsample_fraction", 1.0, "subsample_fraction"),
     ("baselines.smote.k_neighbors", 0, "k_neighbors"),
     ("baselines.adasyn.k_neighbors", 0, "k_neighbors"),
+    # removed keys: any value is an unknown key
+    ("diversify.synth_base", 0, "synth_base"),
+    ("baselines.rus.method", "median", "rus"),
+    ("baselines.rus.fraction", 1.0, "rus"),
+    ("baselines.adasyn.balance", 0, "balance"),
 ]
 
 # keys where null is a config error, with the fragment the message must contain
@@ -281,6 +286,11 @@ NULL_REJECTED = [
     ("baselines.adasyn", "adasyn"),
     ("baselines.smote.k_neighbors", "k_neighbors"),
     ("baselines.adasyn.k_neighbors", "k_neighbors"),
+    # removed keys: null too is an unknown key
+    ("baselines.rus", "rus"),
+    ("baselines.rus.method", "rus"),
+    ("baselines.rus.fraction", "rus"),
+    ("baselines.adasyn.balance", "balance"),
 ]
 
 NULL_ACCEPTED = ["noise", "baselines", "approaches", "dataset.label_column",
