@@ -22,8 +22,7 @@ from .errors import (BiasMetricError, BiasdivError, ConfigError, DataError,
 from .harness import (ExperimentConfig, ExperimentReport, emit_report,
                       load_experiment_config, parse_experiment_config,
                       reference_probe, run_experiment)
-from .mlp import (Mlp, MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule,
-                  train)
+from .mlp import Mlp, MlpSpec, TrainSchedule, accuracy, init_mlp, train
 from .numerics import (Interval, IntervalSet, kmeans, kmeans_1d, pearson_corr,
                        substream)
 from .probe import NoiseSpec, ProbeReport, compute_bias, noise_sweep
@@ -75,7 +74,6 @@ __all__ = [
     "rus",
     "sample_synthetic",
     "save_csv",
-    "scale_schedule",
     "smote",
     "split_stratified",
     "substream",

@@ -3,10 +3,11 @@
 The protocol trains a reference network, measures its robustness-bias
 score, produces one candidate training set per approach (noise-guided
 diversification plus four classic resamplers), retrains a fresh network
-per candidate with a proportionally scaled epoch budget, and re-measures
-the score. Every repeat draws all of its randomness from sub-streams
-keyed by the repeat index, so repeats can run in parallel without
-changing the result and equal master seeds give bit-identical reports.
+per candidate under the configured schedule, the same number of
+full-batch steps for every candidate, and re-measures the score. Every
+repeat draws all of its randomness from sub-streams keyed by the repeat
+index, so repeats can run in parallel without changing the result and
+equal master seeds give bit-identical reports.
 
 Repeats run in contiguous chunks, one per worker process, and a chunk runs
 stage-major (`run_repeat`): the training sets of the reference and
@@ -44,8 +45,7 @@ from .diversify import (DELETE_ONLY, FULL, SYNTH_ONLY, DiversifyConfig, derive_s
                         diversify)
 from .errors import (BiasMetricError, ConfigError, DataError, InfeasibleError,
                      NeighborError, ProbeError, TrainingError)
-from .mlp import (MlpSpec, TrainSchedule, accuracy, init_mlp, scale_schedule, train,
-                  train_stack)
+from .mlp import MlpSpec, TrainSchedule, accuracy, init_mlp, train, train_stack
 from .numerics import round_half_up, substream
 from .probe import GRADIENT_SIGN, RANDOM_SWEEP, NoiseSpec, feature_scales, noise_sweep
 
@@ -394,14 +394,14 @@ class LegResult:
 
 
 def _train_gated(cfg: ExperimentConfig, group: tuple, fits: dict,
-                 schedule: TrainSchedule, gate_ds: Dataset, test_ds: Dataset) -> dict:
+                 gate_ds: Dataset, test_ds: Dataset) -> dict:
     """Train the legs of `group`, (repeat, approach) keys whose fitted sets
-    in `fits` have equally many rows, under `schedule`: as one weight stack,
-    which gives each net the bytes it would get alone, or by `train` for a
-    single leg. Each net starts from its leg's init seed for the attempt;
-    training itself draws no random numbers. A leg that fails the accuracy
-    gate or diverges is re-seeded exactly once, and the re-seeded legs
-    train as the group's second stack.
+    in `fits` have equally many rows, under `cfg.schedule`: as one weight
+    stack, which gives each net the bytes it would get alone, or by `train`
+    for a single leg. Each net starts from its leg's init seed for the
+    attempt; training itself draws no random numbers. A leg that fails the
+    accuracy gate or diverges is re-seeded exactly once, and the re-seeded
+    legs train as the group's second stack.
 
     The gate judges the net on the original train split, not on whatever
     augmented set it was fitted to: synthetic rows are deliberately noisy
@@ -420,10 +420,11 @@ def _train_gated(cfg: ExperimentConfig, group: tuple, fits: dict,
                                                        "init", attempt)))
                 for repeat, approach in pending]
         if len(pending) > 1:
-            results = train_stack(nets, [fits[key] for key in pending], schedule, test_ds)
+            results = train_stack(nets, [fits[key] for key in pending], cfg.schedule,
+                                  test_ds)
         else:
             try:
-                results = [train(nets[0], fits[pending[0]], schedule, test_ds=test_ds)]
+                results = [train(nets[0], fits[pending[0]], cfg.schedule, test_ds=test_ds)]
             except TrainingError as exc:
                 results = [exc]
         retry = []
@@ -512,14 +513,15 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
     leg reads its repeat's reference probe from `references` (repeat ->
     probe).
 
-    Legs with equally many rows share a scaled schedule (the epoch budget,
-    rescaled to the set's size, which leaves `original` unchanged) and
-    form one group, whatever their repeat. Every leg is probed with its
+    Every leg trains under `cfg.schedule` as configured, so each takes the
+    same number of full-batch steps whatever its set's size. Legs with
+    equally many rows form one group, whatever their repeat, because a
+    weight stack needs equal rows. Every leg is probed with its
     repeat's noise sub-stream and with feature scales taken from the
     original training set, so scores differ only through the nets and the
     data they were trained on. The diversify legs' sets and the groups each
     go through `forking.fan_out`, a group costed as the row gradients it
-    sums: nets x rows x epochs. Returns, per leg in the given order, (leg,
+    sums per step: nets x rows. Returns, per leg in the given order, (leg,
     probe), the probe kept for `original` legs only, or the error that made
     the leg infeasible (see `_leg_of`). Each net stays in the process that
     trained and probed it.
@@ -543,8 +545,7 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
         else:
             fits[key], notes[key] = prepared[key]
             by_rows.setdefault(fits[key].n, []).append(key)
-    schedules = {tuple(group): scale_schedule(cfg.schedule, train_ds.n, n)
-                 for n, group in by_rows.items()}
+    groups = [tuple(group) for group in by_rows.values()]
     scales = feature_scales(train_ds.features)
 
     def probe_leg(key, outcome):
@@ -565,12 +566,11 @@ def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
         return leg, probe if approach == "original" else None
 
     def run_group(group):
-        trained = _train_gated(cfg, group, fits, schedules[group], train_ds, test_ds)
+        trained = _train_gated(cfg, group, fits, train_ds, test_ds)
         return [probe_leg(key, trained[key]) for key in group]
 
-    costs = [len(group) * fits[group[0]].n * sum(epochs for _, epochs in schedule.phases)
-             for group, schedule in schedules.items()]
-    for group, results in forking.fan_out(run_group, schedules, costs).items():
+    costs = [len(group) * fits[group[0]].n for group in groups]
+    for group, results in forking.fan_out(run_group, groups, costs).items():
         runs.update(zip(group, results))
     return [runs[key] for key in legs]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import TrainingError
-from .numerics import round_half_up, substream
+from .numerics import substream
 
 
 @dataclass(frozen=True)
@@ -397,18 +397,3 @@ def train_stack(mlps, datasets, schedule: TrainSchedule,
         results.append((model, _report(model, losses[:, r], np.mean(correct[r]), test_ds)))
     return results
 
-
-def scale_epochs(epochs: int, n_original: int, n_new: int) -> int:
-    """Shrink (or grow) an epoch budget proportionally to the dataset-size
-    change, so that rows x epochs (how many row gradients a run sums) stays
-    comparable. Under full-batch descent an epoch is one weight update, so
-    the number of updates does not: a set with half the rows gets twice the
-    updates."""
-    if epochs < 1 or n_original < 1 or n_new < 1:
-        raise ValueError("epochs and sizes must be positive")
-    return max(1, round_half_up(epochs * n_original / n_new))
-
-
-def scale_schedule(schedule: TrainSchedule, n_original: int, n_new: int) -> TrainSchedule:
-    return TrainSchedule(
-        tuple((lr, scale_epochs(ep, n_original, n_new)) for lr, ep in schedule.phases))

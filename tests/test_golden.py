@@ -9,13 +9,14 @@ file it writes and its stdout lines other than `wrote ...`, with the output
 directory shown as `<out>`. A refactor must leave all of these unchanged.
 A change that alters the bytes on purpose regenerates them and says why in
 CHANGES.md. One command, from the repository root, rewrites every golden
-file (the four iris report files and `cli_sha256.json`):
+file (the four iris report files, `cli_sha256.json` and
+`numeric_build.json`):
 
     PYTHONPATH=src python tests/test_golden.py
 
-The bytes depend on numpy's matmul and reduction order, so a mismatch names
-the numpy build it came from; the golden files match under numpy 2.4.6 with
-scipy-openblas 0.3.31.188.0.
+The bytes depend on numpy's matmul and reduction order, so the command also
+records `harness.numeric_build()` as `tests/golden/numeric_build.json`, and
+a mismatch names both the numpy build it came from and the recorded one.
 """
 
 import contextlib
@@ -39,16 +40,25 @@ CLI_COMMANDS = ("probe", "diversify", "diversify --mode synth-only",
                 "diversify --mode delete-only", "baseline")
 
 
-def numeric_env() -> str:
-    """The numpy version, BLAS and SIMD extensions that this run's bytes
-    came from."""
-    build = numeric_build()
+def numeric_env(build=None) -> str:
+    """The numpy version, BLAS and SIMD extensions of `build`, by default
+    the one this run's bytes came from."""
+    build = numeric_build() if build is None else build
     blas = build.get("blas")
     blas = f"{blas['name']} {blas['version']}" if blas else "unknown"
     simd = build.get("simd_extensions")
     simd = (f"baseline {' '.join(simd['baseline']) or 'none'}, "
             f"found {' '.join(simd['found']) or 'none'}") if simd else "unknown"
     return f"numpy {build['version']}, BLAS {blas}, SIMD {simd}"
+
+
+def build_note() -> str:
+    """This run's numpy build beside the one the golden files were recorded
+    under, for a mismatch message."""
+    path = GOLDEN / "numeric_build.json"
+    recorded = (numeric_env(json.loads(path.read_text(encoding="utf-8")))
+                if path.exists() else "unknown")
+    return f"under {numeric_env()}; the golden files were recorded under {recorded}"
 
 
 def cli_outputs(command: str, out: Path) -> dict:
@@ -69,14 +79,14 @@ def test_iris_report_matches_golden(iris_run, tmp_path):
     emit_report(report, tmp_path)
     for name in REPORT_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "iris" / name).read_bytes(), \
-            f"{name} differs from the golden file under {numeric_env()}"
+            f"{name} differs from the golden file {build_note()}"
 
 
 @pytest.mark.parametrize("command", CLI_COMMANDS)
 def test_cli_outputs_match_golden(command, tmp_path):
     golden = json.loads((GOLDEN / "cli_sha256.json").read_text(encoding="utf-8"))
     assert cli_outputs(command, tmp_path / "out") == golden[command], \
-        f"'{command}' outputs differ from the golden digests under {numeric_env()}"
+        f"'{command}' outputs differ from the golden digests {build_note()}"
 
 
 if __name__ == "__main__":
@@ -86,6 +96,7 @@ if __name__ == "__main__":
             (GOLDEN / "iris" / name).write_bytes((Path(tmp) / name).read_bytes())
         digests = {c: cli_outputs(c, Path(tmp) / c.replace(" ", "_"))
                    for c in CLI_COMMANDS}
-    with open(GOLDEN / "cli_sha256.json", "w", encoding="utf-8") as fh:
-        json.dump(digests, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, doc in (("cli_sha256.json", digests), ("numeric_build.json", numeric_build())):
+        with open(GOLDEN / name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -602,6 +602,41 @@ def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
     assert leg.train_accuracy == real_accuracy(nets[-1], train)
 
 
+@pytest.mark.usefixtures("one_cpu")
+def test_every_leg_trains_the_configured_schedule(tmp_path, monkeypatch):
+    """Legs of different sizes (`original` and the subsampled `rus`) each
+    take the configured number of full-batch steps: every `train` and
+    `train_stack` call gets `cfg.schedule` as it is, and every report has
+    one loss per epoch of it."""
+    write_blobs_csv(tmp_path / "blobs.csv")
+    doc = config_doc(tmp_path / "blobs.csv", approaches=["original", "rus"],
+                     schedule={"phases": [[0.5, 30], [0.2, 20]]})
+    cfg = parse_experiment_config(doc, base_dir=tmp_path)
+    calls = []
+
+    def spy(name):
+        real = getattr(harness, name)
+
+        def call(nets, fits, schedule, *args, **kwargs):
+            result = real(nets, fits, schedule, *args, **kwargs)
+            calls.append((name, schedule, result if name == "train_stack" else [result]))
+            return result
+        monkeypatch.setattr(harness, name, call)
+
+    spy("train")
+    spy("train_stack")
+    sizes = set()
+    for repeats in (1, 2):   # one net per group goes through `train`, two through a stack
+        report = run_experiment(replace(cfg, repeats=repeats))
+        sizes |= {leg.n_train for leg in report.legs}
+    assert len(sizes) == 2
+    assert {name for name, _, _ in calls} == {"train", "train_stack"}
+    epochs = sum(epochs for _, epochs in cfg.schedule.phases)
+    for _, schedule, results in calls:
+        assert schedule == cfg.schedule
+        assert all(len(rep.losses) == epochs for _, rep in results)
+
+
 def single_approach_legs(cfg, train, test, repeat):
     """`run_repeat`'s legs with every approach through the leg path alone, so
     every net trains through `train`."""
@@ -666,9 +701,9 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("costs, share", [
-    ([1_152_000, 288_000], [False, True]),   # iris at seed 6: the main stack and rus
-    ([144_092, 144_115], [True, False]),     # iris's two diversified singletons
-    ([270_000, 270_120, 810_810], [True, True, False]),   # wide-div: the oversamplers' stack
+    ([960, 120], [False, True]),             # iris at seed 6: the main stack and rus
+    ([221, 185], [False, True]),             # iris's two diversified singletons
+    ([225, 120, 990], [True, True, False]),  # wide-div: the oversamplers' stack
     ([1] * 5, [False, True, False, True, False]),           # probes, equal costs
     ([7], [False]),
     ([], []),

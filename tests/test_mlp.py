@@ -17,8 +17,6 @@ from biasdiv.mlp import (
     init_mlp,
     input_gradients,
     predict_batch,
-    scale_epochs,
-    scale_schedule,
     train,
     train_stack,
 )
@@ -633,30 +631,3 @@ def test_accuracy_counting():
 def test_empty_dataset_is_unconstructible():
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ("a",), ("f0", "f1"))
-
-
-# -- epoch scaling ------------------------------------------------------------------
-
-@pytest.mark.parametrize("epochs,n_orig,n_new,expected", [
-    (40, 38, 76, 20),
-    (80, 120, 240, 40),
-    (40, 38, 134, 11),   # 40*38/134 = 11.34...
-    (10, 5, 1000, 1),    # floor at 1
-    (40, 38, 38, 40),
-])
-def test_scale_epochs(epochs, n_orig, n_new, expected):
-    assert scale_epochs(epochs, n_orig, n_new) == expected
-
-
-def test_scale_schedule():
-    sched = TrainSchedule(((0.5, 40), (0.2, 40)))
-    scaled = scale_schedule(sched, 38, 76)
-    assert scaled.phases == ((0.5, 20), (0.2, 20))
-
-
-def test_scale_epochs_validation():
-    with pytest.raises(ValueError):
-        scale_epochs(0, 10, 10)
-    with pytest.raises(ValueError):
-        scale_epochs(10, 0, 10)
-
