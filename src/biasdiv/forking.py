@@ -1,8 +1,7 @@
 """One way to run work in other processes: `fan_out` splits independent
 items into bins by cost, computes one bin here and forks one helper per
 other bin, which inherits its inputs and sends back only its results.
-Experiment chunks, each chunk's stages and the counterexample CSV's
-halves all go through it.
+Experiment chunks and each chunk's stages go through it.
 """
 
 from __future__ import annotations
@@ -32,17 +31,6 @@ def _fork_context():
         return multiprocessing.get_context("fork")
     except ValueError:
         return None
-
-
-def fork_context(processes: int, spare_only: bool = True):
-    """The context a `fan_out` over `processes` bins forks from, or None
-    where it computes every item here. With `spare_only`, it forks only
-    where the usable CPUs number at least `processes` times the processes
-    running at once: at two bins, in a lone process on two CPUs, and in
-    each of two on four. `taskset` to fewer CPUs turns it off."""
-    if processes < 2 or spare_only and usable_cpus() < processes * _running:
-        return None
-    return _fork_context()
 
 
 def _helper_share(costs, processes: int = 2) -> list[int]:
@@ -78,19 +66,26 @@ def _helper_main(fn, items, sender) -> None:
 def fan_out(fn, items, costs=None, processes: int = 2, spare_only: bool = True) -> dict:
     """`{item: fn(item)}` for `items`, distinct keys that share no state,
     with `costs` their relative costs (equal where None), in the order of
-    `items`. The items are split over `processes` bins by `_helper_share`;
-    where more than one bin holds items and `fork_context` gives a context,
-    this process computes bin 0 while one forked helper per other bin
-    computes that bin and sends the results back over a pipe. `fn` must
-    return picklable values, the same in any process. A helper's exception is raised here with the
-    helper's traceback as its cause; a helper that exits without its
-    results raises `ChildProcessError`. If this process fails first, the
-    helpers still running are ended; every helper is joined on every path.
+    `items`. The items are split over `processes` bins by `_helper_share`.
+    Where more than one bin holds items and "fork" is available, this
+    process computes bin 0 while one forked helper per other bin computes
+    that bin and sends the results back over a pipe; else every item is
+    computed here. With `spare_only`, it forks only where the usable CPUs
+    number at least `processes` times the processes running at once: at
+    two bins, in a lone process on two CPUs, and in each of two on four.
+    `taskset` to fewer CPUs turns it off.
+
+    `fn` must return picklable values, the same in any process. A helper's
+    exception is raised here with the helper's traceback as its cause; a
+    helper that exits without its results raises `ChildProcessError`. If
+    this process fails first, the helpers still running are ended; every
+    helper is joined on every path.
     """
     global _running, forked
     items = list(items)
     bins = _helper_share([1] * len(items) if costs is None else costs, processes)
-    context = fork_context(processes, spare_only) if max(bins, default=0) else None
+    spare = not spare_only or usable_cpus() >= processes * _running
+    context = _fork_context() if max(bins, default=0) and spare else None
     if context is None:
         return {item: fn(item) for item in items}
     outer, receivers, helpers, received = _running, [], [], 0

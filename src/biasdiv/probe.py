@@ -12,15 +12,10 @@ import copy
 import csv
 import io
 import json
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import forking
 from .data import Dataset
 from .errors import BiasMetricError, ProbeError
 from .mlp import Mlp, _Pass, input_gradients, predict_batch
@@ -160,37 +155,31 @@ class Counterexamples:
     def __len__(self) -> int:
         return sum(len(w) for w in self.wrong)
 
-    def blocks(self, start: int = 0, stop: int | None = None):
-        """Counterexamples `start:stop`, one level at a time: for each
-        level holding some of them, their input indices, true classes,
-        predicted classes, levels and (k, d) noisy rows.
+    def blocks(self):
+        """The counterexamples one level at a time: for each level holding
+        some, their input indices, true classes, predicted classes, levels
+        and (k, d) noisy rows.
 
         A level's random variants are rebuilt from the doubles that level
         drew, from a copy of the sweep's generator. The generator spends one
-        64-bit output per double, so the levels that hold none of these rows
+        64-bit output per double, so the levels that hold no counterexamples
         are skipped by advancing it past their draws; the rows hold the bits
         the sweep probed."""
         v = self.variants
-        stop = len(self) if stop is None else min(stop, len(self))
-        rng = copy.deepcopy(v.generator) if v.samples and start < stop else None
+        rng = copy.deepcopy(v.generator) if v.samples else None
         draws = None if rng is None else np.empty((v.test_rows, v.samples, v.inputs.shape[1]))
-        begin = drawn = 0   # drawn: the levels whose doubles `rng` has spent
+        drawn = 0   # the levels whose doubles `rng` has spent
         for li, (level, wrong, predicted) in enumerate(
                 zip(self.levels, self.wrong, self.predicted)):
-            if begin >= stop:
-                break
-            lo, hi = max(start - begin, 0), min(stop - begin, len(wrong))
-            begin += len(wrong)
-            if lo >= hi:
+            if not len(wrong):
                 continue
             if rng is not None:
                 rng.bit_generator.advance((li - drawn) * draws.size)
                 rng.random(out=draws)
                 drawn = li + 1
-            positions = wrong[lo:hi]
-            inputs = v.input_of(positions)
-            yield (v.rows[inputs], v.labels[inputs], predicted[lo:hi],
-                   np.full(hi - lo, level), v.rebuild(level, positions, inputs, draws))
+            inputs = v.input_of(wrong)
+            yield (v.rows[inputs], v.labels[inputs], predicted, np.full(len(wrong), level),
+                   v.rebuild(level, wrong, inputs, draws))
 
 
 @dataclass
@@ -378,15 +367,15 @@ def save_probe_report(report: ProbeReport, path, class_names=None) -> None:
         fh.write("\n")
 
 
-def _write_rows(fh, cex: Counterexamples, start: int, stop: int) -> None:
-    """Counterexamples `start:stop` as CSV bytes into the binary file `fh`,
+def _write_rows(fh, cex: Counterexamples) -> None:
+    """The counterexamples as CSV bytes into the binary file `fh`,
     formatted in chunks of at most `_CHUNK_ROWS` rows by
     `floattext.csv_rows` (each float the bytes of its `repr`). A chunk may
     span levels, so small levels share one, and no more rows than a chunk
     are formatted at once."""
     from .floattext import csv_rows
     pending, count = [], 0
-    for block in cex.blocks(start, stop):
+    for block in cex.blocks():
         lo, rows = 0, len(block[0])
         while lo < rows:
             take = min(_CHUNK_ROWS - count, rows - lo)
@@ -402,61 +391,15 @@ def _write_rows(fh, cex: Counterexamples, start: int, stop: int) -> None:
 # Rows formatted at once: bounds the formatter's buffers, whatever the CSV's size.
 _CHUNK_ROWS = 1024
 
-# Timed on a 2-vCPU VM, one process against a forked helper, on iris sweeps
-# of 4 features (medians of 41 interleaved writes): they broke even at 41k
-# floats (27.7 and 27.9 ms); the helper was 52 % slower at 32k floats and
-# 23 % faster at 51k.
-_MIN_BLOCK_VALUES = 20_000
-
-
-def _helper_start(rows: int, values: int) -> int:
-    """The first row a forked helper writes of a CSV of `rows` rows holding
-    `values` floats: the middle one where each half holds at least one row
-    and `_MIN_BLOCK_VALUES` floats and `forking.fork_context` allows a
-    helper, else `rows`, as this process then writes every row."""
-    if rows >= 2 and values >= 2 * _MIN_BLOCK_VALUES and forking.fork_context(2) is not None:
-        return rows // 2
-    return rows
-
 
 def write_counterexamples_csv(report: ProbeReport, path, feature_names) -> None:
-    """One row per counterexample, in the bytes `csv.writer` would write;
-    the header goes through `csv` so feature names keep their quoting.
-
-    Where `_helper_start` splits the rows, the two blocks go through
-    `forking.fan_out`: a forked helper writes the second half of the rows
-    to a temporary part file beside `path` while this process writes the
-    header and the first half to `path`; the part is then appended, so the
-    bytes are the same either way. The helper inherits the counterexamples
-    rather than have them pickled, and rebuilds, formats and writes only
-    its own rows. The part file is removed before this returns, and an
-    error in the helper is raised here as `fan_out` raises it.
-    """
-    cex = report.counterexamples
-    half = _helper_start(len(cex), len(cex) * cex.variants.inputs.shape[1])
-    target = Path(path)
+    """One row per counterexample, in the bytes `csv.writer` would write:
+    the header goes through `csv`, so feature names keep their quoting,
+    and the rows through `_write_rows`, rebuilt a level at a time by
+    `Counterexamples.blocks` as they are written."""
     header = io.StringIO(newline="")
     csv.writer(header).writerow(["input_index", "true_class", "predicted_class",
                                  "level"] + list(feature_names))
-
-    def write(block):
-        start, stop, file = block
-        with open(file, "wb") as fh:
-            if start == 0:   # the first block, into `path`
-                fh.write(header.getvalue().encode("utf-8"))
-            _write_rows(fh, cex, start, stop)
-
-    blocks, part = [(0, half, target)], None
-    try:
-        if half < len(cex):
-            fd, part = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
-                                        suffix=".part")
-            os.close(fd)
-            blocks.append((half, len(cex), part))
-        forking.fan_out(write, blocks)
-        if part is not None:
-            with open(target, "ab") as out, open(part, "rb") as src:
-                shutil.copyfileobj(src, out)
-    finally:
-        if part is not None:
-            Path(part).unlink(missing_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        _write_rows(fh, report.counterexamples)

@@ -1,6 +1,5 @@
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import biasdiv
-from biasdiv import forking, probe
 from biasdiv.cli import main
 from biasdiv.data import make_toy_blobs, save_csv
 from biasdiv.harness import load_experiment_config
@@ -145,29 +143,6 @@ def test_probe_writes_outputs(tmp_path, capsys):
     assert "b_r=" in captured and "delta_x_max=" in captured
     doc = json.loads((out / "probe_report.json").read_text())
     assert doc["b_r"] >= 0.0
-
-
-def test_probe_csv_helper_that_dies_is_an_io_error(tmp_path, capsys, monkeypatch):
-    """A counterexample CSV helper that exits without its results makes
-    `biasdiv probe` report an i/o error and exit 1, leaving no part file.
-    The blobs overlap, so the probe finds counterexamples to split."""
-    path = write_config(tmp_path)
-    save_csv(make_toy_blobs(12, [(0.0, 0.0), (1.5, 1.5)], 0.8, seed=5), tmp_path / "blobs.csv")
-    out = tmp_path / "probe_out"
-    writer, parent = probe._write_rows, os.getpid()
-
-    def dying_in_the_helper(fh, cex, start, stop):
-        if os.getpid() != parent:
-            os._exit(3)
-        writer(fh, cex, start, stop)
-
-    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(probe, "_MIN_BLOCK_VALUES", 1)
-    monkeypatch.setattr(probe, "_write_rows", dying_in_the_helper)
-    assert main(["probe", "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("i/o error: the helper process for ")
-    assert not [p.name for p in out.iterdir() if p.suffix == ".part"]
-    assert multiprocessing.active_children() == []
 
 
 def test_probe_prints_delta_x_max_as_reported(tmp_path, capsys):
@@ -351,8 +326,9 @@ def test_module_entry_point(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "biasdiv.cli", "probe", "--config", str(path),
+        [sys.executable, "-X", "importtime", "-m", "biasdiv.cli", "probe", "--config", str(path),
          "--out", str(out)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "probe_report.json").is_file()
+    assert "multiprocessing" not in proc.stderr   # probe forks nothing

@@ -1,11 +1,9 @@
 """Noise probe tests: perturbations, sweep bookkeeping, bias scoring."""
 
 import csv
-import errno
 import io
 import json
 import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
@@ -74,11 +72,11 @@ def threshold_ds(x0=0.5):
                    ("low", "high"), ("f0",))
 
 
-def cex_columns(cex, start=0, stop=None):
-    """Counterexamples `start:stop` as five arrays: input index, true
-    class, predicted class, level and noisy rows."""
+def cex_columns(cex):
+    """The counterexamples as five arrays: input index, true class,
+    predicted class, level and noisy rows."""
     d = cex.variants.inputs.shape[1]
-    blocks = list(cex.blocks(start, stop))
+    blocks = list(cex.blocks())
     if not blocks:
         return [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0), np.empty((0, d))]
     return [np.concatenate(column) for column in zip(*blocks)]
@@ -575,23 +573,6 @@ def test_blocks_equal_the_allocating_reference(attack, per_sample_scale, seed):
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
 
 
-def test_blocks_cut_any_row_range():
-    """Any row range, inside a level, across levels or past the end, is
-    that slice of the whole, and a level's block holds its rows alone."""
-    ds, model = _blob_model()
-    spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6)
-    cex = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features)).counterexamples
-    whole = cex_columns(cex)
-    k = len(cex)
-    for start, stop in ((0, k), (0, 1), (3, 4), (5, 40), (k - 1, k), (k // 2, k + 9),
-                        (10, 10), (k, k + 1)):
-        part = cex_columns(cex, start, stop)
-        for column, want in zip(part, whole):
-            assert column.tobytes() == want[start:stop].tobytes(), (start, stop)
-    for _, _, _, level, _ in cex.blocks():
-        assert len(set(level.tolist())) == 1
-
-
 @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 5), (450, 20, 8)],
                          ids=["1x1x1", "7x3x5", "450x20x8"])
 def test_advancing_the_sweep_generator_equals_drawing(shape):
@@ -607,22 +588,20 @@ def test_advancing_the_sweep_generator_equals_drawing(shape):
         assert advanced.random(shape).tobytes() == drawn.random(shape).tobytes(), skipped
 
 
-def test_counterexample_csv_bytes_with_a_block_edge_inside_a_level(tmp_path, monkeypatch):
-    """A sweep's CSV written by one process and by two, the second block
-    starting inside a level, so its helper replays that level's draw."""
+def test_counterexample_csv_bytes_of_a_five_level_sweep(tmp_path):
+    """A sweep's CSV holds the bytes of the per-row reference. Its first two
+    levels hold no counterexamples, so the writer skips their draws by
+    advancing a copy of the sweep's generator; each other level is
+    rebuilt as one block."""
     ds, model = _blob_model()
     spec = NoiseSpec(levels=(0.05, 0.1, 0.2, 0.3, 0.4), samples_per_input=6)
     report = noise_sweep(model, ds, spec, seed=7, scales=feature_scales(ds.features))
     cex = report.counterexamples
-    ends = np.cumsum([len(w) for w in cex.wrong]).tolist()
-    assert len(cex) // 2 not in [0] + ends          # the edge falls inside a level
-    expected = _reference_csv(cex, ds.feature_names)
-    for processes in (1, 2):
-        _split_into(monkeypatch, processes)
-        path = tmp_path / f"cex{processes}.csv"
-        write_counterexamples_csv(report, path, ds.feature_names)
-        assert path.read_bytes() == expected, processes
-    assert multiprocessing.active_children() == []
+    assert [len(w) > 0 for w in cex.wrong] == [False, False, True, True, True]
+    for _, _, _, level, _ in cex.blocks():
+        assert len(set(level.tolist())) == 1
+    write_counterexamples_csv(report, tmp_path / "cex.csv", ds.feature_names)
+    assert (tmp_path / "cex.csv").read_bytes() == _reference_csv(cex, ds.feature_names)
 
 
 def _probe_cli_shaped():
@@ -754,91 +733,14 @@ def _random_report(rows: int) -> ProbeReport:
                        np.zeros(2, dtype=int), np.zeros(2, dtype=int))
 
 
-def _split_into(monkeypatch, processes: int) -> None:
-    """Have the CSV writer use `processes` processes (1 or 2), however small
-    the CSV."""
-    monkeypatch.setattr(forking, "usable_cpus", lambda: processes)
-    monkeypatch.setattr(probe_module, "_MIN_BLOCK_VALUES", 1)
-
-
 @pytest.mark.parametrize("rows", [0, 1, 37])
-def test_counterexample_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, rows):
-    """Each half of the rows written by its own process, or every row by
-    one process where "fork" is unavailable: the same bytes as one process,
-    and no part file left behind."""
+def test_counterexample_csv_bytes_match_the_reference(tmp_path, rows):
+    """No rows, one row and a few, each value a spread of magnitudes: the
+    bytes of the per-row reference."""
     report = _random_report(rows)
     names = ("a", 'b, "quoted"', "c")
-    expected = _reference_csv(report.counterexamples, names)
-    for processes in (1, 2):
-        _split_into(monkeypatch, processes)
-        path = tmp_path / f"split{processes}.csv"
-        write_counterexamples_csv(report, path, names)
-        assert path.read_bytes() == expected, processes
-    monkeypatch.setattr(forking, "_fork_context", lambda: None)
-    write_counterexamples_csv(report, tmp_path / "nofork.csv", names)
-    assert (tmp_path / "nofork.csv").read_bytes() == expected
-    assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".part"]
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus,rows,values,blocks", [
-    (1, 51_500, 412_000, 1),   # one usable CPU
-    (8, 51_500, 412_000, 2),   # at most two processes
-    (2, 5_627, 22_508, 1),     # iris's probe: too small to pay for a fork
-    (2, 2_000, 8_000, 1),
-    (2, 2, 40_000, 2),         # the smallest CSV that forks
-    (2, 2, 39_999, 1),
-    (2, 0, 0, 1),
-])
-def test_counterexample_csv_block_count(monkeypatch, cpus, rows, values, blocks):
-    """Two processes write the CSV, the helper from the middle row on,
-    where each half pays for a fork and `forking.fork_context` allows a
-    helper."""
-    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-    assert probe_module._helper_start(rows, values) == (rows // 2 if blocks == 2 else rows)
-
-
-def test_counterexample_csv_helper_failure_raises_and_cleans_up(tmp_path, monkeypatch):
-    """An OSError in the helper, here a full disk under its part file,
-    arrives as itself, with its errno, message and the helper's traceback;
-    no part file is left and no helper runs."""
-    writer, parent = probe_module._write_rows, os.getpid()
-
-    def failing_in_the_helper(fh, cex, start, stop):
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, "No space left on device", fh.name)
-        writer(fh, cex, start, stop)
-
-    monkeypatch.setattr(probe_module, "_write_rows", failing_in_the_helper)
-    _split_into(monkeypatch, 2)
-    with pytest.raises(OSError) as info:
-        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
-    assert info.value.errno == errno.ENOSPC
-    assert info.value.strerror == "No space left on device"
-    assert info.value.filename.endswith(".part")
-    assert isinstance(info.value.__cause__, forking._HelperTraceback)
-    assert (f"OSError: [Errno {errno.ENOSPC}] No space left on device"
-            in str(info.value.__cause__))
-    assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
-    assert multiprocessing.active_children() == []
-
-
-def test_counterexample_csv_own_failure_joins_the_helper_and_cleans_up(tmp_path, monkeypatch):
-    """This process's half fails while the helper writes the other: the
-    error propagates, and the helper is joined and its part file removed."""
-    writer, parent = probe_module._write_rows, os.getpid()
-
-    def failing_here(fh, cex, start, stop):
-        if os.getpid() == parent:
-            raise RuntimeError("this process fails")
-        writer(fh, cex, start, stop)
-
-    monkeypatch.setattr(probe_module, "_write_rows", failing_here)
-    _split_into(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="this process fails"):
-        write_counterexamples_csv(_random_report(9), tmp_path / "cex.csv", ("a", "b", "c"))
-    assert [p.name for p in tmp_path.iterdir()] == ["cex.csv"]
-    assert multiprocessing.active_children() == []
+    write_counterexamples_csv(report, tmp_path / "cex.csv", names)
+    assert (tmp_path / "cex.csv").read_bytes() == _reference_csv(report.counterexamples, names)
 
 
 def test_counterexample_csv_level_longer_than_a_chunk(tmp_path):
@@ -860,12 +762,13 @@ def test_counterexample_csv_level_longer_than_a_chunk(tmp_path):
 
 
 def test_counterexample_csv_peak_does_not_grow_with_its_rows(tmp_path, monkeypatch):
-    """Writing over 40k counterexamples in one process: the rows are rebuilt
-    a level at a time and formatted a chunk at a time, so the peak is the
-    sweep's draw block, one level's rows and one chunk's buffers: 2.9 to
-    3.1 MiB for the first 20 levels' 12k rows and for all 42k. Formatting
-    every row as one chunk peaked at 83 MiB."""
-    _split_into(monkeypatch, 1)
+    """Writing over 40k counterexamples, in this process even with two CPUs
+    usable: the rows are rebuilt a level at a time and formatted a chunk at
+    a time, so the peak is the sweep's draw block, one level's rows and one
+    chunk's buffers: 2.9 to 3.1 MiB for the first 20 levels' 12k rows and
+    for all 42k. Formatting every row as one chunk peaked at 83 MiB."""
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    forked = forking.forked
     ds, model = _probe_cli_shaped()
     report = noise_sweep(model, ds, NoiseSpec(), seed=5)
     assert len(report.counterexamples) >= 40_000
@@ -878,6 +781,8 @@ def test_counterexample_csv_peak_does_not_grow_with_its_rows(tmp_path, monkeypat
         tracemalloc.stop()
     assert (tmp_path / "cex.csv").stat().st_size > 6_000_000
     assert peak < 5 * 2**20, peak
+    assert forking.forked == forked
+    assert multiprocessing.active_children() == []
 
 
 # -- the CSV's float formatter -----------------------------------------------------
