@@ -282,26 +282,36 @@ def synth_counts(mu, base: int) -> np.ndarray:
     ], dtype=int)
 
 
-def sample_synthetic(bounds_i, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_synthetic(bounds_i, count: int, rng: np.random.Generator,
+                     placement=None) -> np.ndarray:
     """count x d matrix drawn coordinate-wise from the class's regions.
 
     One `rng.random((d, 2, count))` block holds, per feature, the draws of
     a per-feature loop of `rng.choice(p=length weights)` then
     `rng.uniform(0, 1)` (which returns `random`'s doubles unchanged), and
     `IntervalSet.place` turns them into the same values, so the rows equal
-    that loop's bit for bit.
+    that loop's bit for bit. `placement` is `_class_placement(bounds_i)`,
+    computed here where None; a caller that samples one class's bounds
+    again and again passes it.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    lo, span, unions = _class_placement(bounds_i) if placement is None else placement
     draws = rng.random((len(bounds_i), 2, count))
+    cols = lo + draws[:, 1] * span
+    for f in unions:
+        cols[f] = bounds_i[f].place(draws[f, 0], draws[f, 1])
+    return cols.T.copy()
+
+
+def _class_placement(bounds_i) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """What `sample_synthetic` reads of a class's bounds: each feature's
+    first interval's lower end and length, as columns, and the features
+    whose set holds more than one interval."""
     first = [s.intervals[0] for s in bounds_i]
     lo = np.array([iv.lo for iv in first])[:, None]
     span = np.array([iv.length for iv in first])[:, None]
-    cols = lo + draws[:, 1] * span
-    for f, s in enumerate(bounds_i):
-        if len(s.intervals) > 1:
-            cols[f] = s.place(draws[f, 0], draws[f, 1])
-    return cols.T.copy()
+    return lo, span, [f for f, s in enumerate(bounds_i) if len(s.intervals) > 1]
 
 
 def minimize_redundancy(class_rows: np.ndarray, removal_fraction: float,
@@ -434,10 +444,11 @@ def _generate_validated(bounds: ClassBounds, chi: np.ndarray,
                         original: np.ndarray, cfg: DiversifyConfig, seed: int):
     best_rows, best_report = None, None
     original_corr = pearson_corr(original)
+    placements = [_class_placement(bounds.per_class[c]) for c in range(len(chi))]
     for attempt in range(1, cfg.max_retries + 1):
         rows = [
             sample_synthetic(bounds.per_class[c], int(chi[c]),
-                             substream(seed, "synth", attempt, c))
+                             substream(seed, "synth", attempt, c), placements[c])
             for c in range(len(chi))
         ]
         stacked = np.vstack(rows)

@@ -9,18 +9,18 @@ repeat draws all of its randomness from sub-streams keyed by the repeat
 index, so repeats can run in parallel without changing the result and
 equal master seeds give bit-identical reports.
 
-Repeats run in contiguous chunks, one per worker process, and a chunk runs
-stage-major (`run_repeat`): the training sets of the reference and
-resampler legs of every repeat in it are prepared, then those legs are
-trained and probed, then the same for the diversify legs. Legs of equal
-size form a group that trains as one weight stack across repeats, each
-net with the bytes it would get alone, and the process that trains a
-group probes its nets. Work runs in other processes through one
-primitive, `forking.fan_out`: every chunk but the first runs in a forked
-helper, and where a CPU is spare, each stage hands part of its
-independent items (diversify sets, or groups) to one more. Every item
-draws only from its own sub-streams, so the bytes do not depend on which
-process computes it.
+Repeats run in contiguous chunks, one per worker process, and each chunk
+is one scheduled run (`run_repeat`). The reference and resampler sets of
+every repeat in it are prepared first; legs of equal size form a group
+that trains as one weight stack across repeats, each net with the bytes
+it would get alone, and the process that trains a group probes its nets.
+Each diversify leg is a task of its own that starts once its repeat's
+reference has been probed. Work runs in other processes through one
+primitive, `forking.fan_out`, a claim loop over a shared list of ready
+tasks: every chunk but the first runs in a forked helper, and where a CPU
+is spare, a chunk forks one helper that takes the chunk's tasks as it
+becomes free. Every task draws only from its own sub-streams, so the
+bytes do not depend on which process computes it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import re
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -494,138 +495,147 @@ def validation_summary(validation) -> str:
             f" passed={validation.passed}")
 
 
-def _leg_set(cfg: ExperimentConfig, train_ds: Dataset, approach: str, repeat: int,
-             reference):
-    """A leg's training set and its note."""
-    if approach in _DIVERSIFY_MODES:
-        dd = diversified_set(cfg, train_ds, reference, approach, repeat)
-        return dd.dataset, validation_summary(dd.validation)
-    if approach == "original":
-        return train_ds, ""
-    return resampled_set(cfg, train_ds, approach, repeat), ""
+class _Reference(NamedTuple):
+    """What a diversify leg reads of its repeat's reference probe, the only
+    part of it that crosses processes: the noise tolerance and the
+    per-class misclassified percentages, as exact float64 values."""
+
+    delta_x_max: float
+    mu: np.ndarray
+
+
+def _probe_leg(cfg: ExperimentConfig, key, outcome, fit: Dataset, note: str,
+               test_ds: Dataset, scales):
+    """(leg, probe) of a leg that `_train_gated` trained, probed with its
+    repeat's noise sub-stream, or the error that makes it infeasible."""
+    if isinstance(outcome, TrainingError):
+        return outcome
+    (repeat, approach), (model, rep, acc, flagged, reseeded) = key, outcome
+    try:
+        probe = noise_sweep(model, test_ds, cfg.noise,
+                            derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
+    except LEG_ERRORS as exc:
+        return exc
+    return LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
+                     delta_x_max=probe.delta_x_max, train_accuracy=acc,
+                     test_accuracy=rep.test_accuracy, n_train=fit.n,
+                     accuracy_flag=flagged, reseeded=reseeded, note=note), probe
 
 
 def _run_legs(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-              legs, references=None) -> list:
-    """Some legs, given as (repeat, approach) pairs, in two stages: prepare
-    every training set, then train each group of legs through the accuracy
-    gate (see `_train_gated`) and probe the nets it trained. A diversify
-    leg reads its repeat's reference probe from `references` (repeat ->
-    probe).
+              legs, references=None, timings=None) -> list[LegResult]:
+    """Some legs, given as (repeat, approach) pairs, as one scheduled run
+    through `forking.fan_out`; `timings` goes to it. Returns their
+    `LegResult`s in the given order.
 
     Every leg trains under `cfg.schedule` as configured, so each takes the
-    same number of full-batch steps whatever its set's size. Legs with
-    equally many rows form one group, whatever their repeat, because a
-    weight stack needs equal rows. Every leg is probed with its
+    same number of full-batch steps whatever its set's size. The reference
+    and resampler sets are prepared here first, and legs with equally many
+    rows form a group, whatever their repeat, because a weight stack needs
+    equal rows. A group is one task: train it through the accuracy gate
+    (see `_train_gated`), then probe its nets. Its cost is the row
+    gradients it sums per step, nets x rows. The group that holds the
+    `original` legs, which all fit the training set, comes first. Each
+    diversify leg is a task too: diversify, train, probe. It reads its
+    repeat's reference from `references` (repeat -> anything with
+    `delta_x_max` and `mu`) where given; else it waits until the task that
+    probes its repeat's `original` leg releases that reference, and is
+    taken before any group still waiting. Every leg is probed with its
     repeat's noise sub-stream and with feature scales taken from the
     original training set, so scores differ only through the nets and the
-    data they were trained on. The diversify legs' sets and the groups each
-    go through `forking.fan_out`, a group costed as the row gradients it
-    sums per step: nets x rows. Returns, per leg in the given order, (leg,
-    probe), the probe kept for `original` legs only, or the error that made
-    the leg infeasible (see `_leg_of`). Each net stays in the process that
-    trained and probed it.
-    """
-    def prepare(key):
-        repeat, approach = key
-        try:
-            return _leg_set(cfg, train_ds, approach, repeat, (references or {}).get(repeat))
-        except LEG_ERRORS as exc:
-            return exc
+    data they were trained on. Each net stays in the process that trained
+    and probed it; only the `_Reference` crosses processes.
 
-    # `original`'s set is `train_ds` itself, which the gate tests by
-    # identity, and a resampler takes less time than a fork: both stay here
-    here = {key: prepare(key) for key in legs if key[1] not in _DIVERSIFY_MODES}
-    shared = [key for key in legs if key not in here]
-    prepared = {**here, **forking.fan_out(prepare, shared)}
-    runs, fits, notes, by_rows = {}, {}, {}, {}
+    A leg whose method cannot run is infeasible, with the reason as its
+    note; a diversify leg whose reference leg is infeasible is too.
+    """
+    references = references or {}
+    fits, notes, runs, by_rows, waits = {}, {}, {}, {}, {}
     for key in legs:
-        if isinstance(prepared[key], LEG_ERRORS):
-            runs[key] = prepared[key]
+        repeat, approach = key
+        if approach in _DIVERSIFY_MODES:
+            if repeat not in references:
+                waits[key,] = repeat
+            continue
+        try:
+            fits[key] = (train_ds if approach == "original" else
+                         resampled_set(cfg, train_ds, approach, repeat))
+        except LEG_ERRORS as exc:
+            runs[key] = _infeasible_leg(approach, repeat, str(exc))
         else:
-            fits[key], notes[key] = prepared[key]
+            notes[key] = ""
             by_rows.setdefault(fits[key].n, []).append(key)
-    groups = [tuple(group) for group in by_rows.values()]
+    groups = sorted(map(tuple, by_rows.values()),
+                    key=lambda group: all(a != "original" for _, a in group))
+    diversify_legs = [(key,) for key in legs if key[1] in _DIVERSIFY_MODES]
     scales = feature_scales(train_ds.features)
 
-    def probe_leg(key, outcome):
-        if isinstance(outcome, TrainingError):
-            return outcome
-        (repeat, approach), (model, rep, acc, flagged, reseeded) = key, outcome
-        try:
-            probe = noise_sweep(model, test_ds, cfg.noise,
-                                derive_seed(cfg.seed, "rep", repeat, "probe"), scales)
-        except LEG_ERRORS as exc:
-            return exc
-        leg = LegResult(approach=approach, repeat=repeat, b_r=probe.b_r,
-                        delta_x_max=probe.delta_x_max, train_accuracy=acc,
-                        test_accuracy=rep.test_accuracy, n_train=fits[key].n,
-                        accuracy_flag=flagged, reseeded=reseeded, note=notes[key])
-        # only a reference probe is read after this round (diversify starts
-        # from it); every other leg keeps its b_r and tolerance in its leg
-        return leg, probe if approach == "original" else None
+    def run(task, reference):
+        """A task's legs, and the references it releases."""
+        if task[0][1] in _DIVERSIFY_MODES:
+            (repeat, approach), = task
+            try:
+                dd = diversified_set(cfg, train_ds, references[repeat] if reference is None
+                                     else reference, approach, repeat)
+            except LEG_ERRORS as exc:
+                return [_infeasible_leg(approach, repeat, str(exc))], {}
+            fits[task[0]], notes[task[0]] = dd.dataset, validation_summary(dd.validation)
+        trained = _train_gated(cfg, task, fits, train_ds, test_ds)
+        done, released = [], {}
+        for key in task:
+            probed = _probe_leg(cfg, key, trained[key], fits[key], notes[key], test_ds, scales)
+            if isinstance(probed, LEG_ERRORS):
+                done.append(_infeasible_leg(key[1], key[0], str(probed)))
+                continue
+            leg, probe = probed
+            done.append(leg)
+            if leg.approach == "original":
+                released[leg.repeat] = _Reference(probe.delta_x_max, probe.mu)
+        return done, released
 
-    def run_group(group):
-        trained = _train_gated(cfg, group, fits, train_ds, test_ds)
-        return [probe_leg(key, trained[key]) for key in group]
-
-    costs = [len(group) * fits[group[0]].n for group in groups]
-    for group, results in forking.fan_out(run_group, groups, costs).items():
-        runs.update(zip(group, results))
+    costs = [len(group) * fits[group[0]].n for group in groups] + [0] * len(diversify_legs)
+    for task, done in forking.fan_out(run, groups + diversify_legs, costs, waits=waits,
+                                      timings=timings).items():
+        runs.update(zip(task, done))
+    for key in legs:
+        if key not in runs:   # it waited for a reference leg that is infeasible
+            reference = runs[key[0], "original"]
+            runs[key] = _infeasible_leg(key[1], key[0],
+                                        f"reference leg infeasible: {reference.note}")
     return [runs[key] for key in legs]
-
-
-def _leg_of(run, approach: str, repeat: int) -> LegResult:
-    """The leg of one `_run_legs` entry; an error makes it infeasible, with
-    the reason as its note."""
-    if isinstance(run, LEG_ERRORS):
-        return _infeasible_leg(approach, repeat, str(run))
-    return run[0]
 
 
 def reference_probe(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset):
     """Train repeat 0's reference network and probe it: (leg, probe)."""
-    run, = _run_legs(cfg, train_ds, test_ds, [(0, "original")])
-    if isinstance(run, LEG_ERRORS):
-        raise run
-    return run
+    key = (0, "original")
+    trained = _train_gated(cfg, (key,), {key: train_ds}, train_ds, test_ds)
+    probed = _probe_leg(cfg, key, trained[key], train_ds, "", test_ds,
+                        feature_scales(train_ds.features))
+    if isinstance(probed, LEG_ERRORS):
+        raise probed
+    return probed
 
 
 def run_repeat(cfg: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
-               repeats) -> list[LegResult]:
+               repeats, timings=None) -> list[LegResult]:
     """Measure every configured approach once in each of `repeats` (a
-    chunk of repeat indices), stage-major across the chunk.
+    chunk of repeat indices), as one scheduled run (`_run_legs`; `timings`
+    goes to `forking.fan_out`).
 
-    `cfg.approaches` starts with `original` (the config parser requires it
-    and keeps `APPROACH_ORDER`), so the first round runs the reference and
-    resampler legs of every repeat in the chunk, and the second round the
-    diversify legs, each against its own repeat's reference probe. Within a
-    round, same-size legs of different repeats train as one stack (see
-    `_run_legs`); each leg draws only from sub-streams keyed by its
-    repeat, so a repeat's legs are the same bytes in any chunk. A leg whose
-    method cannot run (resampler infeasibility, divergence, no correctly
-    classified input, or a class with no correct variants) is recorded as
-    infeasible with the reason rather than dropped. When a repeat's
-    reference leg is infeasible, that repeat's diversify legs, which need
-    its probe, are too; its resampler legs do not read it and run as usual.
-    Returns the legs repeat by repeat, in approach order within a repeat.
+    Same-size reference and resampler legs of different repeats train as
+    one stack, and each diversify leg starts as soon as its repeat's
+    reference probe is released. Each leg draws only from sub-streams keyed
+    by its repeat, so a repeat's legs are the same bytes in any chunk and
+    in any process. A leg whose method cannot run (resampler
+    infeasibility, divergence, no correctly classified input, or a class
+    with no correct variants) is recorded as infeasible with the reason
+    rather than dropped. When a repeat's reference leg is infeasible, that
+    repeat's diversify legs, which need its probe, are too; its resampler
+    legs do not read it and run as usual. Returns the legs repeat by
+    repeat, in approach order within a repeat.
     """
-    repeats = list(repeats)
-    first = [a for a in cfg.approaches if a not in _DIVERSIFY_MODES]
-    rest = [a for a in cfg.approaches if a in _DIVERSIFY_MODES]
-    keys = [(r, a) for r in repeats for a in first]
-    runs = dict(zip(keys, _run_legs(cfg, train_ds, test_ds, keys)))
-    references = {r: runs[r, "original"][1] for r in repeats
-                  if not isinstance(runs[r, "original"], LEG_ERRORS)}
-    keys = [(r, a) for r in references for a in rest]
-    runs.update(zip(keys, _run_legs(cfg, train_ds, test_ds, keys, references)))
-    legs = []
-    for r in repeats:
-        reference = _leg_of(runs[r, "original"], "original", r)
-        legs += [_leg_of(runs[r, a], a, r) if (r, a) in runs else
-                 _infeasible_leg(a, r, f"reference leg infeasible: {reference.note}")
-                 for a in cfg.approaches]
-    return legs
+    return _run_legs(cfg, train_ds, test_ds,
+                     [(r, a) for r in repeats for a in cfg.approaches], timings=timings)
 
 
 def _chunks(repeats: int, workers: int) -> list:
@@ -694,30 +704,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     joined in repeat order. The first chunk runs here and each other in a
     forked helper (`forking.fan_out`; all here where "fork" is not
     available), with the same bytes. Where the usable CPUs number at least
-    twice the chunks, each chunk forks a helper for each stage that splits
-    too: its diversify sets, and its groups of legs to train and probe
-    (see `_run_legs`). `durations` records the usable CPUs and how many
-    helpers each chunk forked."""
+    twice the chunks, each chunk forks one helper of its own, which takes
+    tasks of the chunk's scheduled run as it becomes free (see
+    `_run_legs`). `durations` records the usable CPUs, how many helpers
+    each chunk forked and, per chunk, its wall seconds and each of its
+    processes' busy seconds and seconds blocked waiting for a reference."""
     started = time.perf_counter()
     train_ds, test_ds = load_split(cfg)
 
-    def run_chunk(repeats):
-        """A chunk's legs, its wall time shared evenly among its repeats,
-        and how many helpers it forked."""
-        began, forked = time.perf_counter(), forking.forked
-        legs = run_repeat(cfg, train_ds, test_ds, repeats)
-        return (legs, [(time.perf_counter() - began) / len(repeats)] * len(repeats),
-                forking.forked - forked)
+    def run_chunk(repeats, _):
+        """A chunk's legs, its wall seconds, how many helpers it forked and
+        its processes' (busy, blocked) seconds."""
+        began, forked, spent = time.perf_counter(), forking.forked, []
+        legs = run_repeat(cfg, train_ds, test_ds, repeats, timings=spent)
+        return (legs, time.perf_counter() - began, forking.forked - forked,
+                [process for call in spent for process in call]), {}
 
     chunks = _chunks(cfg.repeats, cfg.workers)
-    outcomes = forking.fan_out(run_chunk, chunks, processes=len(chunks),
-                               spare_only=False).values()
-    legs = tuple(leg for result, _, _ in outcomes for leg in result)
+    outcomes = list(forking.fan_out(run_chunk, chunks, processes=len(chunks),
+                                    spare_only=False).values())
+    legs = tuple(leg for result, _, _, _ in outcomes for leg in result)
     aggregates = aggregate_legs(legs, cfg.approaches, cfg.repeats)
     durations = {"total_seconds": time.perf_counter() - started,
-                 "per_repeat_seconds": [s for _, seconds, _ in outcomes for s in seconds],
+                 "per_repeat_seconds": [seconds / len(chunk) for chunk, (_, seconds, _, _)
+                                        in zip(chunks, outcomes) for _ in chunk],
                  "usable_cpus": forking.usable_cpus(),
-                 "helpers_per_chunk": [forked for _, _, forked in outcomes]}
+                 "helpers_per_chunk": [forked for _, _, forked, _ in outcomes],
+                 "chunks": [{"seconds": seconds,
+                             "busy_seconds": [busy for busy, _ in spent],
+                             "waited_seconds": [blocked for _, blocked in spent]}
+                            for _, seconds, _, spent in outcomes]}
     return ExperimentReport(
         approaches=cfg.approaches,
         repeats=cfg.repeats,

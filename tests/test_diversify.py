@@ -9,6 +9,7 @@ import pytest
 from biasdiv.data import Dataset, make_toy_blobs, segment_by_class
 from biasdiv.diversify import (
     ClassBounds,
+    _class_placement,
     _corr_diff,
     DiversifyConfig,
     bounds_to_json,
@@ -364,6 +365,11 @@ def test_sample_synthetic_is_the_per_feature_draw_bit_for_bit():
         want = per_feature_sample(sets, count, substream(trial, "s"))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous
+        # the class's constants, computed once, give the same rows on every call
+        placement = _class_placement(sets)
+        for again in range(2):
+            assert sample_synthetic(sets, count, substream(trial, "s"),
+                                    placement).tobytes() == want.tobytes()
 
 
 # -- minimize_redundancy -----------------------------------------------------------

@@ -22,6 +22,7 @@ from biasdiv.harness import (APPROACH_ORDER, BASELINE_APPROACHES, LegResult,
                              reference_probe, render_boxplot, report_to_json,
                              run_experiment, run_repeat, subsample_imbalanced)
 from biasdiv.mlp import TrainSchedule
+from biasdiv.probe import feature_scales
 
 
 def write_blobs_csv(path, per_class=12, centers=((0.0, 0.0), (4.0, 4.0)),
@@ -593,11 +594,11 @@ def test_original_leg_gate_reuses_train_accuracy(separated_cfg, monkeypatch):
 
     monkeypatch.setattr(harness, "accuracy", counting_accuracy)
     monkeypatch.setattr(harness, "noise_sweep", sweep_spy)
-    (leg, _), = harness._run_legs(separated_cfg, train, test, [(0, "original")])
+    leg, = harness._run_legs(separated_cfg, train, test, [(0, "original")])
     assert scored == []
     assert leg.train_accuracy == real_accuracy(nets[-1], train)
 
-    (leg, _), = harness._run_legs(separated_cfg, train, test, [(0, "ros")])
+    leg, = harness._run_legs(separated_cfg, train, test, [(0, "ros")])
     assert scored == [train]
     assert leg.train_accuracy == real_accuracy(nets[-1], train)
 
@@ -642,15 +643,21 @@ def single_approach_legs(cfg, train, test, repeat):
     every net trains through `train`."""
     legs, reference = [], None
     for approach in cfg.approaches:
-        if approach in ("original", *BASELINE_APPROACHES) or reference is not None:
-            run, = harness._run_legs(cfg, train, test, [(repeat, approach)],
+        if approach == "original":   # `reference_probe` for any repeat
+            key = (repeat, approach)
+            trained = harness._train_gated(cfg, (key,), {key: train}, train, test)
+            probed = harness._probe_leg(cfg, key, trained[key], train, "", test,
+                                        feature_scales(train.features))
+            if isinstance(probed, harness.LEG_ERRORS):
+                leg = harness._infeasible_leg(approach, repeat, str(probed))
+            else:
+                leg, reference = probed
+        elif approach in BASELINE_APPROACHES or reference is not None:
+            leg, = harness._run_legs(cfg, train, test, [(repeat, approach)],
                                      {repeat: reference})
-            leg = harness._leg_of(run, approach, repeat)
         else:
             leg = harness._infeasible_leg(approach, repeat,
                                           f"reference leg infeasible: {legs[0].note}")
-        if approach == "original" and not leg.infeasible:
-            reference = run[1]
         legs.append(leg)
     return legs
 
@@ -700,143 +707,208 @@ def test_run_repeat_legs_equal_single_approach_legs(separated_cfg, monkeypatch, 
 # Forked helpers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("costs, share", [
-    ([960, 120], [False, True]),             # iris at seed 6: the main stack and rus
-    ([221, 185], [False, True]),             # iris's two diversified singletons
-    ([225, 120, 990], [True, True, False]),  # wide-div: the oversamplers' stack
-    ([1] * 5, [False, True, False, True, False]),           # probes, equal costs
-    ([7], [False]),
-    ([], []),
-])
-def test_helper_share_on_the_benchmark_group_costs(costs, share):
-    assert forking._helper_share(costs) == share
+def _leg_names(cfg, repeats):
+    """(init seed of either attempt or diversify seed) -> (repeat, approach)."""
+    names = {}
+    for repeat in range(repeats):
+        for approach in APPROACH_ORDER:
+            names[derive_seed(cfg.seed, "rep", repeat, approach)] = (repeat, approach)
+            for attempt in (0, 1):
+                seed = derive_seed(cfg.seed, "rep", repeat, approach, "init", attempt)
+                names[seed] = (repeat, approach)
+    return names
 
 
-def _best_largest_bin(costs, processes):
-    """The largest bin of the best split of `costs` over `processes` bins,
-    by brute force."""
-    return min(max(sum(c for c, at in zip(costs, bins) if at == b) for b in range(processes))
-               for bins in itertools.product(range(processes), repeat=len(costs)))
+def _log_legs(cfg, monkeypatch, path):
+    """Spy on `noise_sweep` and `diversify`: each appends one line to `path`,
+    from whichever process runs it: `probed`, after a net is probed, or
+    `diversify`, as a diversify set starts, with the pid and the leg."""
+    names, real_sweep, real_diversify = _leg_names(cfg, cfg.repeats), *(
+        harness.noise_sweep, harness.diversify)
+
+    def log(event, leg):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([event, os.getpid(), *leg]) + "\n")
+
+    def sweep(model, *args):
+        probe = real_sweep(model, *args)
+        log("probed", names[model.spec.init_seed])
+        return probe
+
+    def diversify(train_ds, reference, config, seed, mode):
+        log("diversify", names[seed])
+        return real_diversify(train_ds, reference, config, seed, mode)
+
+    monkeypatch.setattr(harness, "noise_sweep", sweep)
+    monkeypatch.setattr(harness, "diversify", diversify)
+    return lambda: [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
-def test_helper_share_keeps_the_heaviest_item_and_graham_bound():
-    """This process takes the heaviest item, and the larger bin is within
-    7/6 of the best two-way split's, against brute force."""
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        costs = rng.integers(1, 50, size=int(rng.integers(1, 9))).tolist()
-        bins = forking._helper_share(costs)
-        assert bins[int(np.argmax(costs))] == 0
-        larger = max(sum(c for c, at in zip(costs, bins) if at == b) for b in (0, 1))
-        assert 6 * larger <= 7 * _best_largest_bin(costs, 2)
+@pytest.mark.usefixtures("one_cpu")
+def test_one_process_runs_the_reference_group_then_its_diversify_legs(separated_cfg,
+                                                                      monkeypatch, tmp_path):
+    """In one process the order is fixed: the group that holds the
+    `original` legs, then the diversify legs its references released, in
+    leg order, then the groups still waiting, the costliest first."""
+    events = _log_legs(separated_cfg, monkeypatch, tmp_path / "events")
+    train, test = harness.load_split(separated_cfg)
+    run_repeat(separated_cfg, train, test, [0, 1])
+    order = [(event, repeat, approach) for event, _, repeat, approach in events()]
+    group = [("probed", r, a) for r in (0, 1) for a in ("original", "ros", "smote")]
+    diversify = [(event, r, a) for r in (0, 1)
+                 for a in ("diversified", "synth_only", "delete_only")
+                 for event in ("diversify", "probed")]
+    assert order == group + diversify + [("probed", 0, "rus"), ("probed", 1, "rus")]
 
 
-def test_helper_share_keeps_graham_bound_over_three_bins():
-    """Over three bins, this process takes the heaviest item and the
-    largest bin is within Graham's 4/3 - 1/(3k) = 11/9 of the best
-    three-way split's, against brute force."""
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        costs = rng.integers(1, 50, size=int(rng.integers(1, 8))).tolist()
-        bins = forking._helper_share(costs, 3)
-        assert bins[int(np.argmax(costs))] == 0 and set(bins) <= {0, 1, 2}
-        largest = max(sum(c for c, at in zip(costs, bins) if at == b) for b in range(3))
-        assert 9 * largest <= 11 * _best_largest_bin(costs, 3)
-
-
-@pytest.mark.parametrize("costs", [[1, 1, 1], [4, 9, 2], [5, 5, 3, 3], [2, 7]])
-def test_helper_share_puts_k_items_one_per_bin(costs):
-    """k items into k bins go one per bin, this process's bin 0 taking the
-    heaviest; at equal costs, item i goes to bin i (chunk 0 stays here)."""
-    bins = forking._helper_share(costs, len(costs))
-    assert sorted(bins) == list(range(len(costs)))
-    assert bins[int(np.argmax(costs))] == 0
-    if len(set(costs)) == 1:
-        assert bins == list(range(len(costs)))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_diversify_leg_starts_after_its_reference_is_probed(separated_cfg, monkeypatch,
+                                                             tmp_path, cpus):
+    """No diversify leg starts before its repeat's reference is probed. With
+    a helper, this process runs the group of the `original` legs and takes
+    the first diversify leg of the first reference it releases, and the
+    helper starts with the other group (`rus`); the legs are as on one
+    CPU."""
+    train, test = harness.load_split(separated_cfg)
+    use_cpus(monkeypatch, 1)
+    want = run_repeat(separated_cfg, train, test, [0, 1])
+    events = _log_legs(separated_cfg, monkeypatch, tmp_path / "events")
+    use_cpus(monkeypatch, cpus)
+    assert run_repeat(separated_cfg, train, test, [0, 1]) == want
+    seen, where = set(), {}
+    for event, pid, repeat, approach in events():
+        if event == "diversify":
+            assert ("probed", repeat, "original") in seen, (repeat, approach)
+        seen.add((event, repeat, approach))
+        where.setdefault((event, repeat, approach), pid)
+    assert len(where) == 14 + 6 and len(set(where.values())) == cpus
+    here = os.getpid()
+    assert all(where["probed", r, a] == here for r in (0, 1) for a in ("original", "ros"))
+    assert where["diversify", 0, "diversified"] == here
+    assert (where["probed", 0, "rus"] == here) == (cpus == 1)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("case", ["default", "gate_fails", "diverges"])
 def test_helpers_write_the_bytes_of_one_cpu(separated_cfg, monkeypatch, tmp_path, case):
     """Every chunk but the first runs in a forked helper, and a chunk forks
-    a helper per stage where the usable CPUs number at least twice the
+    one helper of its own where the usable CPUs number at least twice the
     chunks: at workers=1 on two CPUs, and in each chunk at workers=2 on
-    four. Neither at workers=2 on two CPUs, nor where "fork" is not
-    available, where every chunk runs here. The report bytes are the
-    one-CPU bytes."""
-    cfg = replace(separated_cfg, repeats=3)
+    four. Neither at workers=2 and three repeats on one or two CPUs, nor
+    where "fork" is not available, where every chunk runs here. The report bytes are the
+    one-CPU bytes, at one repeat (the diversify legs run while the other
+    groups train) and at three."""
     if case == "gate_fails":   # every leg re-seeds, in a cross-repeat stack
         monkeypatch.setattr(harness, "ACCURACY_GATE", 1.0)
     elif case == "diverges":
-        cfg = replace(cfg, schedule=TrainSchedule(((1e9, 50),)))
-    use_cpus(monkeypatch, 1)
-    want = _report_bytes(run_experiment(cfg), tmp_path / "one")
-    helpers = {}
-    for cpus, workers in ((2, 1), (4, 2), (2, 2)):
-        use_cpus(monkeypatch, cpus)
-        report = run_experiment(replace(cfg, workers=workers))
-        assert _report_bytes(report, tmp_path / f"{cpus}-{workers}") == want, (cpus, workers)
-        assert report.durations["usable_cpus"] == cpus
-        helpers[cpus, workers] = report.durations["helpers_per_chunk"]
-    # one helper each for round 1's groups, round 2's sets and round 2's
-    # groups; a group re-seeds and probes in the process that trained it
-    assert helpers[2, 1] == [3] and helpers[2, 2] == [0, 0]
-    assert min(helpers[4, 2]) > 0
-    monkeypatch.setattr(forking, "_fork_context", lambda: None)
-    for workers, chunks in ((1, 1), (2, 2)):
-        report = run_experiment(replace(cfg, workers=workers))
-        assert report.durations["helpers_per_chunk"] == [0] * chunks
-        assert _report_bytes(report, tmp_path / f"nofork-{workers}") == want, workers
-    assert multiprocessing.active_children() == []
+        separated_cfg = replace(separated_cfg, schedule=TrainSchedule(((1e9, 50),)))
+    for repeats in (1, 3):
+        cfg = replace(separated_cfg, repeats=repeats)
+        use_cpus(monkeypatch, 1)
+        want = _report_bytes(run_experiment(cfg), tmp_path / f"one-{repeats}")
+        helpers = {}
+        for cpus, workers in ((2, 1), (1, 2), (2, 2), (4, 2)):
+            use_cpus(monkeypatch, cpus)
+            report = run_experiment(replace(cfg, workers=workers))
+            out = tmp_path / f"{cpus}-{workers}-{repeats}"
+            assert _report_bytes(report, out) == want, (cpus, workers, repeats)
+            assert report.durations["usable_cpus"] == cpus
+            helpers[cpus, workers] = report.durations["helpers_per_chunk"]
+        # one repeat is one chunk at workers=2, with a CPU spare on two
+        chunks = min(2, repeats)
+        assert helpers[2, 1] == [1] and helpers[1, 2] == [0] * chunks
+        assert helpers[2, 2] == ([0, 0] if chunks == 2 else [1])
+        assert helpers[4, 2] == [1] * chunks
+        with monkeypatch.context() as nofork:
+            nofork.setattr(forking, "_fork_context", lambda: None)
+            for workers in (1, 2):
+                report = run_experiment(replace(cfg, workers=workers))
+                assert report.durations["helpers_per_chunk"] == [0] * min(workers, repeats)
+                assert _report_bytes(report, tmp_path / f"nofork-{workers}-{repeats}") == want
+        assert multiprocessing.active_children() == []
     trained = [leg for leg in report.legs if not leg.infeasible]
     assert trained and all(leg.reseeded for leg in trained) == (case == "gate_fails")
     if case == "diverges":
         assert any(leg.note.startswith("training diverged at epoch ") for leg in report.legs)
 
 
-def test_iris_chunk_forks_one_helper_per_split_stage(monkeypatch):
-    """Iris at two repeats on two CPUs forks three helpers: round 1's
-    groups, round 2's diversify sets and round 2's groups, each trained
-    and probed in one process."""
+def test_iris_chunk_forks_one_helper(monkeypatch):
+    """Iris at two repeats on two CPUs forks one helper for its one chunk,
+    and its meta records both processes' timings."""
     use_cpus(monkeypatch, 2)
     cfg = load_experiment_config(Path(__file__).resolve().parent.parent / "configs" / "iris.json")
     report = run_experiment(replace(cfg, repeats=2, workers=1))
-    assert report.durations["helpers_per_chunk"] == [3]
+    assert report.durations["helpers_per_chunk"] == [1]
+    chunk, = report.durations["chunks"]
+    assert len(chunk["busy_seconds"]) == len(chunk["waited_seconds"]) == 2
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 1), (4, 2), (2, 2)])
+def test_meta_records_the_scheduler_timings(separated_cfg, monkeypatch, tmp_path, cpus,
+                                            workers):
+    """Per chunk, meta.json records its wall seconds and each of its
+    processes' busy seconds and seconds blocked waiting for a reference:
+    one process per chunk without a helper, two with one. Every value is
+    non-negative and no larger than the chunk's wall seconds. The four
+    report files do not hold them."""
+    use_cpus(monkeypatch, cpus)
+    report = run_experiment(replace(separated_cfg, repeats=3, workers=workers))
+    paths = emit_report(report, tmp_path)
+    durations = json.loads(paths["meta_json"].read_text())["durations"]
+    assert durations["usable_cpus"] == cpus
+    chunks = durations["chunks"]
+    assert len(chunks) == len(durations["helpers_per_chunk"]) == workers
+    for chunk, helpers in zip(chunks, durations["helpers_per_chunk"]):
+        assert set(chunk) == {"seconds", "busy_seconds", "waited_seconds"}
+        assert len(chunk["busy_seconds"]) == len(chunk["waited_seconds"]) == 1 + helpers
+        for value in chunk["busy_seconds"] + chunk["waited_seconds"]:
+            assert 0.0 <= value <= chunk["seconds"]
+    for name in ("report_csv", "runs_csv", "report_json", "boxplot_svg"):
+        text = paths[name].read_text()
+        assert "busy_seconds" not in text and "waited_seconds" not in text
 
 
 @pytest.mark.parametrize("stage", ["diversify", "probe"])
 def test_leg_error_in_the_helper_marks_only_its_leg_infeasible(separated_cfg, monkeypatch,
                                                                 stage):
-    """A leg error raised in the helper comes back as a value and lands on
-    its own leg: the diversify leg `(1, diversified)`, or each leg of repeat
-    1 whose probe the helper runs. Every other leg is as on one CPU."""
+    """A leg error comes back as a value and lands on its own leg, chosen
+    by seed: the diversify leg `(1, diversified)`, which either process may
+    take, or the probe of `(1, rus)`, whose group the helper runs. The legs
+    are the same on one CPU and on two, and every other leg is as without
+    the error."""
     train, test = harness.load_split(separated_cfg)
     use_cpus(monkeypatch, 1)
     want = run_repeat(separated_cfg, train, test, [0, 1])
-    use_cpus(monkeypatch, 2)
-    main, note = os.getpid(), f"{stage} fails in the helper"
+    note = f"{stage} fails"
     if stage == "diversify":
         real, target = harness.diversify, derive_seed(separated_cfg.seed, "rep", 1, "diversified")
 
         def failing(train_ds, reference, config, seed, mode):
-            if os.getpid() != main and seed == target:
+            if seed == target:
                 raise InfeasibleError(note)
             return real(train_ds, reference, config, seed, mode)
     else:
-        real, target = harness.noise_sweep, derive_seed(separated_cfg.seed, "rep", 1, "probe")
+        real = harness.noise_sweep
+        target = {derive_seed(separated_cfg.seed, "rep", 1, "rus", "init", attempt)
+                  for attempt in (0, 1)}
 
         def failing(model, test_ds, noise, seed, scales):
-            if os.getpid() != main and seed == target:
+            if model.spec.init_seed in target:
                 raise ProbeError(note)
             return real(model, test_ds, noise, seed, scales)
 
     monkeypatch.setattr(harness, stage if stage == "diversify" else "noise_sweep", failing)
-    legs = run_repeat(separated_cfg, train, test, [0, 1])
-    failed = {i for i, leg in enumerate(legs) if leg.note == note}
-    assert failed and all(legs[i].repeat == 1 and legs[i].infeasible for i in failed)
-    if stage == "diversify":
-        assert [(legs[i].repeat, legs[i].approach) for i in failed] == [(1, "diversified")]
-    assert ([leg for i, leg in enumerate(legs) if i not in failed]
+    legs = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        legs[cpus] = run_repeat(separated_cfg, train, test, [0, 1])
+    assert legs[1] == legs[2]
+    failed = [i for i, leg in enumerate(legs[2]) if leg.note == note]
+    approach = "diversified" if stage == "diversify" else "rus"
+    assert [(legs[2][i].repeat, legs[2][i].approach) for i in failed] == [(1, approach)]
+    assert legs[2][failed[0]].infeasible
+    assert ([leg for i, leg in enumerate(legs[2]) if i not in failed]
             == [leg for i, leg in enumerate(want) if i not in failed])
     assert multiprocessing.active_children() == []
 
@@ -848,24 +920,27 @@ def _open_fds():
 @pytest.mark.parametrize("where", ["helper", "here", "helper_exits", "chunk"])
 def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg, monkeypatch,
                                                                   where):
-    """An exception in a stage's helper, or in the helper that runs the
-    second chunk of a workers=2 experiment, is raised in the caller, with
-    the helper's traceback as its cause; one in this process while the
-    helper runs propagates; a helper that exits without its results raises
-    `ChildProcessError`. On every path the helper is joined and both ends
-    of its pipe are closed."""
+    """An exception in a chunk's helper, which starts with the `rus` group,
+    or in the helper that runs the second chunk of a workers=2 experiment,
+    is raised in the caller, with the helper's traceback as its cause; one
+    in this process, which runs the `original` legs' group, ends the helper
+    and propagates; a helper that exits without its results raises
+    `ChildProcessError`. The victim is chosen by seed. On every path the
+    helper is joined and both ends of every pipe are closed."""
     train, test = harness.load_split(separated_cfg)
     use_cpus(monkeypatch, 2)
-    main, real_sweep = os.getpid(), harness.noise_sweep
+    real_sweep = harness.noise_sweep
+    victims = {"here": (0, "original"), "helper": (1, "rus"), "helper_exits": (1, "rus"),
+               "chunk": (1, "ros")}
+    victim = {derive_seed(separated_cfg.seed, "rep", *victims[where], "init", attempt)
+              for attempt in (0, 1)}
 
-    def sweep(*args):
-        if os.getpid() == main and where == "here":
-            raise ValueError("a sweep fails here")
-        if os.getpid() != main and where in ("helper", "chunk"):
-            raise ValueError("a sweep fails in the helper")
-        if os.getpid() != main and where == "helper_exits":
-            os._exit(3)
-        return real_sweep(*args)
+    def sweep(model, *args):
+        if model.spec.init_seed in victim:
+            if where == "helper_exits":
+                os._exit(3)
+            raise ValueError(f"a sweep fails {'here' if where == 'here' else 'in the helper'}")
+        return real_sweep(model, *args)
 
     monkeypatch.setattr(harness, "noise_sweep", sweep)
     fds = _open_fds()
@@ -873,7 +948,7 @@ def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg,
               "helper": (ValueError, "a sweep fails in the helper"),
               "chunk": (ValueError, "a sweep fails in the helper"),
               "helper_exits": (ChildProcessError,
-                               "the helper process for .* exited with code 3")}
+                               "helper process [0-9]+ exited with code 3")}
     with pytest.raises(raised[where][0], match=raised[where][1]) as info:
         if where == "chunk":
             run_experiment(replace(separated_cfg, workers=2))
@@ -882,8 +957,8 @@ def test_failures_around_a_helper_raise_and_leave_nothing_running(separated_cfg,
     if where in ("helper", "chunk"):
         cause = info.value.__cause__
         assert isinstance(cause, forking._HelperTraceback)
-        assert ("in the helper process for [range(1, 2)]" if where == "chunk" else
-                "in the helper process for [((0, 'rus'), (1, 'rus'))]") in str(cause)
+        assert ("in the helper process, running range(1, 2)" if where == "chunk" else
+                "in the helper process, running ((0, 'rus'), (1, 'rus'))") in str(cause)
         assert "ValueError: a sweep fails in the helper" in str(cause)
     assert multiprocessing.active_children() == []
     assert _open_fds() == fds
